@@ -118,9 +118,10 @@ ModeResult run_mode(bool predictive, const BenchConfig& config,
   auto submit_at = [&](double at_s, const std::string& tenant) {
     const service::RunSpec spec = managed_run(config, next_index++, tenant);
     service.simulator().schedule_at(at_s, [&service, spec] {
-      const auto id = service.submit(spec);
-      if (!id)
-        std::cerr << "unexpected shed: " << id.status().to_string() << "\n";
+      const auto handle = service.submit_run(spec);
+      if (!handle)
+        std::cerr << "unexpected shed: " << handle.status().to_string()
+                  << "\n";
     });
   };
   // climate: one run every 4 s for the whole horizon.

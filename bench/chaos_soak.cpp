@@ -365,13 +365,13 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> churn_ids;
   bool churn_admitted = true;
   for (int i = 0; i < churn_runs; ++i) {
-    const auto id =
-        dist.submit(churn_spec(i, churn_root + "/run-" + std::to_string(i)));
-    if (!id) {
+    const auto handle = dist.submit_run(
+        churn_spec(i, churn_root + "/run-" + std::to_string(i)));
+    if (!handle) {
       churn_admitted = false;
       break;
     }
-    churn_ids.push_back(id.value());
+    churn_ids.push_back(handle.value().id());
   }
   const bool churn_drained =
       churn_admitted && dist.run_until_done(600.0).is_ok();
@@ -610,7 +610,8 @@ int main(int argc, char** argv) {
     if (outcome.state == service::RunState::kFailed &&
         outcome.status.code() == util::StatusCode::kResourceExhausted)
       ++greedy_killed;
-    if (service::retry_after_ms(outcome.status) <= 0) greedy_hinted = false;
+    if (service::shed_info(outcome.status).retry_after_ms <= 0)
+      greedy_hinted = false;
   }
   bool honest_identical = budget_admitted;
   std::size_t honest_completed = 0;

@@ -157,13 +157,14 @@ SweepPoint run_point(const BenchConfig& config, std::size_t workers,
 
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < config.runs; ++i) {
-    const auto id = service.submit(
+    const auto handle = service.submit_run(
         burst_spec(config, i, root + "/run-" + std::to_string(i)));
-    if (!id) {
-      std::cerr << "admission rejected: " << id.status().to_string() << "\n";
+    if (!handle) {
+      std::cerr << "admission rejected: " << handle.status().to_string()
+                << "\n";
       return point;
     }
-    ids.push_back(id.value());
+    ids.push_back(handle.value().id());
   }
 
   const auto start = std::chrono::steady_clock::now();

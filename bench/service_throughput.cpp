@@ -26,12 +26,12 @@
 //      plus the sustained queue depth.
 //
 //   4. Batched admission.  The same backlog pushed through
-//      submit_batch() at a batch-size x shard-count sweep, journal on:
-//      every batch is one sealed kBatch WAL frame and one fsync, so the
-//      per-spec amortized submit latency collapses.  Gated: the batched
-//      journal-on point (batch 64, 8 shards) must reach >= 10x the
-//      single-submit journal-on throughput with an amortized p99 under
-//      1 ms.
+//      submit_batch() at a batch-size sweep, journal on: every batch is
+//      one sealed kBatch WAL frame and one fsync, so the per-spec
+//      amortized submit latency collapses.  Gated: the best batched
+//      journal-on point must reach >= 10x the single-submit journal-on
+//      throughput with an amortized p99 under --batch-p99-gate-ms
+//      (default 1 ms).
 //
 // Results land in BENCH_service_throughput.json.  Exit code is non-zero
 // when the determinism gate fails, 8 workers do not reach 3x the serial
@@ -284,17 +284,14 @@ AdmissionResult admission_point(int total, int threads,
 }
 
 /// The batched variant of admission_point: submitters carve the backlog
-/// into submit_batch() calls of `batch` specs over a scheduler with
-/// `shards` admission shards.  Latency samples are per-spec amortized
-/// (batch wall / batch size), one sample per batch.
+/// into submit_batch() calls of `batch` specs.  Latency samples are
+/// per-spec amortized (batch wall / batch size), one sample per batch.
 AdmissionResult batched_admission_point(int total, int threads, int batch,
-                                        std::size_t shards,
                                         service::Journal* journal) {
   util::ThreadPool pool(1);
   service::SchedulerConfig config;
   config.workers = 1;
   config.queue_capacity = static_cast<std::size_t>(total) + 8;
-  config.admission_shards = shards;
   config.journal = journal;
   service::Scheduler scheduler(config, &pool);
 
@@ -518,55 +515,45 @@ int main(int argc, char** argv) {
         .field("p99_overhead_ms", durable.p99_ms - plain.p99_ms, 4);
 
     // ---- batched admission sweep (journal on) ---------------------------
-    std::cout << "\nBatched admission (journal on): batch-size x shard "
-                 "sweep over the same backlog...\n";
-    util::TextTable batch_table({"batch", "shards", "p50/spec (ms)",
-                                 "p99/spec (ms)", "submits/sec",
-                                 "vs single", "fsyncs"});
+    std::cout << "\nBatched admission (journal on): batch-size sweep over "
+                 "the same backlog...\n";
+    util::TextTable batch_table({"batch", "p50/spec (ms)", "p99/spec (ms)",
+                                 "submits/sec", "vs single", "fsyncs"});
     for (const int batch : {16, 64, 256}) {
-      for (const std::size_t shards : {1u, 8u}) {
-        fs::remove_all(journal_dir);
-        service::Journal sweep_journal(journal_config);
-        if (!sweep_journal.open().has_value()) {
-          std::cerr << "cannot open bench journal in " << journal_dir
-                    << "\n";
-          return 1;
-        }
-        const AdmissionResult point = batched_admission_point(
-            journal_specs, journal_threads, batch, shards, &sweep_journal);
-        const double speedup =
-            point.submits_per_sec / durable.submits_per_sec;
-        // The gate holds if the best batched configuration clears it —
-        // which point wins shifts a little with machine noise, the
-        // pipeline's capability is what is being gated.
-        if (speedup > batched_speedup) {
-          batched_speedup = speedup;
-          batched_p99 = point.p99_ms;
-          batched_gate =
-              speedup >= 10.0 &&
-              point.p99_ms < flags.get_double("batch-p99-gate-ms");
-        }
-        batch_table.add_row(
-            {util::cell(static_cast<double>(batch), 0),
-             util::cell(static_cast<double>(shards), 0),
-             util::cell(point.p50_ms, 4), util::cell(point.p99_ms, 4),
-             util::cell(point.submits_per_sec, 0), util::cell(speedup, 1),
-             util::cell(point.fsyncs)});
-        std::string entry = "batch-";
-        entry += std::to_string(batch);
-        entry += "-shards-";
-        entry += std::to_string(shards);
-        json.entry(entry)
-            .field("specs", static_cast<std::size_t>(journal_specs))
-            .field("threads", static_cast<std::size_t>(journal_threads))
-            .field("batch", static_cast<std::size_t>(batch))
-            .field("shards", shards)
-            .field("amortized_p50_ms", point.p50_ms, 4)
-            .field("amortized_p99_ms", point.p99_ms, 4)
-            .field("submits_per_sec", point.submits_per_sec, 1)
-            .field("speedup_vs_single_submit", speedup, 2)
-            .field("fsyncs", point.fsyncs);
+      fs::remove_all(journal_dir);
+      service::Journal sweep_journal(journal_config);
+      if (!sweep_journal.open().has_value()) {
+        std::cerr << "cannot open bench journal in " << journal_dir << "\n";
+        return 1;
       }
+      const AdmissionResult point = batched_admission_point(
+          journal_specs, journal_threads, batch, &sweep_journal);
+      const double speedup = point.submits_per_sec / durable.submits_per_sec;
+      // The gate holds if the best batched configuration clears it —
+      // which point wins shifts a little with machine noise, the
+      // pipeline's capability is what is being gated.
+      if (speedup > batched_speedup) {
+        batched_speedup = speedup;
+        batched_p99 = point.p99_ms;
+        batched_gate = speedup >= 10.0 &&
+                       point.p99_ms < flags.get_double("batch-p99-gate-ms");
+      }
+      batch_table.add_row({util::cell(static_cast<double>(batch), 0),
+                           util::cell(point.p50_ms, 4),
+                           util::cell(point.p99_ms, 4),
+                           util::cell(point.submits_per_sec, 0),
+                           util::cell(speedup, 1), util::cell(point.fsyncs)});
+      std::string entry = "batch-";
+      entry += std::to_string(batch);
+      json.entry(entry)
+          .field("specs", static_cast<std::size_t>(journal_specs))
+          .field("threads", static_cast<std::size_t>(journal_threads))
+          .field("batch", static_cast<std::size_t>(batch))
+          .field("amortized_p50_ms", point.p50_ms, 4)
+          .field("amortized_p99_ms", point.p99_ms, 4)
+          .field("submits_per_sec", point.submits_per_sec, 1)
+          .field("speedup_vs_single_submit", speedup, 2)
+          .field("fsyncs", point.fsyncs);
     }
     fs::remove_all(journal_dir);
     std::cout << batch_table.render();

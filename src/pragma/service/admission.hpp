@@ -7,15 +7,12 @@
 // get RunHandles back, regardless of whether the runs execute on the
 // in-process thread pool or the distributed coordinator/worker plane.
 //
-// This header also owns the *structured* shed vocabulary.  Backpressure
-// statuses used to be classified by string-parsing " [retry_after_ms=N]"
-// out of the message; that parser survives for compatibility (see
-// retry_after_ms() in journal.hpp), but the primary mechanism is now
-// ShedInfo: every admission-time rejection is built through shed_status()
-// which tags the message with a machine-readable reason token, and
-// shed_info() decodes reason + retry hint in one call.  The full
-// classification table — which reason rides which status code, and which
-// are worth retrying — lives with the shed ladder in scheduler.hpp.
+// This header also owns the *structured* shed vocabulary: every
+// admission-time rejection is built through shed_status(), which tags the
+// message with a machine-readable reason token and retry hint, and
+// shed_info() decodes both in one call.  The full classification table —
+// which reason rides which status code, and which are worth retrying —
+// lives with the shed ladder in scheduler.hpp.
 #pragma once
 
 #include <atomic>
@@ -70,8 +67,7 @@ class TicketOwner {
 };
 
 /// Shared state of one submitted run.  Lock ordering: a thread holding a
-/// backend lock (Scheduler::mu_ / a shard mutex) may take Ticket::mu,
-/// never the reverse.
+/// backend lock (Scheduler::mu_) may take Ticket::mu, never the reverse.
 struct Ticket {
   RunSpec spec;
   std::uint64_t sequence = 0;
@@ -162,16 +158,14 @@ struct ShedInfo {
 };
 
 /// Build a shed status: `code` + message tagged with " [shed=<reason>]"
-/// and, when `retry_after_ms >= 0`, the " [retry_after_ms=N]" hint the
-/// legacy parser understands.
+/// and, when `retry_after_ms >= 0`, a " [retry_after_ms=N]" hint.
 [[nodiscard]] util::Status shed_status(util::StatusCode code,
                                        ShedReason reason,
                                        const std::string& message,
                                        int retry_after_ms);
 
-/// Decode the reason tag and retry hint of a status.  Statuses from
-/// pre-ShedInfo layers (no tag) come back with reason kNone and whatever
-/// hint their message carries.
+/// Decode the reason tag and retry hint of a status.  Untagged statuses
+/// come back with reason kNone and whatever hint their message carries.
 [[nodiscard]] ShedInfo shed_info(const util::Status& status);
 
 // ---------------------------------------------------------------------------

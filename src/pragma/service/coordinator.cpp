@@ -129,12 +129,6 @@ util::Expected<RunHandle> Coordinator::submit(RunSpec spec) {
   return RunHandle(std::move(ticket), this);
 }
 
-util::Expected<std::uint64_t> Coordinator::submit_id(RunSpec spec) {
-  util::Expected<RunHandle> handle = submit(std::move(spec));
-  if (!handle) return handle.status();
-  return handle.value().id();
-}
-
 bool Coordinator::cancel_ticket(
     const std::shared_ptr<detail::Ticket>& ticket) {
   (void)ticket;

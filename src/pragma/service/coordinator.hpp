@@ -207,10 +207,6 @@ class Coordinator : public Admission, public detail::TicketOwner {
   /// handle's id() is the DistRun id (find()/runs() key).
   [[nodiscard]] util::Expected<RunHandle> submit(RunSpec spec) override;
 
-  /// \deprecated Pre-Admission shim returning the raw DistRun id; new
-  /// code uses submit() and RunHandle::id().  Kept for one release.
-  [[nodiscard]] util::Expected<std::uint64_t> submit_id(RunSpec spec);
-
   /// Resolve every non-terminal handle with `status` (state kFailed, or
   /// kCancelled when `status` is ok).  Call before tearing down the
   /// control plane so no RunHandle is left waiting on a run that can no

@@ -129,49 +129,6 @@ util::Status write_all(int fd, const std::uint8_t* bytes, std::size_t size,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Retry-after hint plumbing
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr const char* kRetryAfterToken = " [retry_after_ms=";
-}  // namespace
-
-util::Status unavailable_with_retry_after(const std::string& message,
-                                          int retry_after_ms) {
-  if (retry_after_ms < 0) retry_after_ms = 0;
-  return util::Status::unavailable(message + kRetryAfterToken +
-                                   std::to_string(retry_after_ms) + "]");
-}
-
-util::Status resource_exhausted_with_retry_after(const std::string& message,
-                                                 int retry_after_ms) {
-  if (retry_after_ms < 0) retry_after_ms = 0;
-  return util::Status::resource_exhausted(message + kRetryAfterToken +
-                                          std::to_string(retry_after_ms) +
-                                          "]");
-}
-
-int retry_after_ms(const util::Status& status) {
-  if (status.code() != util::StatusCode::kUnavailable &&
-      status.code() != util::StatusCode::kResourceExhausted)
-    return -1;
-  const std::string& message = status.message();
-  const std::size_t start = message.rfind(kRetryAfterToken);
-  if (start == std::string::npos) return -1;
-  std::size_t pos = start + std::strlen(kRetryAfterToken);
-  long value = 0;
-  bool any = false;
-  while (pos < message.size() && message[pos] >= '0' && message[pos] <= '9') {
-    if (value > (INT32_MAX - 9) / 10) return -1;
-    value = value * 10 + (message[pos] - '0');
-    any = true;
-    ++pos;
-  }
-  if (!any || pos >= message.size() || message[pos] != ']') return -1;
-  return static_cast<int>(value);
-}
-
-// ---------------------------------------------------------------------------
 // File / record framing
 // ---------------------------------------------------------------------------
 
@@ -357,7 +314,7 @@ JournalScan scan_journal_file(const std::vector<std::uint8_t>& bytes,
 }
 
 // ---------------------------------------------------------------------------
-// RunSpec payload codec (version 1)
+// RunSpec payload codec
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
@@ -470,7 +427,7 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
   w.f64(spec.random_mtbf_s);
   w.f64(spec.random_mttr_s);
 
-  // resource budget (appended by payload version 2)
+  // resource budget
   w.f64(spec.budget.cpu_s);
   w.u64(spec.budget.mem_bytes);
   w.u64(spec.budget.io_bytes);
@@ -484,8 +441,7 @@ util::Expected<RunSpec> decode_run_spec(
     const std::vector<std::uint8_t>& payload) {
   io::ByteReader r(payload);
   const std::uint32_t version = r.u32();
-  if (r.ok() && version != kRunSpecPayloadVersion &&
-      version != kRunSpecPayloadVersionV1)
+  if (r.ok() && version != kRunSpecPayloadVersion)
     return util::Status::unimplemented("run-spec payload version " +
                                        std::to_string(version));
   RunSpec spec;
@@ -599,21 +555,16 @@ util::Expected<RunSpec> decode_run_spec(
   spec.random_mtbf_s = r.f64();
   spec.random_mttr_s = r.f64();
 
-  // Version-1 payloads (pre-budget journals) end here; their runs carry
-  // the default unlimited budget.
-  if (version >= 2) {
-    spec.budget.cpu_s = r.f64();
-    spec.budget.mem_bytes = r.u64();
-    spec.budget.io_bytes = r.u64();
-    spec.budget.wall_s = r.f64();
-    const std::uint8_t action = r.u8();
-    if (r.ok() &&
-        action > static_cast<std::uint8_t>(
-                     res::ResourceBudget::Action::kThrottle))
-      r.fail("unknown budget action " + std::to_string(action));
-    spec.budget.action = static_cast<res::ResourceBudget::Action>(action);
-    spec.budget.throttle_factor = r.f64();
-  }
+  spec.budget.cpu_s = r.f64();
+  spec.budget.mem_bytes = r.u64();
+  spec.budget.io_bytes = r.u64();
+  spec.budget.wall_s = r.f64();
+  const std::uint8_t action = r.u8();
+  if (r.ok() && action > static_cast<std::uint8_t>(
+                             res::ResourceBudget::Action::kThrottle))
+    r.fail("unknown budget action " + std::to_string(action));
+  spec.budget.action = static_cast<res::ResourceBudget::Action>(action);
+  spec.budget.throttle_factor = r.f64();
 
   if (r.ok() && !r.at_end())
     r.fail("trailing bytes after run-spec payload");
@@ -830,73 +781,9 @@ void Journal::enter_degraded(const util::Status& cause) {
 }
 
 util::Expected<std::uint64_t> Journal::append(const RunSpec& spec) {
-  std::vector<std::uint8_t> payload = encode_run_spec(spec);
-  if (payload.size() > config_.max_payload_bytes)
-    return shed_status(util::StatusCode::kOutOfRange,
-                       ShedReason::kPayloadTooLarge,
-                       "run-spec payload of " + std::to_string(payload.size()) +
-                           " bytes exceeds journal cap of " +
-                           std::to_string(config_.max_payload_bytes),
-                       /*retry_after_ms=*/-1);
-
-  std::uint64_t seq = 0;
-  std::uint64_t target = 0;
-  bool durable = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!opened_)
-      return util::Status::failed_precondition("journal not open");
-    seq = next_seq_++;
-
-    util::Status injected = util::Status::ok();
-    if (config_.testing_append_error) injected = config_.testing_append_error();
-
-    if (!degraded_ && injected.is_ok()) {
-      const std::vector<std::uint8_t> frame =
-          encode_journal_record(JournalRecordType::kPending, seq, payload);
-      // Saturation: try compacting first (tombstoned bulk may free the
-      // space); shed only when the *live* set itself is too large.
-      if (written_bytes_ + frame.size() > config_.max_active_bytes) {
-        (void)compact_locked();
-        if (written_bytes_ + frame.size() > config_.max_active_bytes) {
-          --next_seq_;
-          ++stats_.shed_saturated;
-          shed_saturated_counter().add();
-          return shed_status(util::StatusCode::kUnavailable,
-                             ShedReason::kJournalSaturated,
-                             "journal saturated (" +
-                                 std::to_string(written_bytes_) +
-                                 " bytes live)",
-                             config_.shed_retry_after_ms);
-        }
-      }
-      util::Status written = write_frame(frame, &target);
-      if (written.is_ok()) {
-        ++records_in_active_;
-        durable = true;
-      } else {
-        enter_degraded(written);
-      }
-    } else if (!injected.is_ok()) {
-      enter_degraded(injected);
-    }
-
-    LivePending live;
-    live.key = spec.journal_key();
-    live.name = spec.name;
-    if (durable) live.payload = std::move(payload);
-    live_.emplace(seq, std::move(live));
-    ++stats_.appends;
-    if (!durable) ++stats_.degraded_appends;
-  }
-  appends_counter().add();
-  if (durable && config_.fsync) {
-    if (util::Status synced = commit(target); !synced.is_ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      enter_degraded(synced);
-    }
-  }
-  return seq;
+  util::Expected<std::vector<std::uint64_t>> seqs = append_batch({&spec});
+  if (!seqs) return seqs.status();
+  return seqs.value().front();
 }
 
 util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
@@ -937,8 +824,8 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
     if (!degraded_ && injected.is_ok()) {
       // Frame the batch: kBatch records chunked so no frame payload
       // exceeds the cap; a chunk of one degenerates to a plain kPending
-      // frame (a batch of one is byte-identical to append()).  All the
-      // chunks concatenate into ONE image -> one write, one fsync.
+      // frame, so append() (a batch of one) writes exactly that frame.
+      // All the chunks concatenate into ONE image -> one write, one fsync.
       std::vector<std::uint8_t> image;
       std::vector<JournalRecord> chunk;
       std::size_t chunk_bytes = 4;
@@ -977,12 +864,13 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
           next_seq_ = first_seq;
           ++stats_.shed_saturated;
           shed_saturated_counter().add();
+          std::string message = "journal saturated (" +
+                                std::to_string(written_bytes_) +
+                                " bytes live)";
+          if (specs.size() > 1)
+            message += "; batch of " + std::to_string(specs.size()) + " shed";
           return shed_status(util::StatusCode::kUnavailable,
-                             ShedReason::kJournalSaturated,
-                             "journal saturated (" +
-                                 std::to_string(written_bytes_) +
-                                 " bytes live); batch of " +
-                                 std::to_string(specs.size()) + " shed",
+                             ShedReason::kJournalSaturated, message,
                              config_.shed_retry_after_ms);
         }
       }
@@ -1005,11 +893,11 @@ util::Expected<std::vector<std::uint64_t>> Journal::append_batch(
       live_.emplace(seqs[i], std::move(live));
     }
     stats_.appends += specs.size();
-    ++stats_.batch_appends;
+    if (specs.size() > 1) ++stats_.batch_appends;
     if (!durable) stats_.degraded_appends += specs.size();
   }
   appends_counter().add(specs.size());
-  batch_appends_counter().add();
+  if (specs.size() > 1) batch_appends_counter().add();
   if (durable && config_.fsync) {
     if (util::Status synced = commit(target); !synced.is_ok()) {
       std::lock_guard<std::mutex> lock(mu_);

@@ -41,7 +41,7 @@
 // time, so recovery replays them identically to single appends; a crash
 // mid-batch loses the whole frame (its payload CRC cannot match),
 // never half of it.  Compaction rewrites survivors as plain pending
-// frames, so v1-era readers of compacted journals see no batch frames.
+// frames.
 //
 // Degradation ladder (loudest first):
 //   1. saturation — the active generation exceeds max_active_bytes and
@@ -78,10 +78,8 @@ inline constexpr std::size_t kJournalFileHeaderBytes = 16;
 inline constexpr char kJournalRecordMagic[4] = {'P', 'J', 'R', '1'};
 inline constexpr std::size_t kJournalRecordHeaderBytes = 32;
 /// Version tag of the RunSpec payload encoding (first u32 of the payload).
-/// Version 2 appended the ResourceBudget fields; version-1 payloads from
-/// pre-budget journals still decode (with default, unlimited budgets).
+/// A payload of any other version fails to decode with kUnimplemented.
 inline constexpr std::uint32_t kRunSpecPayloadVersion = 2;
-inline constexpr std::uint32_t kRunSpecPayloadVersionV1 = 1;
 inline constexpr std::uint64_t kDefaultJournalMaxPayloadBytes = 1ull << 20;
 
 enum class JournalRecordType : std::uint32_t {
@@ -198,7 +196,7 @@ struct JournalRecovery {
 
 struct JournalStats {
   std::uint64_t appends = 0;       ///< pending records (batch items count)
-  std::uint64_t batch_appends = 0; ///< append_batch() calls
+  std::uint64_t batch_appends = 0; ///< appends of two or more specs
   std::uint64_t tombstones = 0;
   std::uint64_t fsyncs = 0;
   std::uint64_t compactions = 0;
@@ -208,27 +206,6 @@ struct JournalStats {
   std::size_t live_pending = 0;
   bool degraded = false;
 };
-
-/// Build a Status::unavailable whose message carries a machine-readable
-/// retry-after hint: "<message> [retry_after_ms=<ms>]".  Status itself
-/// stays a (code, bounded message) pair — the hint travels inside the
-/// message so it survives every existing plumbing layer unchanged.
-/// Compatibility shim: new code builds sheds through shed_status() and
-/// decodes them with shed_info() (admission.hpp), which additionally
-/// carries the structured ShedReason tag.
-[[nodiscard]] util::Status unavailable_with_retry_after(
-    const std::string& message, int retry_after_ms);
-
-/// Like unavailable_with_retry_after, for budget-kill sheds: a
-/// Status::resource_exhausted carrying the same machine-readable
-/// " [retry_after_ms=<ms>]" hint, so budget backpressure rides the
-/// degradation ladder's existing retry convention.
-[[nodiscard]] util::Status resource_exhausted_with_retry_after(
-    const std::string& message, int retry_after_ms);
-
-/// Parse the retry-after hint back out of a shed status; -1 when the
-/// status carries none (not shed, or shed by a pre-hint layer).
-[[nodiscard]] int retry_after_ms(const util::Status& status);
 
 /// The write-ahead journal.  Thread-safe; appends from concurrent
 /// submitters share group-commit fsyncs (the first waiter syncs for
@@ -247,18 +224,18 @@ class Journal {
   /// Returns what was recovered; an empty directory recovers nothing.
   [[nodiscard]] util::Expected<JournalRecovery> open();
 
-  /// Durably append a pending record for `spec` and return its sequence
-  /// number.  Sheds with Status::unavailable (retry-after hint attached)
-  /// on saturation; latches degraded mode on I/O failure and keeps
-  /// serving (the returned seq is then in-memory only).
+  /// append_batch() of one: durably append a pending record for `spec`
+  /// and return its sequence number.
   [[nodiscard]] util::Expected<std::uint64_t> append(const RunSpec& spec);
 
   /// Durably append pending records for every spec with ONE write and ONE
   /// group-commit fsync (kBatch frames, chunked to the payload cap; a
-  /// chunk of one degenerates to a plain kPending frame so a batch of one
-  /// is byte-identical to append()).  All-or-nothing: saturation or an
-  /// oversized payload sheds the whole batch and no sequence is consumed.
-  /// Returns one sequence per spec, in order.
+  /// chunk of one degenerates to a plain kPending frame).  All-or-nothing:
+  /// saturation sheds the whole batch with Status::unavailable (retry-
+  /// after hint attached), an oversized payload with kOutOfRange, and no
+  /// sequence is consumed.  An I/O failure latches degraded mode and keeps
+  /// serving (the returned seqs are then in-memory only).  Returns one
+  /// sequence per spec, in order.
   [[nodiscard]] util::Expected<std::vector<std::uint64_t>> append_batch(
       const std::vector<const RunSpec*>& specs);
 

@@ -148,16 +148,6 @@ struct RunSpec {
   [[nodiscard]] RunSpec derived(std::size_t index) const;
 };
 
-// Deprecated spellings: the pre-service config structs, re-exported so
-// code written against pragma::service keeps compiling while it migrates
-// to RunSpec.  New code should not use these.
-using ManagedRunConfig = core::ManagedRunConfig;
-using TraceRunConfig = core::TraceRunConfig;
-using SystemSensitiveConfig = core::SystemSensitiveConfig;
-using FaultToleranceConfig = core::FaultToleranceConfig;
-using ObsConfig = obs::ObsConfig;
-using ResourceMonitorConfig = monitor::ResourceMonitorConfig;
-
 /// Build the cluster a spec describes: federated when sites > 1,
 /// heterogeneous when capacity_spread > 0 (same Rng stream as ManagedRun),
 /// homogeneous otherwise.

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <thread>
 #include <utility>
 
-#include "pragma/obs/flight_recorder.hpp"
 #include "pragma/obs/metrics.hpp"
-#include "pragma/policy/builtin.hpp"
+#include "pragma/service/executor.hpp"
 #include "pragma/service/journal.hpp"
 #include "pragma/util/logging.hpp"
 
@@ -109,33 +105,28 @@ util::Status shutting_down_status() {
                      "scheduler is shutting down", /*retry_after_ms=*/-1);
 }
 
+std::vector<RunSpec> batch_of_one(RunSpec spec) {
+  std::vector<RunSpec> batch;
+  batch.push_back(std::move(spec));
+  return batch;
+}
+
 }  // namespace
 
 Scheduler::Scheduler(SchedulerConfig config, util::ThreadPool* pool)
     : config_(config), pool_(pool != nullptr ? pool : &util::shared_pool()) {
   if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  std::size_t nshards = config_.admission_shards;
-  if (nshards == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    nshards = std::min<std::size_t>(8, std::max(1u, hw));
-  }
-  config_.admission_shards = nshards;
-  shards_.reserve(nshards);
-  for (std::size_t i = 0; i < nshards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
 }
 
 Scheduler::~Scheduler() {
-  shutdown_.store(true);
   std::vector<TicketPtr> doomed;
   std::vector<TicketPtr> running;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    // Centralize anything still staged in the shards; stagers racing this
-    // drain observe shutdown_ under their shard mutex and shed instead.
-    drain_shards_locked();
+    std::lock_guard<std::mutex> lock(mu_);
+    // Submitters still appending to the journal observe shutdown_ when
+    // they come back to stage, and shed instead.
+    shutdown_ = true;
     doomed.assign(queue_.begin(), queue_.end());
-    occupied_.fetch_sub(queue_.size());
     queue_.clear();
     running = inflight_;
   }
@@ -166,14 +157,9 @@ std::size_t Scheduler::workers() const {
   return std::max<std::size_t>(1, pool_->size());
 }
 
-Scheduler::Shard& Scheduler::shard_for(const std::string& tenant) {
-  return *shards_[std::hash<std::string>{}(tenant) % shards_.size()];
-}
-
-util::Status Scheduler::check_rate_limit(Shard& shard,
-                                         const std::string& tenant_name) {
+util::Status Scheduler::check_rate_limit(const std::string& tenant_name) {
   if (config_.rate_limit.rate_per_s <= 0.0) return util::Status::ok();
-  TokenBucket& bucket = shard.buckets[tenant_name];
+  TokenBucket& bucket = buckets_[tenant_name];
   const auto now = std::chrono::steady_clock::now();
   if (!bucket.primed) {
     bucket.primed = true;
@@ -190,8 +176,8 @@ util::Status Scheduler::check_rate_limit(Shard& shard,
   if (bucket.tokens < 1.0) {
     const double wait_s =
         (1.0 - bucket.tokens) / config_.rate_limit.rate_per_s;
-    n_shed_rate_limited_.fetch_add(1);
-    n_rejected_.fetch_add(1);
+    ++stats_.shed_rate_limited;
+    ++stats_.rejected;
     rejected_counter().add();
     shed_rate_limited_counter().add();
     return shed_status(util::StatusCode::kUnavailable,
@@ -203,147 +189,98 @@ util::Status Scheduler::check_rate_limit(Shard& shard,
   return util::Status::ok();
 }
 
-bool Scheduler::try_reserve() {
-  const std::size_t prev = occupied_.fetch_add(1);
-  if (prev >= config_.queue_capacity) {
-    occupied_.fetch_sub(1);
-    return false;
-  }
-  reserved_.fetch_add(1);
-  return true;
-}
-
-void Scheduler::release_reservation() {
-  reserved_.fetch_sub(1);
-  occupied_.fetch_sub(1);
-}
-
-bool Scheduler::stage(Shard& shard, const TicketPtr& ticket) {
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shutdown_.load()) return false;
-    ticket->sequence = next_sequence_.fetch_add(1);
-    ticket->run_id = ticket->sequence;
-    ticket->submitted_at = std::chrono::steady_clock::now();
-    shard.staged.push_back(ticket);
-    staged_.fetch_add(1);
-  }
-  reserved_.fetch_sub(1);
-  n_submitted_.fetch_add(1);
-  submitted_counter().add();
-  const std::size_t depth = queue_depth();
-  std::size_t peak = peak_queue_depth_.load();
-  while (depth > peak &&
-         !peak_queue_depth_.compare_exchange_weak(peak, depth)) {
-  }
-  queue_depth_gauge().set(static_cast<double>(depth));
-  return true;
-}
-
-void Scheduler::kick_dispatch() {
-  // Fast path: all worker slots busy — the finishing worker drains the
-  // shards itself (finish() decrements running_ under mu_ *before* its
-  // dispatch sweep, so either that sweep sees our staged ticket or we see
-  // the decremented running_ here; the staged ticket is never orphaned).
-  if (running_.load() >= workers()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  maybe_dispatch();
-}
-
-void Scheduler::drain_shards_locked() {
-  if (staged_.load() == 0) return;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    while (!shard->staged.empty()) {
-      queue_.push_back(std::move(shard->staged.front()));
-      shard->staged.pop_front();
-      staged_.fetch_sub(1);
-    }
-  }
-}
-
 util::Expected<RunHandle> Scheduler::submit(RunSpec spec) {
-  return admit(std::move(spec), /*rate_limited=*/true, /*recovered_seq=*/0);
+  return std::move(submit_specs(batch_of_one(std::move(spec)),
+                                /*batch=*/false, /*recovered_seq=*/0)
+                       .front());
 }
 
 util::Expected<RunHandle> Scheduler::resubmit_recovered(
     RunSpec spec, std::uint64_t journal_seq) {
-  return admit(std::move(spec), /*rate_limited=*/false, journal_seq);
-}
-
-util::Expected<RunHandle> Scheduler::admit(RunSpec spec, bool rate_limited,
-                                           std::uint64_t recovered_seq) {
-  // Phase 1 (shard-local): degradation-ladder checks, then reserve a
-  // queue slot with one atomic fetch-add.  The reservation keeps
-  // concurrent submitters from oversubscribing the queue while phase 2
-  // runs unlocked; nothing here touches the central dispatch lock.
-  if (shutdown_.load()) {
-    n_rejected_.fetch_add(1);
-    rejected_counter().add();
-    return shutting_down_status();
-  }
-  Shard& shard = shard_for(spec.tenant);
-  if (rate_limited) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (util::Status limited = check_rate_limit(shard, spec.tenant);
-        !limited.is_ok())
-      return limited;
-  }
-  if (!try_reserve()) {
-    n_rejected_.fetch_add(1);
-    n_shed_queue_full_.fetch_add(1);
-    rejected_counter().add();
-    shed_queue_full_counter().add();
-    return shed_status(util::StatusCode::kUnavailable, ShedReason::kQueueFull,
-                       "admission queue full (" +
-                           std::to_string(queue_depth()) + "/" +
-                           std::to_string(config_.queue_capacity) +
-                           "); run \"" + spec.name + "\" shed",
-                       config_.shed_retry_after_ms);
-  }
-  auto ticket = std::make_shared<detail::Ticket>();
-  ticket->spec = std::move(spec);
-  ticket->journal_seq = recovered_seq;
-
-  // Phase 2 (unlocked): the durable append — group-commit fsync happens
-  // here, so no scheduler lock is ever held across disk I/O.  Recovered
-  // runs keep their original pending record instead of appending again.
-  if (config_.journal != nullptr && recovered_seq == 0) {
-    util::Expected<std::uint64_t> seq = config_.journal->append(ticket->spec);
-    if (!seq) {
-      release_reservation();
-      n_rejected_.fetch_add(1);
-      n_shed_journal_.fetch_add(1);
-      rejected_counter().add();
-      shed_journal_counter().add();
-      return seq.status();
-    }
-    ticket->journal_seq = seq.value();
-  }
-
-  // Phase 3 (shard-local): convert the reservation into a staged ticket.
-  if (!stage(shard, ticket)) {
-    // Shut down while appending: the journal keeps the pending record,
-    // so a restart recovers the run instead of losing it silently.
-    release_reservation();
-    n_rejected_.fetch_add(1);
-    rejected_counter().add();
-    return shutting_down_status();
-  }
-  kick_dispatch();
-  return RunHandle(std::move(ticket), this);
+  return std::move(submit_specs(batch_of_one(std::move(spec)),
+                                /*batch=*/false, journal_seq)
+                       .front());
 }
 
 std::vector<util::Expected<RunHandle>> Scheduler::submit_batch(
     std::vector<RunSpec> specs) {
+  return submit_specs(std::move(specs), /*batch=*/true,
+                      /*recovered_seq=*/0);
+}
+
+util::Status Scheduler::reserve_slot(const RunSpec& spec, bool rate_limited) {
+  if (shutdown_) {
+    ++stats_.rejected;
+    rejected_counter().add();
+    return shutting_down_status();
+  }
+  if (rate_limited) {
+    if (util::Status limited = check_rate_limit(spec.tenant);
+        !limited.is_ok())
+      return limited;
+  }
+  if (queue_.size() + reserved_ >= config_.queue_capacity) {
+    ++stats_.rejected;
+    ++stats_.shed_queue_full;
+    rejected_counter().add();
+    shed_queue_full_counter().add();
+    return shed_status(util::StatusCode::kUnavailable, ShedReason::kQueueFull,
+                       "admission queue full (" +
+                           std::to_string(queue_.size()) + "/" +
+                           std::to_string(config_.queue_capacity) +
+                           "); run \"" + spec.name + "\" shed",
+                       config_.shed_retry_after_ms);
+  }
+  ++reserved_;
+  return util::Status::ok();
+}
+
+void Scheduler::stage_locked(std::vector<Admitted>& admitted,
+                             const util::Status& journaled,
+                             std::vector<util::Expected<RunHandle>>& results) {
+  if (admitted.empty()) return;
+  reserved_ -= admitted.size();
+  // Stage in index order so admission sequences match N single submits.
+  for (auto& [index, ticket] : admitted) {
+    if (!journaled.is_ok()) {
+      ++stats_.rejected;
+      ++stats_.shed_journal;
+      rejected_counter().add();
+      shed_journal_counter().add();
+      results[index] = journaled;
+      continue;
+    }
+    if (shutdown_) {
+      // Shut down while appending: the journal keeps the pending record,
+      // so a restart recovers the run instead of losing it silently.
+      ++stats_.rejected;
+      rejected_counter().add();
+      results[index] = shutting_down_status();
+      continue;
+    }
+    ticket->sequence = next_sequence_++;
+    ticket->run_id = ticket->sequence;
+    ticket->submitted_at = std::chrono::steady_clock::now();
+    queue_.push_back(ticket);
+    ++stats_.submitted;
+    submitted_counter().add();
+    stats_.peak_queue_depth = std::max(stats_.peak_queue_depth, queue_.size());
+    queue_depth_gauge().set(static_cast<double>(queue_.size()));
+    results[index] = RunHandle(std::move(ticket), this);
+  }
+  maybe_dispatch();
+}
+
+std::vector<util::Expected<RunHandle>> Scheduler::submit_specs(
+    std::vector<RunSpec> specs, bool batch, std::uint64_t recovered_seq) {
   const std::size_t n = specs.size();
   std::vector<util::Expected<RunHandle>> results;
   results.reserve(n);
   if (n == 0) return results;
-  n_batches_.fetch_add(1);
-  n_batch_specs_.fetch_add(n);
-  batches_counter().add();
-  batch_specs_counter().add(n);
+  if (batch) {
+    batches_counter().add();
+    batch_specs_counter().add(n);
+  }
   for (std::size_t i = 0; i < n; ++i)
     results.emplace_back(util::Status::unavailable("batch slot unresolved"));
 
@@ -351,108 +288,82 @@ std::vector<util::Expected<RunHandle>> Scheduler::submit_batch(
   // encoded payloads (and the same trace object) attach to the first
   // occurrence's execution.  Custom workloads never coalesce — their
   // callables are not part of the encoding, so two specs could encode
-  // equal yet run different code.
+  // equal yet run different code.  Payloads are encoded only on a key
+  // collision, so distinct specs cost one key each.
   std::vector<std::size_t> primary(n);
-  std::vector<std::vector<std::uint8_t>> encoded;
   std::map<std::string, std::size_t> first_by_key;
-  if (config_.coalesce_batches) encoded.resize(n);
+  std::size_t coalesced = 0;
   for (std::size_t i = 0; i < n; ++i) {
     primary[i] = i;
-    if (!config_.coalesce_batches) continue;
     if (specs[i].kind == WorkloadKind::kCustom) continue;
-    encoded[i] = encode_run_spec(specs[i]);
     const auto [it, fresh] = first_by_key.emplace(specs[i].journal_key(), i);
-    if (!fresh) {
-      const std::size_t j = it->second;
-      if (specs[i].trace == specs[j].trace && encoded[i] == encoded[j]) {
-        primary[i] = j;
-        n_coalesced_.fetch_add(1);
-        coalesced_counter().add();
-      }
+    const RunSpec& first = specs[it->second];
+    if (!fresh && specs[i].trace == first.trace &&
+        encode_run_spec(specs[i]) == encode_run_spec(first)) {
+      primary[i] = it->second;
+      ++coalesced;
+      coalesced_counter().add();
     }
   }
 
-  // Per-item admission: rate limit + slot reservation.  A shed item's
-  // slot carries its own status while the rest of the batch proceeds.
-  struct Pending {
-    std::size_t index;
-    TicketPtr ticket;
-    Shard* shard;
-  };
-  std::vector<Pending> admitted;
-  admitted.reserve(n);
+  // Tickets are built outside the lock; a shed primary's ticket is
+  // simply dropped.
+  std::vector<Admitted> candidates;
+  candidates.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (primary[i] != i) continue;  // follower: fans out below
-    if (shutdown_.load()) {
-      n_rejected_.fetch_add(1);
-      rejected_counter().add();
-      results[i] = shutting_down_status();
-      continue;
-    }
-    Shard& shard = shard_for(specs[i].tenant);
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (util::Status limited = check_rate_limit(shard, specs[i].tenant);
-          !limited.is_ok()) {
-        results[i] = std::move(limited);
-        continue;
-      }
-    }
-    if (!try_reserve()) {
-      n_rejected_.fetch_add(1);
-      n_shed_queue_full_.fetch_add(1);
-      rejected_counter().add();
-      shed_queue_full_counter().add();
-      results[i] = shed_status(
-          util::StatusCode::kUnavailable, ShedReason::kQueueFull,
-          "admission queue full (" + std::to_string(queue_depth()) + "/" +
-              std::to_string(config_.queue_capacity) + "); run \"" +
-              specs[i].name + "\" shed",
-          config_.shed_retry_after_ms);
-      continue;
-    }
     auto ticket = std::make_shared<detail::Ticket>();
     ticket->spec = std::move(specs[i]);
-    admitted.push_back(Pending{i, std::move(ticket), &shard});
+    ticket->journal_seq = recovered_seq;
+    candidates.emplace_back(i, std::move(ticket));
   }
 
-  // ONE WAL append + ONE group-commit fsync for the whole admitted set.
-  // Saturation sheds the set all-or-nothing so no half of a batch is
-  // durable while its other half never existed.
-  if (config_.journal != nullptr && !admitted.empty()) {
-    std::vector<const RunSpec*> jspecs;
-    jspecs.reserve(admitted.size());
-    for (const Pending& p : admitted) jspecs.push_back(&p.ticket->spec);
-    util::Expected<std::vector<std::uint64_t>> seqs =
-        config_.journal->append_batch(jspecs);
-    if (!seqs) {
-      for (const Pending& p : admitted) {
-        release_reservation();
-        n_rejected_.fetch_add(1);
-        n_shed_journal_.fetch_add(1);
-        rejected_counter().add();
-        shed_journal_counter().add();
-        results[p.index] = seqs.status();
+  // Recovered runs keep their original pending record instead of
+  // appending again (and were rate-limited when first admitted).
+  const bool recovered = recovered_seq != 0;
+  const bool append = config_.journal != nullptr && !recovered;
+  std::vector<Admitted> admitted;
+  admitted.reserve(candidates.size());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (batch) {
+      ++stats_.batches;
+      stats_.batch_specs += n;
+    }
+    stats_.coalesced += coalesced;
+    // A shed item's slot carries its own status while the rest of the
+    // batch proceeds.
+    for (auto& [index, ticket] : candidates) {
+      if (util::Status shed = reserve_slot(ticket->spec, !recovered);
+          !shed.is_ok()) {
+        results[index] = std::move(shed);
+        continue;
       }
-      admitted.clear();
-    } else {
-      for (std::size_t k = 0; k < admitted.size(); ++k)
-        admitted[k].ticket->journal_seq = seqs.value()[k];
+      admitted.emplace_back(index, std::move(ticket));
     }
+    // No append means no disk I/O to keep outside the lock.
+    if (!append) stage_locked(admitted, util::Status::ok(), results);
   }
 
-  // Stage in index order so admission sequences match N single submits.
-  for (const Pending& p : admitted) {
-    if (!stage(*p.shard, p.ticket)) {
-      release_reservation();
-      n_rejected_.fetch_add(1);
-      rejected_counter().add();
-      results[p.index] = shutting_down_status();
-      continue;
+  if (append && !admitted.empty()) {
+    // ONE WAL append + ONE group-commit fsync for the whole admitted set,
+    // outside the lock: no scheduler lock is ever held across disk I/O.
+    // Saturation sheds the set all-or-nothing so no half of a batch is
+    // durable while its other half never existed.
+    std::vector<const RunSpec*> pointers;
+    pointers.reserve(admitted.size());
+    for (const auto& [index, ticket] : admitted)
+      pointers.push_back(&ticket->spec);
+    util::Expected<std::vector<std::uint64_t>> seqs =
+        config_.journal->append_batch(pointers);
+    if (seqs) {
+      for (std::size_t k = 0; k < admitted.size(); ++k)
+        admitted[k].second->journal_seq = seqs.value()[k];
     }
-    results[p.index] = RunHandle(p.ticket, this);
+    std::lock_guard<std::mutex> lock(mu_);
+    stage_locked(admitted, seqs ? util::Status::ok() : seqs.status(),
+                 results);
   }
-  if (!admitted.empty()) kick_dispatch();
 
   // Fan each primary's result — handle or shed status — out to its
   // coalesced followers.
@@ -468,35 +379,20 @@ void Scheduler::set_tenant_weight(const std::string& tenant, double weight) {
 
 void Scheduler::drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] {
-    return staged_.load() == 0 && queue_.empty() && running_.load() == 0;
-  });
+  idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
 }
 
 SchedulerStats Scheduler::stats() const {
-  SchedulerStats out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = terminal_stats_;
-    out.queue_p50_s = percentile(queue_latencies_s_, 0.50);
-    out.queue_p99_s = percentile(queue_latencies_s_, 0.99);
-  }
-  out.submitted = n_submitted_.load();
-  out.rejected = n_rejected_.load();
-  out.shed_queue_full = n_shed_queue_full_.load();
-  out.shed_rate_limited = n_shed_rate_limited_.load();
-  out.shed_journal = n_shed_journal_.load();
-  out.batches = n_batches_.load();
-  out.batch_specs = n_batch_specs_.load();
-  out.coalesced = n_coalesced_.load();
-  out.peak_queue_depth = peak_queue_depth_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  SchedulerStats out = stats_;
+  out.queue_p50_s = percentile(queue_latencies_s_, 0.50);
+  out.queue_p99_s = percentile(queue_latencies_s_, 0.99);
   return out;
 }
 
 std::size_t Scheduler::queue_depth() const {
-  const std::size_t occupied = occupied_.load();
-  const std::size_t reserved = reserved_.load();
-  return occupied > reserved ? occupied - reserved : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
 }
 
 Scheduler::TicketPtr Scheduler::pick_next() {
@@ -531,14 +427,11 @@ Scheduler::TicketPtr Scheduler::pick_next() {
 }
 
 void Scheduler::maybe_dispatch() {
-  drain_shards_locked();
-  while (running_.load() < workers() && !queue_.empty()) {
+  while (running_ < workers() && !queue_.empty()) {
     TicketPtr ticket = pick_next();
-    occupied_.fetch_sub(1);
-    queue_depth_gauge().set(static_cast<double>(queue_depth()));
-    running_.fetch_add(1);
-    terminal_stats_.peak_running =
-        std::max(terminal_stats_.peak_running, running_.load());
+    queue_depth_gauge().set(static_cast<double>(queue_.size()));
+    ++running_;
+    stats_.peak_running = std::max(stats_.peak_running, running_);
     const double queued_s = seconds_since(ticket->submitted_at);
     queue_latencies_s_.push_back(queued_s);
     // Pre-dispatch: the executor (and any waiter, via the terminal-state
@@ -555,125 +448,23 @@ void Scheduler::execute(const TicketPtr& ticket) {
     std::lock_guard<std::mutex> lock(ticket->mu);
     ticket->state = RunState::kRunning;
   }
-  const RunSpec& spec = ticket->spec;
   RunOutcome outcome;
+  outcome.state = RunState::kCancelled;
+  if (!ticket->cancel.load(std::memory_order_relaxed)) {
+    ExecHooks hooks;
+    hooks.accountant = config_.accountant;
+    hooks.budget_retry_after_ms = config_.shed_retry_after_ms;
+    hooks.cancel = &ticket->cancel;
+    // Publish the live ManagedRun so cancel_ticket can reach it.
+    hooks.on_active = [&ticket](core::ManagedRun* run) {
+      std::lock_guard<std::mutex> lock(ticket->mu);
+      ticket->active = run;
+    };
+    const auto started = std::chrono::steady_clock::now();
+    outcome = execute_run(ticket->spec, hooks);
+    outcome.exec_s = seconds_since(started);
+  }
   outcome.queue_s = ticket->outcome.queue_s;
-  util::Status status = util::Status::ok();
-  const auto started = std::chrono::steady_clock::now();
-
-  if (ticket->cancel.load(std::memory_order_relaxed)) {
-    outcome.state = RunState::kCancelled;
-    finish(ticket, std::move(outcome));
-    return;
-  }
-
-  // Open the run's resource account (find-or-create, so a retried run
-  // keeps accumulating against the same budget).  Null accountant = the
-  // pre-accounting path, byte-identical.
-  std::shared_ptr<res::RunAccount> account;
-  if (config_.accountant != nullptr)
-    account = config_.accountant->open(spec.name, spec.tenant, spec.budget);
-
-  try {
-    switch (spec.kind) {
-      case WorkloadKind::kManaged: {
-        core::ManagedRunConfig managed_config = spec.to_managed();
-        managed_config.account = account.get();
-        core::ManagedRun run(managed_config);
-        {
-          std::lock_guard<std::mutex> lock(ticket->mu);
-          ticket->active = &run;
-        }
-        if (ticket->cancel.load(std::memory_order_relaxed))
-          run.request_cancel();
-        for (const FailurePlan& plan : spec.failures)
-          run.schedule_failure(plan.at_s, plan.node, plan.downtime_s);
-        if (spec.random_mtbf_s > 0.0 && spec.random_mttr_s > 0.0)
-          run.start_random_failures(spec.random_mtbf_s, spec.random_mttr_s);
-        outcome.managed = run.run();
-        {
-          std::lock_guard<std::mutex> lock(ticket->mu);
-          ticket->active = nullptr;
-        }
-        break;
-      }
-      case WorkloadKind::kTraceReplay: {
-        if (!spec.trace) {
-          status = util::Status::invalid("trace replay without a trace");
-          break;
-        }
-        const grid::Cluster cluster = build_cluster(spec);
-        core::TraceRunConfig config = spec.to_trace();
-        config.should_abort = [ticket, account] {
-          return ticket->cancel.load(std::memory_order_relaxed) ||
-                 (account != nullptr && account->should_stop());
-        };
-        const core::TraceRunner runner(*spec.trace, cluster, config);
-        if (spec.strategy == "adaptive") {
-          const policy::PolicyBase policies = policy::standard_policy_base();
-          outcome.replay = runner.run_adaptive(policies);
-        } else {
-          outcome.replay = runner.run_static(spec.strategy);
-        }
-        break;
-      }
-      case WorkloadKind::kSystemSensitive: {
-        if (!spec.trace) {
-          status = util::Status::invalid(
-              "system-sensitive experiment without a trace");
-          break;
-        }
-        outcome.system_sensitive = core::run_system_sensitive_experiment(
-            *spec.trace, spec.to_system_sensitive());
-        break;
-      }
-      case WorkloadKind::kCustom: {
-        if (!spec.custom) {
-          status =
-              util::Status::invalid("custom run without a workload callable");
-          break;
-        }
-        RunContext context{[ticket, account] {
-          return ticket->cancel.load(std::memory_order_relaxed) ||
-                 (account != nullptr && account->should_stop());
-        }};
-        status = spec.custom(context);
-        break;
-      }
-    }
-  } catch (const std::exception& error) {
-    status = util::Status::internal(std::string("run \"") + spec.name +
-                                    "\" threw: " + error.what());
-    std::lock_guard<std::mutex> lock(ticket->mu);
-    ticket->active = nullptr;
-  }
-
-  outcome.exec_s = seconds_since(started);
-
-  // Budget classification runs first so a kill-action violation yields
-  // exactly one terminal status (resource-exhausted), even when a caller
-  // cancel raced the kill; accountant close() folds the run's usage into
-  // the per-tenant aggregate exactly once.
-  if (account != nullptr) {
-    outcome.usage = account->usage();
-    outcome.budget_throttled = account->throttled();
-    if (status.is_ok() && account->should_stop())
-      status = shed_status(util::StatusCode::kResourceExhausted,
-                           ShedReason::kBudgetExhausted,
-                           "run \"" + spec.name + "\": " +
-                               account->violation(),
-                           config_.shed_retry_after_ms);
-    config_.accountant->close(account);
-  }
-
-  outcome.status = status;
-  if (!status.is_ok()) {
-    outcome.state = RunState::kFailed;
-  } else if (ticket->cancel.load(std::memory_order_relaxed)) {
-    outcome.state = RunState::kCancelled;
-  } else {
-    outcome.state = RunState::kCompleted;
-  }
   finish(ticket, std::move(outcome));
 }
 
@@ -696,21 +487,18 @@ void Scheduler::finish(const TicketPtr& ticket, RunOutcome outcome) {
   if (config_.journal != nullptr && ticket->journal_seq != 0)
     config_.journal->tombstone(ticket->journal_seq);
   std::lock_guard<std::mutex> lock(mu_);
-  // Decrement before the dispatch sweep: a submitter that staged while we
-  // held every slot either gets drained below or observes the lowered
-  // running_ and kicks dispatch itself — no staged ticket is orphaned.
-  running_.fetch_sub(1);
+  --running_;
   inflight_.erase(std::find(inflight_.begin(), inflight_.end(), ticket));
   switch (outcome.state) {
-    case RunState::kCompleted: ++terminal_stats_.completed; break;
-    case RunState::kFailed: ++terminal_stats_.failed; break;
-    case RunState::kCancelled: ++terminal_stats_.cancelled; break;
+    case RunState::kCompleted: ++stats_.completed; break;
+    case RunState::kFailed: ++stats_.failed; break;
+    case RunState::kCancelled: ++stats_.cancelled; break;
     default: break;
   }
   if (outcome.state == RunState::kFailed &&
       outcome.status.code() == util::StatusCode::kResourceExhausted)
-    ++terminal_stats_.budget_killed;
-  if (outcome.budget_throttled) ++terminal_stats_.budget_throttled;
+    ++stats_.budget_killed;
+  if (outcome.budget_throttled) ++stats_.budget_throttled;
   {
     std::lock_guard<std::mutex> ticket_lock(ticket->mu);
     ticket->state = outcome.state;
@@ -725,15 +513,11 @@ bool Scheduler::cancel_ticket(const TicketPtr& ticket) {
   bool withdrawn = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // The ticket may still sit in a shard staging queue — centralize
-    // first so the withdraw scan sees it.
-    drain_shards_locked();
     const auto it = std::find(queue_.begin(), queue_.end(), ticket);
     if (it != queue_.end()) {
       queue_.erase(it);
-      occupied_.fetch_sub(1);
-      queue_depth_gauge().set(static_cast<double>(queue_depth()));
-      ++terminal_stats_.cancelled;
+      queue_depth_gauge().set(static_cast<double>(queue_.size()));
+      ++stats_.cancelled;
       {
         std::lock_guard<std::mutex> ticket_lock(ticket->mu);
         ticket->cancel.store(true, std::memory_order_relaxed);

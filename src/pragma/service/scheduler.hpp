@@ -10,16 +10,12 @@
 // tenant and FIFO tie-breaking, so one chatty tenant cannot starve the
 // rest and ordering stays deterministic.
 //
-// Admission is *sharded*: tenants hash onto admission shards, each with
-// its own mutex guarding that shard's token buckets and staging queue, so
-// concurrent submitters no longer serialize on one global lock.  Capacity
-// is a single atomic occupancy counter; the central fair-share state
-// (tenant weights, dispatched counts, the dispatch queue) stays under one
-// mutex but is only touched when a worker slot is actually free.  The
-// fair-share pick compares *fields* (tenant share, priority, admission
-// sequence), never queue position, so draining shard staging queues into
-// the dispatch queue in any order preserves the exact dispatch order of
-// the unsharded scheduler.
+// Admission, staging, the per-tenant token buckets and the fair-share
+// state all live under the scheduler's one mutex; only the journal append
+// (disk I/O) runs outside it, between a slot reservation and the staging
+// that converts it into a queued ticket.  submit() and
+// resubmit_recovered() are batches of one through the submit_batch()
+// body.
 //
 // submit_batch() admits N specs in one call: per-item rate-limit and
 // capacity decisions (a shed item's slot carries its own status while the
@@ -30,9 +26,9 @@
 // observes that shared outcome.
 //
 // Shed ladder classification (every admission-time rejection carries a
-// machine-readable " [shed=<reason>]" tag — decode with shed_info() from
-// admission.hpp; " [retry_after_ms=N]" hints remain for the legacy
-// retry_after_ms() parser):
+// machine-readable " [shed=<reason>]" tag and, where the hint column has
+// one, a " [retry_after_ms=N]" hint — decode both with shed_info() from
+// admission.hpp):
 //
 //   reason             | status code        | retry? | hint
 //   -------------------+--------------------+--------+--------------------
@@ -60,7 +56,6 @@
 // snapshot (replay) boundary, custom workloads poll RunContext.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -69,6 +64,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pragma/service/admission.hpp"
@@ -97,15 +93,6 @@ struct SchedulerConfig {
   /// Bounded admission queue: submissions beyond this many *queued* runs
   /// are shed with Status::unavailable.
   std::size_t queue_capacity = 64;
-  /// Admission shards: tenants hash onto shards, each with its own lock,
-  /// so concurrent submitters contend per shard instead of globally.
-  /// 0 = auto (min(8, hardware threads)); 1 = the unsharded layout.
-  std::size_t admission_shards = 0;
-  /// Coalesce identical specs inside one submit_batch() call: duplicates
-  /// of the same journal_key with identical encoded payloads share one
-  /// execution (and one journal record); every handle observes the shared
-  /// outcome.  Single submit() calls never coalesce.
-  bool coalesce_batches = true;
   /// Per-tenant token bucket (first rung of the degradation ladder).
   TenantRateLimit rate_limit = {};
   /// Retry-after hint attached to queue-full sheds (the rate-limit shed
@@ -185,7 +172,6 @@ class Scheduler : public Admission, public detail::TicketOwner {
 
   [[nodiscard]] SchedulerStats stats() const;
   [[nodiscard]] std::size_t queue_depth() const;
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
  private:
@@ -196,43 +182,33 @@ class Scheduler : public Admission, public detail::TicketOwner {
     bool primed = false;
     std::chrono::steady_clock::time_point last_refill;
   };
-  /// One admission shard.  Its mutex guards the staging queue and the
-  /// token buckets of every tenant that hashes here.  Lock order:
-  /// mu_ may be held when taking a shard mutex (the dispatch drain),
-  /// never the reverse — a submitter releases the shard before kicking
-  /// dispatch.
-  struct Shard {
-    std::mutex mu;
-    std::deque<TicketPtr> staged;
-    std::map<std::string, TokenBucket> buckets;
+  struct Tenant {
+    double weight = 1.0;
+    std::uint64_t dispatched = 0;
   };
 
   [[nodiscard]] std::size_t workers() const;
-  [[nodiscard]] Shard& shard_for(const std::string& tenant);
-  /// submit()/resubmit_recovered() body.
-  [[nodiscard]] util::Expected<RunHandle> admit(RunSpec spec,
-                                                bool rate_limited,
-                                                std::uint64_t recovered_seq);
-  /// Token-bucket check for `tenant`.  Requires shard.mu.  Returns ok or
-  /// the shed status with a computed retry-after hint.
-  [[nodiscard]] util::Status check_rate_limit(Shard& shard,
-                                              const std::string& tenant);
-  /// Claim one queue slot against queue_capacity (single atomic
-  /// fetch-add); false = queue full.  A successful reservation is
-  /// released by stage(), release_reservation(), or ticket doom.
-  [[nodiscard]] bool try_reserve();
-  void release_reservation();
-  /// Convert a reservation into a staged ticket: assign its admission
-  /// sequence and push it onto the shard's staging queue.  Returns false
-  /// when shutdown raced the staging (the caller resolves the shed; a
-  /// journaled record stays live for recovery).
-  [[nodiscard]] bool stage(Shard& shard, const TicketPtr& ticket);
-  /// Lock-free fast path: only take mu_ (and dispatch) when a worker
-  /// slot might be free.
-  void kick_dispatch();
-  /// Move every staged ticket into the central dispatch queue.  Requires
-  /// mu_ (takes each shard mutex inside).
-  void drain_shards_locked();
+  /// The one admission body.  `batch` counts the call in the batch stats
+  /// (submit_batch); a non-zero `recovered_seq` marks a journal-recovered
+  /// run, which skips the rate limiter and the journal append.
+  [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_specs(
+      std::vector<RunSpec> specs, bool batch, std::uint64_t recovered_seq);
+  /// A result slot index and the ticket admitted for it.
+  using Admitted = std::pair<std::size_t, TicketPtr>;
+  /// Shutdown, rate-limit (when `rate_limited`) and capacity checks for
+  /// one spec.  Requires mu_.  Ok = one queue slot now held in reserved_;
+  /// otherwise the counted shed status.
+  [[nodiscard]] util::Status reserve_slot(const RunSpec& spec,
+                                          bool rate_limited);
+  /// Turn the reservations of `admitted` into queued tickets, in order,
+  /// and dispatch.  A non-ok `journaled` (the append failed) or a racing
+  /// shutdown sheds them instead.  Requires mu_.
+  void stage_locked(std::vector<Admitted>& admitted,
+                    const util::Status& journaled,
+                    std::vector<util::Expected<RunHandle>>& results);
+  /// Token-bucket check for `tenant`.  Requires mu_.  Returns ok or the
+  /// shed status with a computed retry-after hint.
+  [[nodiscard]] util::Status check_rate_limit(const std::string& tenant);
   /// Dispatch queued tickets while worker slots are free.  Requires mu_.
   void maybe_dispatch();
   /// Remove and return the fair-share pick.  Requires mu_; queue_ must be
@@ -245,44 +221,22 @@ class Scheduler : public Admission, public detail::TicketOwner {
 
   SchedulerConfig config_;
   util::ThreadPool* pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 
-  std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> next_sequence_{0};
-  /// staged + centrally queued + reserved (journal append in flight) —
-  /// the whole capacity check is one fetch-add on this counter.
-  std::atomic<std::size_t> occupied_{0};
-  /// Reservations whose journal append is still in flight (subset of
-  /// occupied_); queue_depth() = occupied_ - reserved_.
-  std::atomic<std::size_t> reserved_{0};
-  /// Tickets sitting in shard staging queues (subset of occupied_); lets
-  /// the dispatcher skip the shard sweep when nothing is staged.
-  std::atomic<std::size_t> staged_{0};
-  std::atomic<std::size_t> running_{0};
-
-  // Admission-side counters: bumped from shard context without mu_.
-  std::atomic<std::size_t> n_submitted_{0};
-  std::atomic<std::size_t> n_rejected_{0};
-  std::atomic<std::size_t> n_shed_queue_full_{0};
-  std::atomic<std::size_t> n_shed_rate_limited_{0};
-  std::atomic<std::size_t> n_shed_journal_{0};
-  std::atomic<std::size_t> n_batches_{0};
-  std::atomic<std::size_t> n_batch_specs_{0};
-  std::atomic<std::size_t> n_coalesced_{0};
-  std::atomic<std::size_t> peak_queue_depth_{0};
-
-  mutable std::mutex mu_;  ///< dispatch queue + fair-share + terminal stats
+  mutable std::mutex mu_;  ///< guards everything below
   std::condition_variable idle_cv_;
+  bool shutdown_ = false;
+  std::uint64_t next_sequence_ = 0;
+  /// Queue slots held by specs whose journal append is in flight: they
+  /// count against queue_capacity but not toward queue_depth().
+  std::size_t reserved_ = 0;
+  std::size_t running_ = 0;
   std::deque<TicketPtr> queue_;
   std::vector<TicketPtr> inflight_;
-  struct Tenant {
-    double weight = 1.0;
-    std::uint64_t dispatched = 0;
-  };
+  std::map<std::string, TokenBucket> buckets_;
   std::map<std::string, Tenant> tenants_;
-  /// Terminal-side counters (completed/failed/cancelled/budget/peaks),
-  /// guarded by mu_.
-  SchedulerStats terminal_stats_;
+  /// Every counter except the queue percentiles, which stats() derives
+  /// from queue_latencies_s_.
+  SchedulerStats stats_;
   std::vector<double> queue_latencies_s_;
 };
 

@@ -4,12 +4,10 @@
 #include <stdexcept>
 #include <variant>
 
-#include "pragma/core/trace_runner.hpp"
 #include "pragma/obs/flight_recorder.hpp"
 #include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
-#include "pragma/policy/builtin.hpp"
-#include "pragma/service/journal.hpp"
+#include "pragma/service/executor.hpp"
 #include "pragma/util/logging.hpp"
 
 namespace pragma::service {
@@ -189,57 +187,43 @@ void Worker::run_slice() {
     finish_active(std::move(outcome));
     return;
   }
+  ExecHooks hooks;
+  hooks.accountant = coordinator_.config().accountant;
+  hooks.budget_retry_after_ms = kBudgetShedRetryAfterMs;
   const int slice_steps = coordinator_.config().slice_steps;
   if (spec->kind != WorkloadKind::kManaged || !spec->persist.enabled ||
       slice_steps <= 0) {
-    execute_unsliced(*spec);
+    // The coordinator fences instead of cancelling: no cancel hooks.
+    finish_active(execute_run(*spec, hooks));
     return;
   }
 
   Active& active = *active_;
-  core::ManagedRunConfig config = spec->to_managed();
   // Accounts are find-or-create by run name: a run's usage accumulates
   // across slices and across failovers to another worker.
-  std::shared_ptr<res::RunAccount> account;
-  if (coordinator_.config().accountant != nullptr) {
-    account = coordinator_.config().accountant->open(spec->name, spec->tenant,
-                                                     spec->budget);
-    config.account = account.get();
-  }
-  const int total = config.app.coarse_steps;
+  const std::shared_ptr<res::RunAccount> account = open_account(*spec, hooks);
+  core::PersistenceConfig persist = spec->persist;
   const bool resume = active.resume_next || active.steps_done > 0;
-  config.persist.resume = resume;
+  persist.resume = resume;
   const int target = active.steps_done + slice_steps;
-  config.persist.halt_after_steps = target >= total ? -1 : target;
+  persist.halt_after_steps = target >= spec->app.coarse_steps ? -1 : target;
   if (resume) ++stats_.resumes;
 
   PRAGMA_SPAN_VAR(span, "service", "Worker.slice");
   span.annotate("run", static_cast<std::int64_t>(active.assignment.id));
   RunOutcome outcome;
+  util::Status status = util::Status::ok();
   try {
-    core::ManagedRun run(config);
-    for (const FailurePlan& plan : spec->failures)
-      run.schedule_failure(plan.at_s, plan.node, plan.downtime_s);
-    if (spec->random_mtbf_s > 0.0 && spec->random_mttr_s > 0.0)
-      run.start_random_failures(spec->random_mtbf_s, spec->random_mttr_s);
-    core::ManagedRunReport report = run.run();
+    const std::unique_ptr<core::ManagedRun> run =
+        make_managed_run(*spec, account.get(), persist);
+    core::ManagedRunReport report = run->run();
     ++stats_.slices;
     obs::metrics().counter("service.dist.slices").add();
-    if (account != nullptr && account->should_stop()) {
-      // Kill-action budget violation: the run stopped at a step boundary
-      // inside this slice.  Shed it — no further slices.
-      outcome.state = RunState::kFailed;
-      outcome.status = shed_status(
-          util::StatusCode::kResourceExhausted, ShedReason::kBudgetExhausted,
-          "run \"" + spec->name + "\": " + account->violation(),
-          kBudgetShedRetryAfterMs);
-      outcome.usage = account->usage();
-      coordinator_.config().accountant->close(account);
-      finish_active(std::move(outcome));
-      return;
-    }
-    if (report.halted) {
-      active.steps_done = run.completed_steps();
+    // A kill-action budget violation stops the run at a step boundary
+    // inside this slice: conclude_run sheds it, no further slices.
+    const bool killed = account != nullptr && account->should_stop();
+    if (report.halted && !killed) {
+      active.steps_done = run->completed_steps();
       active.resume_next = true;
       agents::Message progress{port_, coordinator_.port(), dist::kProgress,
                                {}, simulator_.now()};
@@ -253,100 +237,11 @@ void Worker::run_slice() {
                                           [this] { run_slice(); });
       return;
     }
-    outcome.state = RunState::kCompleted;
-    outcome.managed = std::move(report);
+    if (!killed) outcome.managed = std::move(report);
   } catch (const std::exception& error) {
-    outcome.state = RunState::kFailed;
-    outcome.status = util::Status::internal(
-        std::string("run \"") + spec->name + "\" threw: " + error.what());
+    status = run_threw(*spec, error);
   }
-  if (account != nullptr) {
-    outcome.usage = account->usage();
-    outcome.budget_throttled = account->throttled();
-    coordinator_.config().accountant->close(account);
-  }
-  finish_active(std::move(outcome));
-}
-
-void Worker::execute_unsliced(const RunSpec& spec) {
-  // Mirrors Scheduler::execute's per-kind dispatch, minus the cooperative
-  // cancellation plumbing (the coordinator fences instead of cancelling).
-  RunOutcome outcome;
-  util::Status status = util::Status::ok();
-  std::shared_ptr<res::RunAccount> account;
-  if (coordinator_.config().accountant != nullptr)
-    account = coordinator_.config().accountant->open(spec.name, spec.tenant,
-                                                     spec.budget);
-  try {
-    switch (spec.kind) {
-      case WorkloadKind::kManaged: {
-        core::ManagedRunConfig config = spec.to_managed();
-        config.account = account.get();
-        core::ManagedRun run(config);
-        for (const FailurePlan& plan : spec.failures)
-          run.schedule_failure(plan.at_s, plan.node, plan.downtime_s);
-        if (spec.random_mtbf_s > 0.0 && spec.random_mttr_s > 0.0)
-          run.start_random_failures(spec.random_mtbf_s, spec.random_mttr_s);
-        outcome.managed = run.run();
-        break;
-      }
-      case WorkloadKind::kTraceReplay: {
-        if (!spec.trace) {
-          status = util::Status::invalid("trace replay without a trace");
-          break;
-        }
-        const grid::Cluster cluster = build_cluster(spec);
-        core::TraceRunConfig config = spec.to_trace();
-        if (account != nullptr)
-          config.should_abort = [account] { return account->should_stop(); };
-        const core::TraceRunner runner(*spec.trace, cluster, config);
-        if (spec.strategy == "adaptive") {
-          const policy::PolicyBase policies = policy::standard_policy_base();
-          outcome.replay = runner.run_adaptive(policies);
-        } else {
-          outcome.replay = runner.run_static(spec.strategy);
-        }
-        break;
-      }
-      case WorkloadKind::kSystemSensitive: {
-        if (!spec.trace) {
-          status = util::Status::invalid(
-              "system-sensitive experiment without a trace");
-          break;
-        }
-        outcome.system_sensitive = core::run_system_sensitive_experiment(
-            *spec.trace, spec.to_system_sensitive());
-        break;
-      }
-      case WorkloadKind::kCustom: {
-        if (!spec.custom) {
-          status =
-              util::Status::invalid("custom run without a workload callable");
-          break;
-        }
-        RunContext context{[account] {
-          return account != nullptr && account->should_stop();
-        }};
-        status = spec.custom(context);
-        break;
-      }
-    }
-  } catch (const std::exception& error) {
-    status = util::Status::internal(std::string("run \"") + spec.name +
-                                    "\" threw: " + error.what());
-  }
-  if (account != nullptr) {
-    outcome.usage = account->usage();
-    outcome.budget_throttled = account->throttled();
-    if (status.is_ok() && account->should_stop())
-      status = shed_status(
-          util::StatusCode::kResourceExhausted, ShedReason::kBudgetExhausted,
-          "run \"" + spec.name + "\": " + account->violation(),
-          kBudgetShedRetryAfterMs);
-    coordinator_.config().accountant->close(account);
-  }
-  outcome.status = status;
-  outcome.state = status.is_ok() ? RunState::kCompleted : RunState::kFailed;
+  conclude_run(*spec, hooks, account, std::move(status), outcome);
   finish_active(std::move(outcome));
 }
 
@@ -466,10 +361,6 @@ util::Expected<RunHandle> DistributedService::submit_run(RunSpec spec) {
 std::vector<util::Expected<RunHandle>> DistributedService::submit_batch(
     std::vector<RunSpec> specs) {
   return coordinator_->submit_batch(std::move(specs));
-}
-
-util::Expected<std::uint64_t> DistributedService::submit(RunSpec spec) {
-  return coordinator_->submit_id(std::move(spec));
 }
 
 util::Status DistributedService::run_until_done(double max_sim_s) {

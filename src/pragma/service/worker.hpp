@@ -97,7 +97,6 @@ class Worker {
   /// Execute one slice of the active managed run (or the whole run for
   /// unsliced kinds); reschedules itself until the run finishes.
   void run_slice();
-  void execute_unsliced(const RunSpec& spec);
   void finish_active(RunOutcome outcome);
   void send_control(const std::string& type, std::uint64_t id, int attempt);
 
@@ -160,10 +159,6 @@ class DistributedService {
   /// Batched admission (forwards to Coordinator::submit_batch).
   [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_batch(
       std::vector<RunSpec> specs);
-
-  /// \deprecated Pre-Admission shim returning the raw DistRun id; new
-  /// code uses submit_run() and RunHandle::id().  Kept for one release.
-  [[nodiscard]] util::Expected<std::uint64_t> submit(RunSpec spec);
 
   /// Drive the simulation until every submitted run is terminal (ok) or
   /// `max_sim_s` passes first (unavailable).

@@ -1,8 +1,8 @@
 // Batched admission pipeline tests: batch-vs-loop identity, derived-run
 // coalescing, the kBatch WAL frame (single sealed append, crash
-// recovery, torn/malformed interiors), sharded-admission concurrency,
-// and per-item shed statuses with the structured ShedInfo
-// classification.
+// recovery, torn/malformed interiors), single-mutex admission under
+// concurrent submitters, and per-item shed statuses with the structured
+// ShedInfo classification.
 //
 // GCC 12 at -O3 reports spurious -Wrestrict on libstdc++'s own
 // basic_string::assign when RunSpec string fields are set in a loop, and
@@ -92,8 +92,6 @@ TEST(ShedInfoTest, TaggedStatusRoundTripsReasonAndHint) {
   EXPECT_EQ(info.reason, ShedReason::kQueueFull);
   EXPECT_EQ(info.retry_after_ms, 50);
   EXPECT_TRUE(ShedInfo::retryable(shed));
-  // The legacy message parser still understands the hint.
-  EXPECT_EQ(retry_after_ms(shed), 50);
   // The human-readable prefix survives the tagging.
   EXPECT_NE(shed.message().find("admission queue full"), std::string::npos);
 }
@@ -200,25 +198,6 @@ TEST(CoalescingTest, IdenticalSpecsInOneBatchShareOneExecution) {
   EXPECT_EQ(stats.coalesced, 1u);
   EXPECT_EQ(stats.submitted, 2u);  // two executions for three specs
   EXPECT_EQ(stats.batch_specs, 3u);
-}
-
-TEST(CoalescingTest, DisabledCoalescingKeepsEverySpecSeparate) {
-  SchedulerConfig config;
-  config.workers = 2;
-  config.coalesce_batches = false;
-  util::ThreadPool pool(2);
-  Scheduler scheduler(config, &pool);
-  std::vector<RunSpec> specs;
-  specs.push_back(small_managed_spec("dup", 7));
-  specs.push_back(small_managed_spec("dup", 7));
-  std::vector<util::Expected<RunHandle>> handles =
-      scheduler.submit_batch(std::move(specs));
-  ASSERT_TRUE(handles[0].has_value());
-  ASSERT_TRUE(handles[1].has_value());
-  EXPECT_NE(handles[0].value().id(), handles[1].value().id());
-  scheduler.drain();
-  EXPECT_EQ(scheduler.stats().coalesced, 0u);
-  EXPECT_EQ(scheduler.stats().submitted, 2u);
 }
 
 TEST(CoalescingTest, SingleSubmitNeverCoalesces) {
@@ -488,31 +467,15 @@ TEST(PartialBatchTest, SubmitBatchWithRetryResubmitsOnlyShedSlots) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded admission under concurrency
+// Single-mutex admission under concurrent submitters
 // ---------------------------------------------------------------------------
 
-TEST(ShardedAdmissionTest, ShardCountResolvesAndIsConfigurable) {
-  util::ThreadPool pool(1);
-  SchedulerConfig one;
-  one.workers = 1;
-  one.admission_shards = 1;
-  EXPECT_EQ(Scheduler(one, &pool).shard_count(), 1u);
-  SchedulerConfig four;
-  four.workers = 1;
-  four.admission_shards = 4;
-  EXPECT_EQ(Scheduler(four, &pool).shard_count(), 4u);
-  SchedulerConfig automatic;
-  automatic.workers = 1;
-  EXPECT_GE(Scheduler(automatic, &pool).shard_count(), 1u);
-}
-
-TEST(ShardedAdmissionTest, SixteenThreadsSubmitWithoutRacesOrLoss) {
+TEST(ConcurrentAdmissionTest, SixteenThreadsSubmitWithoutRacesOrLoss) {
   constexpr int kThreads = 16;
   constexpr int kPerThread = 32;
   SchedulerConfig config;
   config.workers = 4;
   config.queue_capacity = kThreads * kPerThread;
-  config.admission_shards = 8;
   util::ThreadPool pool(4);
   Scheduler scheduler(config, &pool);
 

@@ -82,7 +82,8 @@ TEST(BudgetEnforcement, KillActionShedsWithResourceExhaustedAndHint) {
   EXPECT_EQ(outcome.state, RunState::kFailed);
   EXPECT_EQ(outcome.status.code(), util::StatusCode::kResourceExhausted);
   EXPECT_NE(outcome.status.to_string().find("cpu budget"), std::string::npos);
-  EXPECT_GT(retry_after_ms(outcome.status), 0);
+  EXPECT_EQ(shed_info(outcome.status).reason, ShedReason::kBudgetExhausted);
+  EXPECT_GT(shed_info(outcome.status).retry_after_ms, 0);
   EXPECT_GT(outcome.usage.cpu_s, 0.0);
   // The run stopped at its first cooperative boundary, not the end.
   EXPECT_LT(outcome.managed.records.size(),
@@ -316,7 +317,7 @@ TEST(BudgetFlags, NegativeEnvBudgetRejectedWithEnvProvenance) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal payload: v2 budget roundtrip, v1 acceptance
+// Journal payload: v2 budget roundtrip, v1 rejection
 // ---------------------------------------------------------------------------
 
 /// The 41 bytes the version-2 payload appends after the version-1 fields:
@@ -345,23 +346,20 @@ TEST(BudgetJournal, RunSpecPayloadV2RoundtripsBudget) {
   EXPECT_EQ(encode_run_spec(decoded.value()), payload);
 }
 
-TEST(BudgetJournal, V1PayloadAcceptedWithDefaultBudget) {
-  // A version-1 payload is exactly the version-2 encoding of a
-  // default-budget spec with the version word rewritten and the appended
-  // budget tail cut off — the field prefix is identical by construction.
+TEST(BudgetJournal, V1PayloadRejectedAsUnimplemented) {
+  // A version-1 (pre-budget) payload is exactly the version-2 encoding of
+  // a default-budget spec with the version word rewritten and the budget
+  // tail cut off.  Only the current payload version decodes.
   std::vector<std::uint8_t> payload = encode_run_spec(managed_spec("old"));
   io::ByteWriter version;
-  version.u32(kRunSpecPayloadVersionV1);
+  version.u32(1);
   ASSERT_GE(payload.size(), 4u + kBudgetTailBytes);
   std::memcpy(payload.data(), version.take().data(), 4);
   payload.resize(payload.size() - kBudgetTailBytes);
 
   util::Expected<RunSpec> decoded = decode_run_spec(payload);
-  ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
-  EXPECT_EQ(decoded.value().name, "old");
-  EXPECT_FALSE(decoded.value().budget.any());  // pre-budget default
-  EXPECT_EQ(decoded.value().budget.action,
-            res::ResourceBudget::Action::kKill);
+  ASSERT_FALSE(decoded.has_value());
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kUnimplemented);
 }
 
 TEST(BudgetJournal, UnknownBudgetActionByteRejected) {

@@ -8,10 +8,13 @@
 
 #include <cstring>
 #include <filesystem>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "pragma/amr/rm3d.hpp"
 #include "pragma/core/managed_run.hpp"
 #include "pragma/res/accountant.hpp"
 #include "pragma/service/runtime.hpp"
@@ -112,9 +115,9 @@ TEST(Distributed, BurstCompletesAndMatchesStandalone) {
   for (int i = 0; i < 3; ++i) {
     specs.push_back(managed_spec(root + "/run-" + std::to_string(i), 14,
                                  40 + 1000ull * static_cast<unsigned>(i)));
-    const auto id = service.submit(specs.back());
-    ASSERT_TRUE(id) << id.status().to_string();
-    ids.push_back(id.value());
+    const auto handle = service.submit_run(specs.back());
+    ASSERT_TRUE(handle) << handle.status().to_string();
+    ids.push_back(handle.value().id());
   }
   ASSERT_TRUE(service.run_until_done(300.0).is_ok());
   for (std::size_t i = 0; i < ids.size(); ++i) {
@@ -136,13 +139,14 @@ TEST(Distributed, KillMidRunFailsOverByteIdentical) {
   service.add_worker("w0");
   service.add_worker("w1");
   const RunSpec spec = managed_spec(root + "/run", /*steps=*/30);
-  const auto id = service.submit(spec);
-  ASSERT_TRUE(id) << id.status().to_string();
+  const auto handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
+  const std::uint64_t id = handle.value().id();
   // Both workers idle: the run lands on one of them and executes in
   // ~1 s slices.  Kill the assignee mid-run; the confirm window is 3 s,
   // so failover lands while the run is genuinely unfinished.
   service.simulator().schedule_at(1.6, [&] {
-    const DistRun* run = service.coordinator().find(id.value());
+    const DistRun* run = service.coordinator().find(id);
     ASSERT_NE(run, nullptr);
     ASSERT_FALSE(run->assignee.empty());
     // Map port back to worker name ("dist.worker.<name>").
@@ -152,7 +156,7 @@ TEST(Distributed, KillMidRunFailsOverByteIdentical) {
   });
   ASSERT_TRUE(service.run_until_done(600.0).is_ok());
 
-  const DistRun* run = service.coordinator().find(id.value());
+  const DistRun* run = service.coordinator().find(id);
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->state, DistRunState::kCompleted);
   EXPECT_EQ(run->failovers, 1);
@@ -180,14 +184,15 @@ TEST(Distributed, FlappingWorkerSuspectsUnsuspectsThenDies) {
   Worker& w0 = service.add_worker("w0");
   service.add_worker("w1");
   const RunSpec spec = managed_spec(root + "/run", /*steps=*/36);
-  const auto id = service.submit(spec);
-  ASSERT_TRUE(id) << id.status().to_string();
+  const auto handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
+  const std::uint64_t id = handle.value().id();
   // Let the dispatch sweep land the run, then freeze whichever worker
   // got it for 2 s: past the 1.5 s suspect window, short of the 3 s
   // confirm window.
   agents::PortId assignee;
   service.simulator().schedule_at(0.6, [&] {
-    const DistRun* run = service.coordinator().find(id.value());
+    const DistRun* run = service.coordinator().find(id);
     ASSERT_NE(run, nullptr);
     assignee = run->assignee;
     ASSERT_FALSE(assignee.empty());
@@ -203,7 +208,7 @@ TEST(Distributed, FlappingWorkerSuspectsUnsuspectsThenDies) {
   EXPECT_GE(detector.unsuspects(), 1u)
       << "resumed heartbeats must clear the suspicion";
 
-  const DistRun* run = service.coordinator().find(id.value());
+  const DistRun* run = service.coordinator().find(id);
   ASSERT_NE(run, nullptr);
   ASSERT_EQ(run->state, DistRunState::kCompleted);
   EXPECT_EQ(run->failovers, 1) << "exactly one failover, from the real death";
@@ -226,8 +231,8 @@ TEST(Distributed, JoinMidBurstStealsBacklog) {
   config.worker_queue_depth = 2;
   DistributedService service(config, /*seed=*/43);
   service.add_worker("w0");
-  const auto a = service.submit(managed_spec(root + "/a", 18, 40));
-  const auto b = service.submit(managed_spec(root + "/b", 18, 1040));
+  const auto a = service.submit_run(managed_spec(root + "/a", 18, 40));
+  const auto b = service.submit_run(managed_spec(root + "/b", 18, 1040));
   ASSERT_TRUE(a);
   ASSERT_TRUE(b);
   service.schedule_join(1.0, "w1");
@@ -262,15 +267,16 @@ TEST(Distributed, PartitionDegradesGracefully) {
   // Submit once the worker is already cut off: the leases cannot reach
   // it, the worker is eventually confirmed dead, and the runs must sit
   // in the queue (not lost, not failed) until the heal.
-  util::Expected<std::uint64_t> a = util::Status::internal("unset");
-  util::Expected<std::uint64_t> b = util::Status::internal("unset");
-  util::Expected<std::uint64_t> c = util::Status::internal("unset");
+  util::Expected<RunHandle> a = util::Status::internal("unset");
+  util::Expected<RunHandle> b = util::Status::internal("unset");
+  util::Expected<RunHandle> c = util::Status::internal("unset");
   service.simulator().schedule_at(0.5, [&] {
-    a = service.submit(quick);
-    b = service.submit(quick);
+    a = service.submit_run(quick);
+    b = service.submit_run(quick);
   });
   // Queue full (capacity 2, worker unreachable): shed, not queued.
-  service.simulator().schedule_at(5.0, [&] { c = service.submit(quick); });
+  service.simulator().schedule_at(5.0,
+                                  [&] { c = service.submit_run(quick); });
   service.simulator().run(12.0);
 
   ASSERT_TRUE(a);
@@ -361,10 +367,10 @@ TEST(Distributed, ConcurrentChurningServicesAreDeterministic) {
       service.schedule_join(2.0, "w2");
       const std::string dir =
           root + "/t" + std::to_string(t) + "/run";
-      const auto id = service.submit(managed_spec(dir, /*steps=*/24));
-      ASSERT_TRUE(id);
+      const auto handle = service.submit_run(managed_spec(dir, /*steps=*/24));
+      ASSERT_TRUE(handle);
       ASSERT_TRUE(service.run_until_done(600.0).is_ok());
-      const DistRun* run = service.coordinator().find(id.value());
+      const DistRun* run = service.coordinator().find(handle.value().id());
       ASSERT_NE(run, nullptr);
       ASSERT_EQ(run->state, DistRunState::kCompleted);
       reports[t] = run->outcome.managed;
@@ -393,9 +399,9 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
       RunSpec spec = managed_spec(
           root + "/" + tag + "-" + std::to_string(i), 14,
           40 + 1000ull * static_cast<unsigned>(i));
-      const auto id = service.submit(spec);
-      ASSERT_TRUE(id) << id.status().to_string();
-      ids.push_back(id.value());
+      const auto handle = service.submit_run(spec);
+      ASSERT_TRUE(handle) << handle.status().to_string();
+      ids.push_back(handle.value().id());
     }
     ASSERT_TRUE(service.run_until_done(300.0).is_ok());
     for (const std::uint64_t id : ids) {
@@ -440,6 +446,95 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
   EXPECT_EQ(accountant.kills(), 0u);
   EXPECT_EQ(accountant.throttles(), 0u);
   EXPECT_GT(accountant.total().cpu_s, 0.0);
+  fs::remove_all(root);
+}
+
+// ---------------------------------------------------------------------------
+// One executor for both backends
+// ---------------------------------------------------------------------------
+
+/// Every field of a replay summary at full precision, records included.
+std::string summary_bits(const core::RunSummary& run) {
+  std::ostringstream os;
+  os.precision(17);
+  os << run.label << '|' << run.runtime_s << '|' << run.compute_s << '|'
+     << run.comm_s << '|' << run.migration_s << '|' << run.partition_s << '|'
+     << run.max_imbalance << '|' << run.mean_imbalance << '|'
+     << run.amr_efficiency << '|' << run.switches << '\n';
+  for (const core::SnapshotRecord& record : run.records)
+    os << record.step << ';' << record.partitioner << ';' << record.octant
+       << ';' << record.step_time_s << ';' << record.imbalance << ';'
+       << record.comm_volume << ';' << record.migration_s << ';'
+       << record.partition_s << ';' << record.amr_efficiency << '\n';
+  return os.str();
+}
+
+TEST(SharedExecutor, TraceReplayIsBitwiseEqualOnBothBackends) {
+  amr::Rm3dConfig app;
+  app.coarse_steps = 60;
+  RunSpec spec;
+  spec.name = "replay";
+  spec.kind = WorkloadKind::kTraceReplay;
+  spec.trace =
+      std::make_shared<const amr::AdaptationTrace>(amr::Rm3dEmulator(app).run());
+  spec.strategy = "adaptive";
+  spec.modeled_partition_s_per_cell = 50e-9;
+
+  auto runtime = Runtime::Builder{}.workers(1).build();
+  const RunOutcome local = runtime.run(spec);
+  ASSERT_EQ(local.state, RunState::kCompleted) << local.status.to_string();
+
+  DistributedService service(fast_config(), /*seed=*/40);
+  service.add_worker("w0");
+  util::Expected<RunHandle> handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
+  ASSERT_TRUE(service.run_until_done(300.0).is_ok());
+  const RunOutcome& remote = handle.value().wait();
+  ASSERT_EQ(remote.state, RunState::kCompleted) << remote.status.to_string();
+
+  ASSERT_FALSE(local.replay.records.empty());
+  EXPECT_EQ(summary_bits(local.replay), summary_bits(remote.replay));
+}
+
+TEST(SharedExecutor, BudgetKillShedsAlikeOnBothBackends) {
+  RunSpec spec;
+  spec.name = "greedy";
+  spec.kind = WorkloadKind::kManaged;
+  spec.app.coarse_steps = 12;
+  spec.nprocs = 4;
+  spec.seed = 7;
+  spec.modeled_partition_s_per_cell = 50e-9;
+  spec.budget.cpu_s = 1e-9;  // the first coarse step crosses it
+
+  res::ResourceAccountant local_accountant;
+  auto runtime =
+      Runtime::Builder{}.workers(1).accountant(&local_accountant).build();
+  const RunOutcome local = runtime.run(spec);
+
+  const std::string root = test_dir("budget");
+  res::ResourceAccountant remote_accountant;
+  DistributedConfig config = fast_config();
+  config.checkpoint_root = root;  // managed runs get persistence forced on
+  config.accountant = &remote_accountant;
+  DistributedService service(config, /*seed=*/40);
+  service.add_worker("w0");
+  util::Expected<RunHandle> handle = service.submit_run(spec);
+  ASSERT_TRUE(handle) << handle.status().to_string();
+  ASSERT_TRUE(service.run_until_done(300.0).is_ok());
+  const RunOutcome& remote = handle.value().wait();
+
+  for (const RunOutcome* outcome : {&local, &remote}) {
+    EXPECT_EQ(outcome->state, RunState::kFailed);
+    EXPECT_EQ(outcome->status.code(), util::StatusCode::kResourceExhausted);
+    EXPECT_EQ(shed_info(outcome->status).reason,
+              ShedReason::kBudgetExhausted);
+    EXPECT_GT(shed_info(outcome->status).retry_after_ms, 0);
+  }
+  EXPECT_EQ(shed_info(local.status).retry_after_ms,
+            shed_info(remote.status).retry_after_ms);
+  EXPECT_EQ(local_accountant.kills(), 1u);
+  EXPECT_EQ(remote_accountant.kills(), 1u);
+  EXPECT_EQ(remote_accountant.open_accounts(), 0u);
   fs::remove_all(root);
 }
 

@@ -399,7 +399,8 @@ TEST(JournalDegradationTest, SaturationShedsWithRetryAfterHint) {
   util::Expected<std::uint64_t> shed = journal.append(small_managed_spec("b"));
   ASSERT_FALSE(shed.has_value());
   EXPECT_EQ(shed.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_EQ(retry_after_ms(shed.status()), config.shed_retry_after_ms);
+  EXPECT_EQ(shed_info(shed.status()).retry_after_ms,
+            config.shed_retry_after_ms);
   EXPECT_EQ(journal.stats().shed_saturated, 1u);
 
   // Completing the first run frees its slot: the retry now passes via the

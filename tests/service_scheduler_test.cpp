@@ -94,9 +94,10 @@ TEST(SchedulerAdmission, OverflowShedsWithUnavailable) {
   EXPECT_NE(shed.status().to_string().find("admission queue full"),
             std::string::npos);
   // The shed carries a machine-readable retry-after hint.
-  EXPECT_GE(retry_after_ms(shed.status()), 0);
-  EXPECT_EQ(retry_after_ms(util::Status::ok()), -1);
-  EXPECT_EQ(retry_after_ms(util::Status::unavailable("no hint")), -1);
+  EXPECT_GE(shed_info(shed.status()).retry_after_ms, 0);
+  EXPECT_EQ(shed_info(util::Status::ok()).retry_after_ms, -1);
+  EXPECT_EQ(shed_info(util::Status::unavailable("no hint")).retry_after_ms,
+            -1);
 
   gate.set_value();
   scheduler.drain();
@@ -128,7 +129,7 @@ TEST(SchedulerAdmission, RateLimitShedsWithRetryAfterHint) {
   ASSERT_FALSE(shed.has_value());
   EXPECT_EQ(shed.status().code(), util::StatusCode::kUnavailable);
   EXPECT_NE(shed.status().to_string().find("rate limit"), std::string::npos);
-  const long long hint = retry_after_ms(shed.status());
+  const long long hint = shed_info(shed.status()).retry_after_ms;
   EXPECT_GT(hint, 0);
   EXPECT_LE(hint, 2000);
 
@@ -156,7 +157,7 @@ TEST(SchedulerAdmission, RetryAfterHintSurvivesRuntimeSubmit) {
       runtime.submit(blocking_spec("over", release));
   ASSERT_FALSE(shed.has_value());
   EXPECT_EQ(shed.status().code(), util::StatusCode::kUnavailable);
-  EXPECT_GE(retry_after_ms(shed.status()), 0);
+  EXPECT_GE(shed_info(shed.status()).retry_after_ms, 0);
 
   gate.set_value();
   runtime.drain();
