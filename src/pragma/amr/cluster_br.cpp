@@ -48,12 +48,12 @@ int find_inflection(const std::vector<std::int64_t>& sig, int lo,
 void cluster_recursive(const FlagField& flags, const Box& region,
                        const ClusterOptions& options, int depth,
                        std::vector<Box>& out) {
-  const Box bound = flags.minimal_bounding_box(region);
+  const FlagField::RegionScan node = flags.scan(region);
+  const Box& bound = node.bound;
   if (bound.empty()) return;
 
-  const std::int64_t flagged = flags.count_in(bound);
   const double efficiency =
-      static_cast<double>(flagged) / static_cast<double>(bound.volume());
+      static_cast<double>(node.count) / static_cast<double>(bound.volume());
 
   const IntVec3 e = bound.extent();
   const bool splittable = e.x >= 2 * options.min_width ||
@@ -80,8 +80,8 @@ void cluster_recursive(const FlagField& flags, const Box& region,
 
   for (int axis : axes) {
     if (bound.extent()[axis] < 2 * options.min_width) continue;
-    const auto sig = flags.signature(bound, axis);
-    const int cut = find_hole(sig, bound.lo()[axis], options.min_width);
+    const int cut = find_hole(node.signatures[axis], bound.lo()[axis],
+                              options.min_width);
     if (cut >= 0) {
       recurse_split(axis, cut);
       return;
@@ -89,8 +89,8 @@ void cluster_recursive(const FlagField& flags, const Box& region,
   }
   for (int axis : axes) {
     if (bound.extent()[axis] < 2 * options.min_width) continue;
-    const auto sig = flags.signature(bound, axis);
-    const int cut = find_inflection(sig, bound.lo()[axis], options.min_width);
+    const int cut = find_inflection(node.signatures[axis], bound.lo()[axis],
+                                    options.min_width);
     if (cut >= 0) {
       recurse_split(axis, cut);
       return;

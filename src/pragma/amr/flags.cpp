@@ -1,5 +1,7 @@
 #include "pragma/amr/flags.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
 namespace pragma::amr {
@@ -92,6 +94,49 @@ Box FlagField::minimal_bounding_box(const Box& box) const {
         hi.z = std::max(hi.z, z + 1);
       }
   return found ? Box(lo, hi) : Box{};
+}
+
+FlagField::RegionScan FlagField::scan(const Box& region) const {
+  RegionScan out;
+  const Box clipped = domain_.intersection(region);
+  if (clipped.empty()) return out;
+  const IntVec3 lo = clipped.lo();
+  const IntVec3 e = clipped.extent();
+  const auto width = static_cast<std::size_t>(e.x);
+  std::array<std::vector<std::int64_t>, 3> sig;
+  for (int axis = 0; axis < 3; ++axis)
+    sig[axis].assign(static_cast<std::size_t>(e[axis]), 0);
+  for (int z = 0; z < e.z; ++z)
+    for (int y = 0; y < e.y; ++y) {
+      const std::uint8_t* row = &cells_[index({lo.x, lo.y + y, lo.z + z})];
+      // Cells hold 0 or 1, so the first 1 starts the row's flags.
+      const auto* first =
+          static_cast<const std::uint8_t*>(std::memchr(row, 1, width));
+      if (first == nullptr) continue;
+      std::int64_t n = 0;
+      for (auto x = static_cast<std::size_t>(first - row); x < width; ++x) {
+        n += row[x];
+        sig[0][x] += row[x];
+      }
+      sig[1][static_cast<std::size_t>(y)] += n;
+      sig[2][static_cast<std::size_t>(z)] += n;
+      out.count += n;
+    }
+  if (out.count == 0) return out;
+  // The non-zero span of each signature is the bound's extent on that axis.
+  IntVec3 bound_lo;
+  IntVec3 bound_hi;
+  const auto flagged = [](std::int64_t plane) { return plane != 0; };
+  for (int axis = 0; axis < 3; ++axis) {
+    const std::vector<std::int64_t>& s = sig[axis];
+    const auto first = std::find_if(s.begin(), s.end(), flagged);
+    const auto last = std::find_if(s.rbegin(), s.rend(), flagged).base();
+    bound_lo[axis] = lo[axis] + static_cast<int>(first - s.begin());
+    bound_hi[axis] = lo[axis] + static_cast<int>(last - s.begin());
+    out.signatures[axis].assign(first, last);
+  }
+  out.bound = Box(bound_lo, bound_hi);
+  return out;
 }
 
 }  // namespace pragma::amr

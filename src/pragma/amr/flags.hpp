@@ -5,6 +5,7 @@
 // cells into patch boxes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -38,6 +39,18 @@ class FlagField {
   /// Smallest box inside `box` containing all flagged cells (empty box if
   /// none).
   [[nodiscard]] Box minimal_bounding_box(const Box& box) const;
+
+  /// What the Berger–Rigoutsos clusterer needs of one node, from a single
+  /// pass over the contiguous x-rows of `region`.
+  struct RegionScan {
+    Box bound;                 ///< == minimal_bounding_box(region)
+    std::int64_t count = 0;    ///< == count_in(bound)
+    /// signatures[axis] == signature(bound, axis): every flag of the
+    /// region lies inside the bound, so trimming the region's signatures
+    /// to it loses nothing.  Empty when the region has no flags.
+    std::array<std::vector<std::int64_t>, 3> signatures;
+  };
+  [[nodiscard]] RegionScan scan(const Box& region) const;
 
  private:
   [[nodiscard]] std::size_t index(IntVec3 p) const;

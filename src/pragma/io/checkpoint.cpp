@@ -115,8 +115,10 @@ std::vector<std::uint8_t> encode_envelope(
   put_u64(out.data() + 16, payload.size());
   put_u32(out.data() + 24, util::crc32(payload.data(), payload.size()));
   put_u32(out.data() + 28, util::crc32(out.data(), 28));
-  std::memcpy(out.data() + kCheckpointHeaderBytes, payload.data(),
-              payload.size());
+  // An empty payload's data() may be null, which memcpy must not see.
+  if (!payload.empty())
+    std::memcpy(out.data() + kCheckpointHeaderBytes, payload.data(),
+                payload.size());
   return out;
 }
 

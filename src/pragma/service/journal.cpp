@@ -152,8 +152,10 @@ std::vector<std::uint8_t> encode_journal_record(
   std::memcpy(out.data() + 16, &value, sizeof value);
   put_u32(out.data() + 24, util::crc32(payload.data(), payload.size()));
   put_u32(out.data() + 28, util::crc32(out.data(), 28));
-  std::memcpy(out.data() + kJournalRecordHeaderBytes, payload.data(),
-              payload.size());
+  // An empty payload's data() may be null, which memcpy must not see.
+  if (!payload.empty())
+    std::memcpy(out.data() + kJournalRecordHeaderBytes, payload.data(),
+                payload.size());
   return out;
 }
 
@@ -170,8 +172,9 @@ std::vector<std::uint8_t> encode_journal_batch_record(
     std::memcpy(payload.data() + pos, &value, sizeof value);
     value = item.payload.size();
     std::memcpy(payload.data() + pos + 8, &value, sizeof value);
-    std::memcpy(payload.data() + pos + 16, item.payload.data(),
-                item.payload.size());
+    if (!item.payload.empty())
+      std::memcpy(payload.data() + pos + 16, item.payload.data(),
+                  item.payload.size());
     pos += 16 + item.payload.size();
   }
   return encode_journal_record(JournalRecordType::kBatch,

@@ -30,18 +30,23 @@ EventHandle Simulator::schedule_periodic(SimTime period, Callback fn,
   // handle stops all future occurrences.
   const std::uint64_t id = next_id_++;
   const SimTime delay = first_delay >= 0.0 ? first_delay : period;
-  // self-rescheduling closure; checks cancellation before firing
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, id, period, fn = std::move(fn), tick]() {
+  // Self-rescheduling closure; checks cancellation before firing.  The
+  // queued event owns it and it refers to itself weakly, so a cancelled,
+  // drained or destroyed chain releases `fn`.
+  auto tick = std::make_shared<Callback>();
+  *tick = [this, id, period, fn = std::move(fn),
+           self = std::weak_ptr<Callback>(tick)]() {
     if (is_cancelled(id)) {
       forget_cancelled(id);
       return;
     }
     fn();
-    queue_.push(Event{now_ + period, next_sequence_++, id, *tick});
+    queue_.push(Event{now_ + period, next_sequence_++, id,
+                      [owner = self.lock()] { (*owner)(); }});
     ++live_pending_;
   };
-  queue_.push(Event{now_ + delay, next_sequence_++, id, *tick});
+  queue_.push(
+      Event{now_ + delay, next_sequence_++, id, [tick] { (*tick)(); }});
   ++live_pending_;
   return EventHandle{id};
 }

@@ -68,7 +68,7 @@ class CliFlags {
     std::string help;
     std::string value;  // canonical string form
     bool set = false;   // explicitly set (CLI or env), not defaulted
-    std::string raw;    // verbatim token that set it (diagnostics)
+    std::string raw{};  // verbatim token that set it (diagnostics)
   };
   const Flag& find(const std::string& name, Type type) const;
   const Flag& find_any(const std::string& name) const;

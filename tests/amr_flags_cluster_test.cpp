@@ -184,5 +184,61 @@ INSTANTIATE_TEST_SUITE_P(Densities, ClusterProperty,
                          ::testing::Values(0.01, 0.05, 0.15, 0.4, 0.8,
                                            0.99));
 
+// The clusterer's one-pass node scan against its three oracles.
+void expect_scan_matches_oracles(const FlagField& flags, const Box& region) {
+  const FlagField::RegionScan scan = flags.scan(region);
+  const Box bound = flags.minimal_bounding_box(region);
+  ASSERT_EQ(scan.bound, bound) << "region " << region;
+  EXPECT_EQ(scan.count, flags.count_in(bound)) << "region " << region;
+  for (int axis = 0; axis < 3; ++axis)
+    EXPECT_EQ(scan.signatures[static_cast<std::size_t>(axis)],
+              flags.signature(bound, axis))
+        << "region " << region << " axis " << axis;
+}
+
+class RegionScanProperty : public ::testing::TestWithParam<double> {};
+
+TEST_P(RegionScanProperty, EqualsBoundCountAndSignatures) {
+  const Box domain({3, -2, 5}, {23, 14, 17});  // non-zero origin
+  FlagField flags(domain);
+  util::Rng rng(static_cast<std::uint64_t>(GetParam() * 1000) + 1);
+  flags.flag_where(
+      [&rng, this](IntVec3) { return rng.bernoulli(GetParam()); });
+  expect_scan_matches_oracles(flags, domain);
+  // Random sub-regions, many reaching past the domain or missing it.
+  for (int i = 0; i < 200; ++i) {
+    IntVec3 lo;
+    IntVec3 hi;
+    for (int axis = 0; axis < 3; ++axis) {
+      const int a = static_cast<int>(rng.uniform_int(
+          domain.lo()[axis] - 4, domain.hi()[axis] + 4));
+      const int b = static_cast<int>(rng.uniform_int(
+          domain.lo()[axis] - 4, domain.hi()[axis] + 4));
+      lo[axis] = std::min(a, b);
+      hi[axis] = std::max(a, b) + 1;
+    }
+    expect_scan_matches_oracles(flags, Box(lo, hi));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Densities, RegionScanProperty,
+                         ::testing::Values(0.0, 0.01, 0.05, 0.15, 0.4, 0.8,
+                                           0.99, 1.0));
+
+TEST(RegionScan, EmptyAndDisjointRegionsScanEmpty) {
+  FlagField flags(Box({4, 4, 4}, {12, 12, 12}));
+  flags.set({5, 6, 7});
+  for (const Box& region :
+       {Box{}, Box({0, 0, 0}, {4, 12, 12}), Box({8, 8, 8}, {8, 12, 12}),
+        Box({20, 20, 20}, {30, 30, 30}), Box({6, 4, 4}, {12, 12, 12})}) {
+    const FlagField::RegionScan scan = flags.scan(region);
+    EXPECT_TRUE(scan.bound.empty()) << "region " << region;
+    EXPECT_EQ(scan.count, 0);
+    for (const auto& signature : scan.signatures)
+      EXPECT_TRUE(signature.empty());
+    expect_scan_matches_oracles(flags, region);
+  }
+}
+
 }  // namespace
 }  // namespace pragma::amr

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "pragma/amr/trace_io.hpp"
 #include "pragma/octant/octant.hpp"
+#include "pragma/util/crc32.hpp"
 
 namespace pragma::amr {
 namespace {
@@ -136,6 +141,20 @@ TEST(GalaxyEmulator, OctantTrajectoryOppositeToShockProblem) {
   // build-up concentrates the refinement).
   EXPECT_TRUE(early.scattered);
   EXPECT_LT(late.scatter_score, early.scatter_score);
+}
+
+TEST(GalaxyEmulator, PinnedTraceBytes) {
+  // Galaxy regrids share cluster_flags with RM3D: its save_trace bytes are
+  // pinned from before the one-pass node scan.
+  GalaxyConfig config;
+  config.coarse_steps = 80;
+  const AdaptationTrace trace = GalaxyEmulator(config).run();
+  std::ostringstream os;
+  save_trace(os, trace);
+  const std::string text = os.str();
+  EXPECT_EQ(trace.size(), 21u);
+  EXPECT_EQ(text.size(), 12210u);
+  EXPECT_EQ(util::crc32(text.data(), text.size()), 0xbb58d025u);
 }
 
 }  // namespace

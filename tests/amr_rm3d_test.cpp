@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+
+#include "pragma/amr/trace_io.hpp"
+#include "pragma/util/crc32.hpp"
+
 // EXPECT_THROW intentionally discards nodiscard results.
 #pragma GCC diagnostic ignored "-Wunused-result"
 
@@ -215,6 +222,140 @@ TEST(Rm3dEmulator, SmallerPatchBoundMeansMoreBoxes) {
   for (int l = 1; l < fine.hierarchy().num_levels(); ++l)
     fine_boxes += fine.hierarchy().level(l).box_count();
   EXPECT_GT(fine_boxes, coarse_boxes);
+}
+
+// Brute-force regrid oracle: indicator() on every coverage cell through
+// FlagField::flag_where, then the same cluster, refine and chop steps as a
+// regrid.  Returns the boxes level `level` + 1 must have.
+std::vector<Box> brute_force_refinement(const Rm3dEmulator& emulator,
+                                        int level) {
+  const GridHierarchy& h = emulator.hierarchy();
+  const Rm3dConfig& config = emulator.config();
+  std::vector<Box> coverage;
+  if (level == 0)
+    coverage.push_back(h.level_domain(0));
+  else if (level < h.num_levels())
+    coverage = h.level(level).boxes;
+  if (coverage.empty()) return {};
+  const Box domain = bounding_box(coverage);
+  FlagField covered(domain);
+  for (const Box& box : coverage)
+    for (int z = box.lo().z; z < box.hi().z; ++z)
+      for (int y = box.lo().y; y < box.hi().y; ++y)
+        for (int x = box.lo().x; x < box.hi().x; ++x) covered.set({x, y, z});
+  const auto r = static_cast<double>(h.cumulative_ratio(level));
+  const double nx = config.base_dims.x * r;
+  const double ny = config.base_dims.y * r;
+  const double nz = config.base_dims.z * r;
+  const double tau = emulator.normalized_time();
+  const double threshold = config.thresholds[static_cast<std::size_t>(level)];
+  FlagField flags(domain);
+  flags.flag_where([&](IntVec3 p) {
+    return covered.get(p) &&
+           emulator.indicator((p.x + 0.5) / nx, (p.y + 0.5) / ny,
+                              (p.z + 0.5) / nz, tau) >= threshold;
+  });
+  if (!flags.any()) return {};
+  ClusterOptions options = config.cluster;
+  options.max_box_cells = 0;
+  std::vector<Box> refined;
+  for (const Box& box : cluster_flags(flags, domain, options)) {
+    const Box fine = box.refine(config.ratio);
+    if (config.cluster.max_box_cells > 0 &&
+        fine.volume() > config.cluster.max_box_cells) {
+      const std::vector<Box> pieces = fine.chop(config.cluster.max_box_cells);
+      refined.insert(refined.end(), pieces.begin(), pieces.end());
+    } else {
+      refined.push_back(fine);
+    }
+  }
+  return refined;
+}
+
+// Runs `config` and checks every regrid (the initial one included) against
+// the brute-force oracle; `at_step` may adjust the emulator mid-run.
+void expect_regrids_match_brute_force(
+    const Rm3dConfig& config,
+    const std::function<void(Rm3dEmulator&)>& at_step = {}) {
+  Rm3dEmulator emulator(config);
+  int regrids = 0;
+  bool regridded = true;
+  while (true) {
+    if (regridded) {
+      ++regrids;
+      const GridHierarchy& h = emulator.hierarchy();
+      for (int level = 0; level + 1 < config.max_levels; ++level) {
+        const std::vector<Box> expected =
+            level + 1 < h.num_levels() ? h.level(level + 1).boxes
+                                       : std::vector<Box>{};
+        ASSERT_EQ(brute_force_refinement(emulator, level), expected)
+            << "step " << emulator.step() << " level " << level;
+        if (expected.empty()) break;
+      }
+    }
+    if (emulator.step() >= config.coarse_steps) break;
+    if (at_step) at_step(emulator);
+    regridded = emulator.advance();
+  }
+  EXPECT_EQ(regrids, config.coarse_steps / config.regrid_interval + 1);
+}
+
+TEST(Rm3dRegridEquivalence, Default200Steps) {
+  expect_regrids_match_brute_force(short_config(200));
+}
+
+TEST(Rm3dRegridEquivalence, FourLevelsSeed99) {
+  Rm3dConfig config = short_config(120);
+  config.seed = 99;
+  config.max_levels = 4;
+  config.thresholds = {1.0, 2.0, 2.5};
+  expect_regrids_match_brute_force(config);
+}
+
+TEST(Rm3dRegridEquivalence, RatioThree) {
+  Rm3dConfig config = short_config(120);
+  config.ratio = 3;
+  config.base_dims = {64, 48, 16};
+  expect_regrids_match_brute_force(config);
+}
+
+TEST(Rm3dRegridEquivalence, ZeroThresholdTakesWholeRows) {
+  Rm3dConfig config = short_config(200);
+  config.base_dims = {32, 8, 8};
+  config.thresholds = {0.0, 2.0};
+  expect_regrids_match_brute_force(config);
+}
+
+TEST(Rm3dRegridEquivalence, PatchBoundChangedMidRun) {
+  expect_regrids_match_brute_force(short_config(200), [](Rm3dEmulator& e) {
+    if (e.step() == 100) e.set_max_box_cells(2048);
+  });
+}
+
+// Golden save_trace bytes, pinned from the full-volume flagging loop the
+// row-clipped one replaced: any change to the hierarchies shows up here.
+struct TraceDigest {
+  std::size_t snapshots;
+  std::size_t bytes;
+  std::uint32_t crc;
+};
+
+TraceDigest digest(const AdaptationTrace& trace) {
+  std::ostringstream os;
+  save_trace(os, trace);
+  const std::string text = os.str();
+  return {trace.size(), text.size(), util::crc32(text.data(), text.size())};
+}
+
+TEST(Rm3dEmulator, PinnedTraceBytes200Steps) {
+  const TraceDigest d = digest(Rm3dEmulator(short_config(200)).run());
+  EXPECT_EQ(d.snapshots, 51u);
+  EXPECT_EQ(d.bytes, 48625u);
+  EXPECT_EQ(d.crc, 0x6db36a22u);
+}
+
+TEST(Rm3dEmulator, PinnedTraceBytes64Steps) {
+  EXPECT_EQ(digest(Rm3dEmulator(short_config(64)).run()).crc, 0x233ea3f7u);
 }
 
 }  // namespace

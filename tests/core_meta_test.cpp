@@ -41,7 +41,9 @@ TEST(MetaPartitioner, StaticComputeTraceSelectsGMispSp) {
   const partition::Partitioner& selected =
       meta.select(trace, trace.size() - 1);
   const octant::OctantState state = meta.history().back().state;
-  if (!state.communication) EXPECT_EQ(selected.name(), "G-MISP+SP");
+  if (!state.communication) {
+    EXPECT_EQ(selected.name(), "G-MISP+SP");
+  }
 }
 
 TEST(MetaPartitioner, SelectionFollowsTable2) {

@@ -95,7 +95,7 @@ TEST(FormatRule, RoundTripsThroughParser) {
 
 TEST(ParseRule, ErrorReportsLineColumnAndSnippet) {
   try {
-    parse_rule("if load > 0.8 foo = bar");
+    (void)parse_rule("if load > 0.8 foo = bar");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string message = error.what();
@@ -111,7 +111,8 @@ TEST(ParseRule, ErrorReportsLineColumnAndSnippet) {
 
 TEST(ParseRules, ErrorReportsFailingFileLine) {
   try {
-    parse_rules("# comment\nif a = 1 then x = 1\nif load > 0.8 foo = bar\n");
+    (void)parse_rules(
+        "# comment\nif a = 1 then x = 1\nif load > 0.8 foo = bar\n");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)

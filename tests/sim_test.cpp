@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace pragma::sim {
@@ -116,6 +117,36 @@ TEST(Simulator, PeriodicCancelStopsChain) {
   simulator.cancel(handle);
   simulator.run(10.0);
   EXPECT_EQ(fired, 3);
+}
+
+TEST(Simulator, PeriodicChainReleasesCallback) {
+  // A periodic chain must not own itself: once cancelled and drained, or
+  // when the simulator goes away with it still pending, the callback (and
+  // everything it captured) is released.
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  {
+    Simulator simulator;
+    const EventHandle handle = simulator.schedule_periodic(
+        1.0, [sentinel] { ++*sentinel; });
+    simulator.run(2.5);
+    EXPECT_TRUE(simulator.cancel(handle));
+    simulator.run();
+    EXPECT_TRUE(simulator.empty());
+    sentinel.reset();
+    EXPECT_TRUE(watch.expired());
+  }
+  sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> pending = sentinel;
+  {
+    Simulator simulator;
+    simulator.schedule_periodic(1.0, [sentinel] { ++*sentinel; });
+    simulator.run(2.5);
+    EXPECT_EQ(*sentinel, 2);
+    sentinel.reset();
+    EXPECT_FALSE(pending.expired());  // the chain is still queued
+  }
+  EXPECT_TRUE(pending.expired());
 }
 
 TEST(Simulator, RequestStopHaltsRun) {
