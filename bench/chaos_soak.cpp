@@ -120,7 +120,7 @@ core::ManagedRunConfig managed_config(const SoakConfig& soak, bool chaos) {
   config.system_sensitive = true;
   config.seed = soak.seed;
   config.ft.enabled = true;
-  config.ft.checkpoint_interval_s = soak.checkpoint_s;
+  config.checkpoint_interval_s = soak.checkpoint_s;
   if (chaos) {
     config.ft.channel.drop_probability = soak.drop;
     config.ft.channel.duplicate_probability = soak.duplicate;
@@ -185,7 +185,7 @@ core::ManagedRunConfig durable_config(const SoakConfig& soak,
   config.persist.dir = dir;
   // Checkpoint at every coarse-step boundary so the kill point always has
   // recent generations behind it.
-  config.persist.checkpoint_interval_s = 1e-3;
+  config.checkpoint_interval_s = 1e-3;
   return config;
 }
 
@@ -338,7 +338,7 @@ int main(int argc, char** argv) {
     spec.seed = soak.seed + 1000ull * static_cast<unsigned>(index);
     spec.persist.enabled = true;
     spec.persist.dir = dir;
-    spec.persist.checkpoint_interval_s = 1e-6;
+    spec.checkpoint_interval_s = 1e-6;
     spec.persist.keep_last_n = 4;
     return spec;
   };
@@ -390,8 +390,7 @@ int main(int argc, char** argv) {
       ++churn_completed;
       const core::ManagedRunReport reference =
           core::ManagedRun(
-              churn_spec(i, churn_root + "/ref-" + std::to_string(i))
-                  .to_managed())
+              churn_spec(i, churn_root + "/ref-" + std::to_string(i)))
               .run();
       if (!reports_bit_identical(run->outcome.managed, reference))
         churn_identical = false;
@@ -527,7 +526,7 @@ int main(int argc, char** argv) {
     const std::string& name = handle.name();
     const int index = std::atoi(name.c_str() + std::strlen("journal-"));
     const core::ManagedRunReport reference =
-        core::ManagedRun(journal_spec(index).to_managed()).run();
+        core::ManagedRun(journal_spec(index)).run();
     if (!reports_bit_identical(outcome.managed, reference))
       journal_identical = false;
   }
@@ -575,7 +574,7 @@ int main(int argc, char** argv) {
   std::vector<core::ManagedRunReport> honest_refs;
   for (int i = 0; i < budget_runs; ++i)
     honest_refs.push_back(
-        core::ManagedRun(budget_spec(i, "honest").to_managed()).run());
+        core::ManagedRun(budget_spec(i, "honest")).run());
 
   res::ResourceAccountant accountant;
   bool budget_admitted = true;

@@ -63,7 +63,7 @@ service::RunSpec burst_spec(const BenchConfig& config, int index,
   spec.persist.dir = dir;
   // Checkpoint at every coarse-step boundary so a kill between slices
   // always has a fresh generation behind it.
-  spec.persist.checkpoint_interval_s = 1e-6;
+  spec.checkpoint_interval_s = 1e-6;
   spec.persist.keep_last_n = 4;
   return spec;
 }
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < config.runs; ++i) {
     service::RunSpec spec =
         burst_spec(config, i, root + "/ref-" + std::to_string(i));
-    references.push_back(core::ManagedRun(spec.to_managed()).run());
+    references.push_back(core::ManagedRun(spec).run());
   }
 
   util::BenchJsonWriter json;

@@ -155,7 +155,7 @@ bool batch_is_bitwise_reproducible(const BenchConfig& config) {
 
   std::vector<std::string> serial;
   for (int i = 0; i < config.batch; ++i) {
-    core::ManagedRun run(base.derived(i).to_managed());
+    core::ManagedRun run(base.derived(i));
     serial.push_back(fingerprint(run.run()));
   }
 

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   base.system_sensitive = true;
   base.ft.enabled = true;
   base.ft.channel.drop_probability = 0.05;
-  base.ft.checkpoint_interval_s = 25.0;
+  base.checkpoint_interval_s = 25.0;
 
   util::CliFlags flags("Fault-tolerant managed execution with recovery.");
   service::add_run_flags(flags, base);

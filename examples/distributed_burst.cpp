@@ -90,7 +90,9 @@ int main(int argc, char** argv) {
     service::RunSpec one = spec.derived(i);
     one.persist.enabled = true;
     one.persist.dir = root + "/run-" + std::to_string(i);
-    one.persist.checkpoint_interval_s = 1e-6;
+    // Checkpoint at every step boundary; an --ft run keeps its
+    // --checkpoint cadence.
+    if (!one.ft.enabled) one.checkpoint_interval_s = 1e-6;
     // Admission backpressure is advisory, not fatal: ShedInfo classifies
     // the rejection (queue-full and friends are retryable, a shutdown is
     // not) and carries the retry-after hint, honored here as a capped

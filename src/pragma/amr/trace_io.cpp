@@ -164,22 +164,10 @@ util::Expected<AdaptationTrace> try_load_trace_file(const std::string& path) {
   return try_load_trace(is);
 }
 
-AdaptationTrace load_trace(std::istream& is) {
-  util::Expected<AdaptationTrace> trace = try_load_trace(is);
-  if (!trace) throw std::runtime_error(trace.status().to_string());
-  return std::move(trace).value();
-}
-
 void save_trace_file(const std::string& path, const AdaptationTrace& trace) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("save_trace_file: cannot open " + path);
   save_trace(os, trace);
-}
-
-AdaptationTrace load_trace_file(const std::string& path) {
-  util::Expected<AdaptationTrace> trace = try_load_trace_file(path);
-  if (!trace) throw std::runtime_error(trace.status().to_string());
-  return std::move(trace).value();
 }
 
 }  // namespace pragma::amr

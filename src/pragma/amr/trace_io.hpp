@@ -70,12 +70,7 @@ void save_trace(std::ostream& os, const AdaptationTrace& trace);
 [[nodiscard]] util::Expected<AdaptationTrace> try_load_trace_file(
     const std::string& path);
 
-/// Legacy throwing wrapper around try_load_trace; throws
-/// std::runtime_error with the Status message.
-[[nodiscard]] AdaptationTrace load_trace(std::istream& is);
-
-/// Convenience file-path wrappers.
+/// Convenience file-path wrapper around save_trace.
 void save_trace_file(const std::string& path, const AdaptationTrace& trace);
-[[nodiscard]] AdaptationTrace load_trace_file(const std::string& path);
 
 }  // namespace pragma::amr

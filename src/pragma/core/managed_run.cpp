@@ -14,8 +14,9 @@
 
 namespace pragma::core {
 
-ManagedRun::ManagedRun(ManagedRunConfig config)
+ManagedRun::ManagedRun(ManagedRunConfig config, res::RunAccount* account)
     : config_(std::move(config)),
+      account_(account),
       cluster_(config_.capacity_spread > 0.0
                    ? [&] {
                        util::Rng rng(config_.seed, 1);
@@ -298,8 +299,8 @@ void ManagedRun::take_checkpoint() {
                         config_.exec.redistribution_overhead;
     if (rate > 0.0) worst = std::max(worst, bytes / rate);
   }
-  if (config_.account != nullptr)
-    config_.account->charge_io(static_cast<std::uint64_t>(total_bytes));
+  if (account_ != nullptr)
+    account_->charge_io(static_cast<std::uint64_t>(total_bytes));
   const double cost = worst * config_.ft.checkpoint_cost_factor;
   ++report_.checkpoints;
   PRAGMA_FLIGHT(simulator_.now(), "checkpoint", "save-state #",
@@ -508,8 +509,7 @@ void ManagedRun::repartition(bool count_as_regrid) {
   // updated in place from the hierarchy delta (bitwise-identical to the
   // rebuild, see WorkGrid::apply_delta) instead of re-rasterized.
   bool incremental = false;
-  if (config_.incremental_workgrid && canonical_.has_value() &&
-      canonical_hierarchy_.has_value()) {
+  if (canonical_.has_value() && canonical_hierarchy_.has_value()) {
     const amr::HierarchyDelta delta =
         amr::diff_hierarchies(*canonical_hierarchy_, emulator_.hierarchy());
     if (delta.compatible &&
@@ -530,16 +530,15 @@ void ManagedRun::repartition(bool count_as_regrid) {
       result.owners, native.lattice_dims(), canonical_->lattice_dims());
 
   // The measured partitioner cost is wall clock — fine for the ideal runs,
-  // but nondeterministic; the fault-tolerant and persistent paths swap in
-  // a modeled cost so chaos runs and checkpoint resumes replay
-  // byte-identically under a fixed seed.
+  // but nondeterministic; the fault-tolerant and persistent paths model it
+  // (by default at kDurablePartitionSPerCell) so chaos runs and checkpoint
+  // resumes replay byte-identically under a fixed seed.
+  constexpr double kDurablePartitionSPerCell = 50e-9;
   double partition_seconds = result.partition_seconds;
-  const double modeled_s_per_cell =
-      config_.ft.enabled
-          ? config_.ft.modeled_partition_s_per_cell
-          : (config_.persist.enabled
-                 ? config_.persist.modeled_partition_s_per_cell
-                 : config_.modeled_partition_s_per_cell);
+  double modeled_s_per_cell = config_.modeled_partition_s_per_cell;
+  if (modeled_s_per_cell <= 0.0 &&
+      (config_.ft.enabled || config_.persist.enabled))
+    modeled_s_per_cell = kDurablePartitionSPerCell;
   if (modeled_s_per_cell > 0.0)
     partition_seconds =
         static_cast<double>(native.cell_count()) * modeled_s_per_cell;
@@ -637,18 +636,18 @@ ManagedRunReport ManagedRun::run() {
     // A throttled violator pays the slowdown in modeled step time — the
     // report, the simulator clock, and the account all see the same
     // inflated cost.
-    if (config_.account != nullptr && config_.account->throttled() &&
-        config_.account->budget().throttle_factor > 1.0)
-      step.total_s *= config_.account->budget().throttle_factor;
+    if (account_ != nullptr && account_->throttled() &&
+        account_->budget().throttle_factor > 1.0)
+      step.total_s *= account_->budget().throttle_factor;
     report_.total_time_s += step.total_s;
     if (!report_.records.empty())
       report_.records.back().step_time_s = step.total_s;
     simulator_.run(simulator_.now() + step.total_s);
     ++completed_steps_;
-    if (config_.account != nullptr) {
-      config_.account->charge_cpu(step.total_s);
+    if (account_ != nullptr) {
+      account_->charge_cpu(step.total_s);
       if (canonical_)
-        config_.account->sample_memory(static_cast<std::uint64_t>(
+        account_->sample_memory(static_cast<std::uint64_t>(
             canonical_->total_work() * config_.exec.bytes_per_cell));
     }
     if (durable) {
@@ -657,7 +656,7 @@ ManagedRunReport ManagedRun::run() {
            p < mapped_.work.size() && p < cells_since_checkpoint_.size(); ++p)
         cells_since_checkpoint_[p] += mapped_.work[p];
       if (simulator_.now() - last_checkpoint_time_ >=
-              checkpoint_interval_s() ||
+              config_.checkpoint_interval_s ||
           checkpoint_requested_) {
         checkpoint_requested_ = false;
         take_checkpoint();
@@ -666,7 +665,7 @@ ManagedRunReport ManagedRun::run() {
     // Budget kill: stop at the boundary exactly like a cancel — fall
     // through to the final accounting so the partial report is
     // internally consistent; the caller reads the account's verdict.
-    if (config_.account != nullptr && config_.account->should_stop()) break;
+    if (account_ != nullptr && account_->should_stop()) break;
   }
 
   report_.partitioner_switches = meta_->switch_count();

@@ -69,16 +69,8 @@ struct FaultToleranceConfig {
   agents::HeartbeatConfig heartbeat;
   /// Staleness handling for capacity readings from unreachable nodes.
   monitor::StalenessPolicy staleness;
-  /// Simulated seconds between save-state checkpoints.  Smaller means less
-  /// lost work per failure but more steady-state overhead.
-  double checkpoint_interval_s = 25.0;
   /// Scale factor on the modeled checkpoint write cost.
   double checkpoint_cost_factor = 1.0;
-  /// Deterministic partitioner cost model, in seconds per work-grid cell
-  /// (scaled by the exec model's partition_time_scale like the measured
-  /// cost would be).  Replaces the wall-clock measurement so that
-  /// fault-injected runs replay byte-identically.  <= 0 keeps wall clock.
-  double modeled_partition_s_per_cell = 50e-9;
 };
 
 /// Durable checkpoint persistence: the paper's save-state actuator made
@@ -102,16 +94,9 @@ struct PersistenceConfig {
   /// Restore from the newest valid checkpoint in `dir` (fresh start when
   /// none validates).
   bool resume = false;
-  /// Simulated seconds between durable checkpoints (independent of the
-  /// ft cadence; ft's interval wins when both subsystems are enabled).
-  double checkpoint_interval_s = 25.0;
   /// Retention window: generations kept on disk (>= 2 keeps a fallback).
   /// GC never deletes the latest recoverable generation regardless.
   int keep_last_n = 2;
-  /// Deterministic partitioner cost model, like
-  /// ft.modeled_partition_s_per_cell — required for byte-identical
-  /// resume (<= 0 keeps nondeterministic wall clock).
-  double modeled_partition_s_per_cell = 50e-9;
   /// Crash-injection hook for the kill-restart soak: abandon run() once
   /// this many coarse steps have completed (-1 = never), as an abrupt
   /// SIGKILL would — no final accounting, nothing flushed beyond the
@@ -145,19 +130,18 @@ struct ManagedRunConfig {
   std::uint64_t seed = 40;
   FaultToleranceConfig ft;
   PersistenceConfig persist;
-  /// Deterministic partitioner cost model for the *fault-free* path, in
-  /// seconds per work-grid cell (<= 0 keeps the wall-clock measurement).
-  /// The ft/persist equivalents win when those subsystems are enabled.
-  /// Setting this makes a default run replay byte-identically — required
-  /// for the CI observability smoke test's committed reference output.
+  /// Simulated seconds between save-state checkpoints, taken when `ft` or
+  /// `persist` is enabled.  Smaller means less lost work per failure but
+  /// more steady-state overhead.
+  double checkpoint_interval_s = 25.0;
+  /// Deterministic partitioner cost model, in seconds per work-grid cell
+  /// (scaled by the exec model's partition_time_scale like the measured
+  /// cost would be).  Replaces the wall-clock measurement so that runs
+  /// replay byte-identically — required for the CI observability smoke
+  /// test's committed reference output.  <= 0 keeps the wall clock,
+  /// except that `ft` and `persist` runs then model 50e-9 s per cell:
+  /// fault-injected runs and checkpoint resumes must replay exactly.
   double modeled_partition_s_per_cell = 0.0;
-  /// Update the canonical work grid from the hierarchy delta at each
-  /// repartition instead of re-rasterizing it (bitwise-identical output —
-  /// see WorkGrid::apply_delta — so reports and checkpoints are unchanged).
-  /// A full rebuild still happens when the delta is incompatible or the
-  /// regrid churn exceeds partition::kIncrementalChurnLimit.  Counted in
-  /// the obs metrics core.managed_run.canonical_{incremental,full}.
-  bool incremental_workgrid = true;
   /// Observability knobs (tracing/metrics/flight recorder).  Merge-enabled
   /// into the process-wide obs facilities at construction; the default
   /// (all off) leaves global state untouched, so runs stay byte-identical.
@@ -167,14 +151,6 @@ struct ManagedRunConfig {
   /// different name changes event interleaving — keep the default for
   /// byte-compatibility with existing seeded runs.
   std::string app_name = "rm3d";
-  /// Resource account this run charges (not owned; must outlive run()).
-  /// At every coarse-step boundary the run charges its modeled CPU
-  /// seconds, samples its modeled memory footprint, charges checkpoint IO
-  /// bytes, and polls the account's kill/throttle verdict — a kill stops
-  /// the run at the boundary exactly like a cancel, a throttle inflates
-  /// the modeled step time by the budget's factor.  Null (the default)
-  /// is byte-identical to a run without accounting.
-  res::RunAccount* account = nullptr;
 };
 
 /// One regrid-interval record of a managed run.
@@ -234,7 +210,15 @@ struct ManagedRunReport {
 /// Drives a fully managed execution of the RM3D emulator.
 class ManagedRun {
  public:
-  explicit ManagedRun(ManagedRunConfig config = {});
+  /// `account` is the resource account this run charges (not owned; must
+  /// outlive run()).  At every coarse-step boundary the run charges its
+  /// modeled CPU seconds, samples its modeled memory footprint, charges
+  /// checkpoint IO bytes, and polls the account's kill/throttle verdict —
+  /// a kill stops the run at the boundary exactly like a cancel, a
+  /// throttle inflates the modeled step time by the budget's factor.
+  /// Null (the default) is byte-identical to a run without accounting.
+  explicit ManagedRun(ManagedRunConfig config = {},
+                      res::RunAccount* account = nullptr);
 
   /// Inject a node failure at simulated time `at` (recovering after
   /// `downtime_s`; negative = permanent).  Call before run().
@@ -282,12 +266,9 @@ class ManagedRun {
   /// Restore from the newest fully valid checkpoint generation; false
   /// (fresh start) when none decodes, validates, and matches this config.
   bool try_restore();
-  [[nodiscard]] double checkpoint_interval_s() const {
-    return config_.ft.enabled ? config_.ft.checkpoint_interval_s
-                              : config_.persist.checkpoint_interval_s;
-  }
 
   ManagedRunConfig config_;
+  res::RunAccount* account_;
   sim::Simulator simulator_;
   grid::Cluster cluster_;
   std::unique_ptr<grid::LoadGenerator> loadgen_;

@@ -103,13 +103,13 @@ RunSummary TraceRunner::replay(
     // Each snapshot's canonical grid is rasterized once per runner and
     // shared across replays through the cache (snapshot i+1's grid, built
     // below for the stale-partition term, is this lookup on the next
-    // iteration — and on every other replay of the same trace).  With the
-    // incremental path on, a cache miss derives the grid from the previous
-    // snapshot's entry via the hierarchy delta instead of re-rasterizing.
+    // iteration — and on every other replay of the same trace).  A cache
+    // miss derives the grid from the previous snapshot's entry via the
+    // hierarchy delta instead of re-rasterizing.
     const auto canonical_grid = [&](std::size_t index)
         -> std::shared_ptr<const partition::WorkGrid> {
       const amr::GridHierarchy& h = trace_.at(index).hierarchy;
-      if (config_.incremental_workgrid && index > 0)
+      if (index > 0)
         return grids.get_or_update(index, h, index - 1,
                                    trace_.at(index - 1).hierarchy,
                                    config_.canonical_grain,
@@ -161,12 +161,11 @@ RunSummary TraceRunner::replay(
                             ? meta->current_grain()
                             : partitioner.preferred_grain();
       const std::shared_ptr<const partition::WorkGrid> native =
-          config_.incremental_workgrid && i > 0
-              ? grids.get_or_update(i, hierarchy, i - 1,
-                                    trace_.at(i - 1).hierarchy, grain,
-                                    partitioner.curve(), config_.threads)
-              : grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
-                                   config_.threads);
+          i > 0 ? grids.get_or_update(i, hierarchy, i - 1,
+                                      trace_.at(i - 1).hierarchy, grain,
+                                      partitioner.curve(), config_.threads)
+                : grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
+                                     config_.threads);
       result = partitioner.partition(*native, config_.targets);
       if (config_.modeled_partition_s_per_cell > 0.0)
         result.partition_seconds =
@@ -209,7 +208,7 @@ RunSummary TraceRunner::replay(
     const partition::PacMetrics pac = partition::evaluate_pac(
         canonical, canonical_result, config_.targets,
         has_previous ? &previous_canonical : nullptr, config_.threads,
-        config_.incremental_workgrid ? &comm_tracker : nullptr);
+        &comm_tracker);
     record.imbalance = pac.load_imbalance;
     record.comm_volume = pac.communication;
     if (!reuse_previous) baseline_imbalance = pac.load_imbalance;

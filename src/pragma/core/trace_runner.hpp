@@ -44,14 +44,6 @@ struct TraceRunConfig {
   /// communication sweep).  0 = hardware_concurrency; 1 = the serial code
   /// path, bitwise-identical to pre-threading replays.
   int threads = 0;
-  /// Derive each snapshot's work grids from the previous snapshot's via the
-  /// hierarchy delta (WorkGridCache::get_or_update) and maintain the
-  /// communication volume incrementally, instead of rebuilding both from
-  /// scratch at every snapshot.  Both incremental paths are
-  /// bitwise-identical to the full ones, so summaries are unchanged; turn
-  /// off to force the full-rebuild oracle (as the perf bench does when
-  /// measuring the two curves).
-  bool incremental_workgrid = true;
   /// When > 0, charge partitioning as cells * this instead of the
   /// partitioner's wall-clock measurement (same knob as
   /// ManagedRunConfig::modeled_partition_s_per_cell) so that concurrent

@@ -19,7 +19,7 @@ std::string clip(const std::string& token) {
 
 /// Build "line N, column C" diagnostics with a source snippet and caret.
 /// `line_base` is the 1-based number of the first line of `text` within
-/// the enclosing document (parse_rules passes the file line).
+/// the enclosing document (try_parse_rules passes the file line).
 [[noreturn]] void throw_parse_error(const std::string& text, std::size_t pos,
                                     int line_base,
                                     const std::string& message) {
@@ -206,45 +206,37 @@ Policy parse_rule_at(const std::string& text, const std::string& name,
   return policy;
 }
 
-std::vector<Policy> parse_rules_impl(const std::string& text) {
-  std::vector<Policy> policies;
-  std::istringstream stream(text);
-  std::string line;
-  int line_number = 0;
-  while (std::getline(stream, line)) {
-    ++line_number;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    bool blank = true;
-    for (char c : line)
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-    if (blank) continue;
-    policies.push_back(parse_rule_at(line, "rule_" +
-                                     std::to_string(line_number),
-                                     line_number));
-  }
-  return policies;
-}
-
 }  // namespace
 
 Policy parse_rule(const std::string& text, const std::string& name) {
   return parse_rule_at(text, name, 1);
 }
 
-std::vector<Policy> parse_rules(const std::string& text) {
-  return parse_rules_impl(text);
-}
-
 util::Expected<std::vector<Policy>> try_parse_rules(const std::string& text) {
+  std::vector<Policy> policies;
+  std::istringstream stream(text);
+  std::string line;
+  int line_number = 0;
   // The recursive-descent parser reports through one internal exception
   // type; this boundary converts it into a Status so callers handling
   // untrusted policy files never see a throw.
   try {
-    return parse_rules_impl(text);
+    while (std::getline(stream, line)) {
+      ++line_number;
+      const auto hash = line.find('#');
+      if (hash != std::string::npos) line = line.substr(0, hash);
+      bool blank = true;
+      for (char c : line)
+        if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
+      if (blank) continue;
+      policies.push_back(parse_rule_at(line, "rule_" +
+                                       std::to_string(line_number),
+                                       line_number));
+    }
   } catch (const std::invalid_argument& error) {
     return util::Status::invalid(error.what());
   }
+  return policies;
 }
 
 std::string format_rule(const Policy& policy) {

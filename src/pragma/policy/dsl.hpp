@@ -37,13 +37,9 @@ namespace pragma::policy {
                                 const std::string& name = {});
 
 /// Parse a newline-separated rule set, skipping blank lines and comments.
-/// Throws like parse_rule, with the failing line number and snippet.
-[[nodiscard]] std::vector<Policy> parse_rules(const std::string& text);
-
-/// Structured-error variant of parse_rules for untrusted policy files:
-/// returns the parsed rule set or a Status whose message has the same
-/// line/column/snippet diagnostics, without using exceptions for control
-/// flow.
+/// Returns the parsed rule set or a Status whose message has the same
+/// line/column/snippet diagnostics as parse_rule, with the failing line
+/// number — untrusted policy files never see a throw.
 [[nodiscard]] util::Expected<std::vector<Policy>> try_parse_rules(
     const std::string& text);
 

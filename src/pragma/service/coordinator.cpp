@@ -13,6 +13,10 @@ namespace pragma::service {
 
 namespace {
 
+/// Checkpoint cadence (simulated seconds) the coordinator forces on managed
+/// runs submitted without persistence, unless `ft` sets their cadence.
+constexpr double kForcedCheckpointIntervalS = 1.0;
+
 double attr_double(const agents::Message& message, const std::string& key) {
   const auto it = message.payload.find(key);
   if (it == message.payload.end()) return 0.0;
@@ -108,8 +112,8 @@ util::Expected<RunHandle> Coordinator::submit(RunSpec spec) {
     run.spec.persist.enabled = true;
     run.spec.persist.dir =
         config_.checkpoint_root + "/run-" + std::to_string(id);
-    run.spec.persist.checkpoint_interval_s =
-        config_.forced_checkpoint_interval_s;
+    if (!run.spec.ft.enabled)
+      run.spec.checkpoint_interval_s = kForcedCheckpointIntervalS;
   }
   run.submitted_s = simulator_.now();
   run.last_activity_s = run.submitted_s;

@@ -105,10 +105,9 @@ struct DistributedConfig {
   double slice_sim_s = 2.0;
   /// Checkpoint directory root for managed runs submitted without
   /// persistence: the coordinator forces the durable store on (failover
-  /// needs generations to resume from).
+  /// needs generations to resume from) and, unless the run is `ft`-enabled,
+  /// checkpoints it every simulated second.
   std::string checkpoint_root = "pragma-dist-checkpoints";
-  /// Forced checkpoint cadence (simulated seconds) for such runs.
-  double forced_checkpoint_interval_s = 1.0;
   /// Predictive worker-pool autoscaling (DistributedService only).  Off
   /// by default: with enabled=false no autoscaler exists, no event is
   /// scheduled, and the service is byte-identical to the fixed-pool path.

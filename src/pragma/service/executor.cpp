@@ -26,10 +26,9 @@ std::shared_ptr<res::RunAccount> open_account(const RunSpec& spec,
 std::unique_ptr<core::ManagedRun> make_managed_run(
     const RunSpec& spec, res::RunAccount* account,
     const core::PersistenceConfig& persist) {
-  core::ManagedRunConfig config = spec.to_managed();
+  core::ManagedRunConfig config = spec;
   config.persist = persist;
-  config.account = account;
-  auto run = std::make_unique<core::ManagedRun>(std::move(config));
+  auto run = std::make_unique<core::ManagedRun>(std::move(config), account);
   for (const FailurePlan& plan : spec.failures)
     run->schedule_failure(plan.at_s, plan.node, plan.downtime_s);
   if (spec.random_mtbf_s > 0.0 && spec.random_mttr_s > 0.0)

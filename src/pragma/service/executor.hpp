@@ -52,9 +52,9 @@ struct ExecHooks {
 [[nodiscard]] std::shared_ptr<res::RunAccount> open_account(
     const RunSpec& spec, const ExecHooks& hooks);
 
-/// The managed-run setup every executor shares: spec.to_managed() with
-/// `persist` in place of spec.persist and `account` charged, then the
-/// spec's failure plans and random-failure process armed.
+/// The managed-run setup every executor shares: the spec's managed-run
+/// config with `persist` in place of spec.persist and `account` charged,
+/// then the spec's failure plans and random-failure process armed.
 [[nodiscard]] std::unique_ptr<core::ManagedRun> make_managed_run(
     const RunSpec& spec, res::RunAccount* account,
     const core::PersistenceConfig& persist);

@@ -320,258 +320,210 @@ JournalScan scan_journal_file(const std::vector<std::uint8_t>& bytes,
 // RunSpec payload codec
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
-  io::ByteWriter w;
-  w.u32(kRunSpecPayloadVersion);
+namespace {
+
+/// Gives run_spec_fields its encode meaning: append each field.
+struct SpecWriter {
+  void i32(std::int32_t value) { out.i32(value); }
+  void i64(std::int64_t value) { out.i64(value); }
+  void u64(std::uint64_t value) { out.u64(value); }
+  void f64(double value) { out.f64(value); }
+  void str(const std::string& value) { out.str(value); }
+  void flag(bool value) { out.u8(value ? 1 : 0); }
+  /// An enum as one byte.
+  template <class Enum>
+  void code(Enum value, Enum /*last*/, const char* /*what*/) {
+    out.u8(static_cast<std::uint8_t>(value));
+  }
+  /// A u32 count, then each item.
+  template <class T, class Each>
+  void list(const std::vector<T>& items, std::size_t /*min_item_bytes*/,
+            std::uint32_t /*cap*/, Each each) {
+    out.u32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) each(item);
+  }
+
+  io::ByteWriter out;
+};
+
+/// Gives run_spec_fields its decode meaning: read each field back over the
+/// spec, rejecting out-of-range enums and implausible counts.  The reader
+/// is sticky-error, so a truncated payload zero-fills the rest and the
+/// caller checks once at the end.
+struct SpecReader {
+  explicit SpecReader(const std::vector<std::uint8_t>& payload)
+      : in(payload) {}
+
+  void i32(std::int32_t& value) { value = in.i32(); }
+  void i64(std::int64_t& value) { value = in.i64(); }
+  template <class T>
+  void u64(T& value) {
+    value = static_cast<T>(in.u64());
+  }
+  void f64(double& value) { value = in.f64(); }
+  void str(std::string& value) { value = in.str(); }
+  void flag(bool& value) { value = in.u8() != 0; }
+  /// One byte, at most `last`.
+  template <class Enum>
+  void code(Enum& value, Enum last, const char* what) {
+    const std::uint8_t raw = in.u8();
+    if (in.ok() && raw > static_cast<std::uint8_t>(last))
+      in.fail(std::string("unknown ") + what + " " + std::to_string(raw));
+    value = static_cast<Enum>(raw);
+  }
+  /// A u32 count of at most `cap` items of at least `min_item_bytes`
+  /// each, then each item.
+  template <class T, class Each>
+  void list(std::vector<T>& items, std::size_t min_item_bytes,
+            std::uint32_t cap, Each each) {
+    items.clear();
+    const std::uint32_t n = in.count(min_item_bytes, cap);
+    for (std::uint32_t i = 0; in.ok() && i < n; ++i) each(items.emplace_back());
+  }
+
+  io::ByteReader in;
+};
+
+/// Every persisted RunSpec field, once, in wire order and at its wire
+/// width.  SpecWriter encodes the list and SpecReader decodes it, so the
+/// two directions cannot disagree.  A change here changes the payload:
+/// bump kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
+template <class Io, class Spec>
+void run_spec_fields(Io& io, Spec& spec) {
+  const auto each_f64 = [&io](auto& value) { io.f64(value); };
 
   // identity & scheduling
-  w.str(spec.name);
-  w.str(spec.tenant);
-  w.i32(spec.priority);
-  w.u8(static_cast<std::uint8_t>(spec.kind));
+  io.str(spec.name);
+  io.str(spec.tenant);
+  io.i32(spec.priority);
+  io.code(spec.kind, WorkloadKind::kCustom, "workload kind");
 
   // application & cluster
-  w.i32(spec.app.base_dims.x);
-  w.i32(spec.app.base_dims.y);
-  w.i32(spec.app.base_dims.z);
-  w.i32(spec.app.max_levels);
-  w.i32(spec.app.ratio);
-  w.i32(spec.app.regrid_interval);
-  w.i32(spec.app.coarse_steps);
-  w.u64(spec.app.seed);
-  w.u32(static_cast<std::uint32_t>(spec.app.thresholds.size()));
-  for (double t : spec.app.thresholds) w.f64(t);
-  w.f64(spec.app.cluster.efficiency);
-  w.i32(spec.app.cluster.min_width);
-  w.i64(spec.app.cluster.max_box_cells);
-  w.i32(spec.app.cluster.max_depth);
-  w.str(spec.app_name);
-  w.u64(spec.nprocs);
-  w.f64(spec.capacity_spread);
-  w.u64(spec.sites);
-  w.f64(spec.wan_mbps);
-  w.u8(spec.with_background_load ? 1 : 0);
-  w.f64(spec.load.update_period_s);
-  w.f64(spec.load.mean_cpu_load);
-  w.f64(spec.load.reversion);
-  w.f64(spec.load.volatility);
-  w.f64(spec.load.burst_probability);
-  w.f64(spec.load.burst_load);
-  w.f64(spec.load.burst_duration_s);
-  w.f64(spec.load.mean_link_utilization);
-  w.f64(spec.load.node_bias_spread);
+  io.i32(spec.app.base_dims.x);
+  io.i32(spec.app.base_dims.y);
+  io.i32(spec.app.base_dims.z);
+  io.i32(spec.app.max_levels);
+  io.i32(spec.app.ratio);
+  io.i32(spec.app.regrid_interval);
+  io.i32(spec.app.coarse_steps);
+  io.u64(spec.app.seed);
+  io.list(spec.app.thresholds, sizeof(double), 64, each_f64);
+  io.f64(spec.app.cluster.efficiency);
+  io.i32(spec.app.cluster.min_width);
+  io.i64(spec.app.cluster.max_box_cells);
+  io.i32(spec.app.cluster.max_depth);
+  io.str(spec.app_name);
+  io.u64(spec.nprocs);
+  io.f64(spec.capacity_spread);
+  io.u64(spec.sites);
+  io.f64(spec.wan_mbps);
+  io.flag(spec.with_background_load);
+  io.f64(spec.load.update_period_s);
+  io.f64(spec.load.mean_cpu_load);
+  io.f64(spec.load.reversion);
+  io.f64(spec.load.volatility);
+  io.f64(spec.load.burst_probability);
+  io.f64(spec.load.burst_load);
+  io.f64(spec.load.burst_duration_s);
+  io.f64(spec.load.mean_link_utilization);
+  io.f64(spec.load.node_bias_spread);
 
   // management policy
-  w.u8(spec.system_sensitive ? 1 : 0);
-  w.u8(spec.proactive ? 1 : 0);
-  w.f64(spec.weights.cpu);
-  w.f64(spec.weights.memory);
-  w.f64(spec.weights.bandwidth);
-  w.f64(spec.monitor.period_s);
-  w.f64(spec.monitor.noise);
-  w.u64(spec.monitor.history);
-  w.f64(spec.exec.flops_per_cell_update);
-  w.f64(spec.exec.bytes_per_face_cell);
-  w.f64(spec.exec.bytes_per_cell);
-  w.f64(spec.exec.message_latency_s);
-  w.f64(spec.exec.partition_time_scale);
-  w.f64(spec.exec.redistribution_overhead);
-  w.i32(spec.meta.hysteresis);
-  w.f64(spec.agent_period_s);
-  w.f64(spec.load_event_threshold);
-  w.u64(spec.seed);
+  io.flag(spec.system_sensitive);
+  io.flag(spec.proactive);
+  io.f64(spec.weights.cpu);
+  io.f64(spec.weights.memory);
+  io.f64(spec.weights.bandwidth);
+  io.f64(spec.monitor.period_s);
+  io.f64(spec.monitor.noise);
+  io.u64(spec.monitor.history);
+  io.f64(spec.exec.flops_per_cell_update);
+  io.f64(spec.exec.bytes_per_face_cell);
+  io.f64(spec.exec.bytes_per_cell);
+  io.f64(spec.exec.message_latency_s);
+  io.f64(spec.exec.partition_time_scale);
+  io.f64(spec.exec.redistribution_overhead);
+  io.i32(spec.meta.hysteresis);
+  io.f64(spec.agent_period_s);
+  io.f64(spec.load_event_threshold);
+  io.u64(spec.seed);
 
   // fault tolerance
-  w.u8(spec.ft.enabled ? 1 : 0);
-  w.f64(spec.ft.channel.drop_probability);
-  w.f64(spec.ft.channel.duplicate_probability);
-  w.f64(spec.ft.channel.jitter_s);
-  w.f64(spec.ft.reliable.timeout_s);
-  w.f64(spec.ft.reliable.backoff_factor);
-  w.i32(spec.ft.reliable.max_attempts);
-  w.str(spec.ft.heartbeat.topic);
-  w.f64(spec.ft.heartbeat.period_s);
-  w.i32(spec.ft.heartbeat.suspect_missed);
-  w.i32(spec.ft.heartbeat.confirm_missed);
-  w.f64(spec.ft.staleness.fresh_age_s);
-  w.f64(spec.ft.staleness.decay_tau_s);
-  w.f64(spec.ft.staleness.prior_fraction);
-  w.f64(spec.ft.checkpoint_interval_s);
-  w.f64(spec.ft.checkpoint_cost_factor);
-  w.f64(spec.ft.modeled_partition_s_per_cell);
+  io.flag(spec.ft.enabled);
+  io.f64(spec.ft.channel.drop_probability);
+  io.f64(spec.ft.channel.duplicate_probability);
+  io.f64(spec.ft.channel.jitter_s);
+  io.f64(spec.ft.reliable.timeout_s);
+  io.f64(spec.ft.reliable.backoff_factor);
+  io.i32(spec.ft.reliable.max_attempts);
+  io.str(spec.ft.heartbeat.topic);
+  io.f64(spec.ft.heartbeat.period_s);
+  io.i32(spec.ft.heartbeat.suspect_missed);
+  io.i32(spec.ft.heartbeat.confirm_missed);
+  io.f64(spec.ft.staleness.fresh_age_s);
+  io.f64(spec.ft.staleness.decay_tau_s);
+  io.f64(spec.ft.staleness.prior_fraction);
+  io.f64(spec.ft.checkpoint_cost_factor);
 
-  // persistence
-  w.u8(spec.persist.enabled ? 1 : 0);
-  w.str(spec.persist.dir);
-  w.u8(spec.persist.resume ? 1 : 0);
-  w.f64(spec.persist.checkpoint_interval_s);
-  w.i32(spec.persist.keep_last_n);
-  w.f64(spec.persist.modeled_partition_s_per_cell);
-  w.i32(spec.persist.halt_after_steps);
-  w.f64(spec.modeled_partition_s_per_cell);
+  // persistence, checkpoint cadence and the modeled partitioner cost
+  io.flag(spec.persist.enabled);
+  io.str(spec.persist.dir);
+  io.flag(spec.persist.resume);
+  io.i32(spec.persist.keep_last_n);
+  io.i32(spec.persist.halt_after_steps);
+  io.f64(spec.checkpoint_interval_s);
+  io.f64(spec.modeled_partition_s_per_cell);
 
   // replay / system-sensitive knobs
-  w.str(spec.strategy);
-  w.i32(spec.canonical_grain);
-  w.u32(static_cast<std::uint32_t>(spec.targets.size()));
-  for (double t : spec.targets) w.f64(t);
-  w.f64(spec.stale_weight);
-  w.f64(spec.repartition_threshold);
-  w.i32(spec.threads);
-  w.u8(spec.dynamic_capacities ? 1 : 0);
+  io.str(spec.strategy);
+  io.i32(spec.canonical_grain);
+  io.list(spec.targets, sizeof(double), 4096, each_f64);
+  io.f64(spec.stale_weight);
+  io.f64(spec.repartition_threshold);
+  io.i32(spec.threads);
+  io.flag(spec.dynamic_capacities);
 
   // failure injection
-  w.u32(static_cast<std::uint32_t>(spec.failures.size()));
-  for (const FailurePlan& plan : spec.failures) {
-    w.f64(plan.at_s);
-    w.u64(plan.node);
-    w.f64(plan.downtime_s);
-  }
-  w.f64(spec.random_mtbf_s);
-  w.f64(spec.random_mttr_s);
+  io.list(spec.failures, 2 * sizeof(double) + sizeof(std::uint64_t), 4096,
+          [&io](auto& plan) {
+            io.f64(plan.at_s);
+            io.u64(plan.node);
+            io.f64(plan.downtime_s);
+          });
+  io.f64(spec.random_mtbf_s);
+  io.f64(spec.random_mttr_s);
 
   // resource budget
-  w.f64(spec.budget.cpu_s);
-  w.u64(spec.budget.mem_bytes);
-  w.u64(spec.budget.io_bytes);
-  w.f64(spec.budget.wall_s);
-  w.u8(static_cast<std::uint8_t>(spec.budget.action));
-  w.f64(spec.budget.throttle_factor);
-  return w.take();
+  io.f64(spec.budget.cpu_s);
+  io.u64(spec.budget.mem_bytes);
+  io.u64(spec.budget.io_bytes);
+  io.f64(spec.budget.wall_s);
+  io.code(spec.budget.action, res::ResourceBudget::Action::kThrottle,
+          "budget action");
+  io.f64(spec.budget.throttle_factor);
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
+  SpecWriter io;
+  io.out.u32(kRunSpecPayloadVersion);
+  run_spec_fields(io, spec);
+  return io.out.take();
 }
 
 util::Expected<RunSpec> decode_run_spec(
     const std::vector<std::uint8_t>& payload) {
-  io::ByteReader r(payload);
-  const std::uint32_t version = r.u32();
-  if (r.ok() && version != kRunSpecPayloadVersion)
+  SpecReader io(payload);
+  const std::uint32_t version = io.in.u32();
+  if (io.in.ok() && version != kRunSpecPayloadVersion)
     return util::Status::unimplemented("run-spec payload version " +
                                        std::to_string(version));
   RunSpec spec;
-  spec.name = r.str();
-  spec.tenant = r.str();
-  spec.priority = r.i32();
-  const std::uint8_t kind = r.u8();
-  if (r.ok() && kind > static_cast<std::uint8_t>(WorkloadKind::kCustom))
-    r.fail("unknown workload kind " + std::to_string(kind));
-  spec.kind = static_cast<WorkloadKind>(kind);
-
-  spec.app.base_dims.x = r.i32();
-  spec.app.base_dims.y = r.i32();
-  spec.app.base_dims.z = r.i32();
-  spec.app.max_levels = r.i32();
-  spec.app.ratio = r.i32();
-  spec.app.regrid_interval = r.i32();
-  spec.app.coarse_steps = r.i32();
-  spec.app.seed = r.u64();
-  spec.app.thresholds.clear();
-  const std::uint32_t n_thresholds = r.count(sizeof(double), 64);
-  for (std::uint32_t i = 0; r.ok() && i < n_thresholds; ++i)
-    spec.app.thresholds.push_back(r.f64());
-  spec.app.cluster.efficiency = r.f64();
-  spec.app.cluster.min_width = r.i32();
-  spec.app.cluster.max_box_cells = r.i64();
-  spec.app.cluster.max_depth = r.i32();
-  spec.app_name = r.str();
-  spec.nprocs = static_cast<std::size_t>(r.u64());
-  spec.capacity_spread = r.f64();
-  spec.sites = static_cast<std::size_t>(r.u64());
-  spec.wan_mbps = r.f64();
-  spec.with_background_load = r.u8() != 0;
-  spec.load.update_period_s = r.f64();
-  spec.load.mean_cpu_load = r.f64();
-  spec.load.reversion = r.f64();
-  spec.load.volatility = r.f64();
-  spec.load.burst_probability = r.f64();
-  spec.load.burst_load = r.f64();
-  spec.load.burst_duration_s = r.f64();
-  spec.load.mean_link_utilization = r.f64();
-  spec.load.node_bias_spread = r.f64();
-
-  spec.system_sensitive = r.u8() != 0;
-  spec.proactive = r.u8() != 0;
-  spec.weights.cpu = r.f64();
-  spec.weights.memory = r.f64();
-  spec.weights.bandwidth = r.f64();
-  spec.monitor.period_s = r.f64();
-  spec.monitor.noise = r.f64();
-  spec.monitor.history = static_cast<std::size_t>(r.u64());
-  spec.exec.flops_per_cell_update = r.f64();
-  spec.exec.bytes_per_face_cell = r.f64();
-  spec.exec.bytes_per_cell = r.f64();
-  spec.exec.message_latency_s = r.f64();
-  spec.exec.partition_time_scale = r.f64();
-  spec.exec.redistribution_overhead = r.f64();
-  spec.meta.hysteresis = r.i32();
-  spec.agent_period_s = r.f64();
-  spec.load_event_threshold = r.f64();
-  spec.seed = r.u64();
-
-  spec.ft.enabled = r.u8() != 0;
-  spec.ft.channel.drop_probability = r.f64();
-  spec.ft.channel.duplicate_probability = r.f64();
-  spec.ft.channel.jitter_s = r.f64();
-  spec.ft.reliable.timeout_s = r.f64();
-  spec.ft.reliable.backoff_factor = r.f64();
-  spec.ft.reliable.max_attempts = r.i32();
-  spec.ft.heartbeat.topic = r.str();
-  spec.ft.heartbeat.period_s = r.f64();
-  spec.ft.heartbeat.suspect_missed = r.i32();
-  spec.ft.heartbeat.confirm_missed = r.i32();
-  spec.ft.staleness.fresh_age_s = r.f64();
-  spec.ft.staleness.decay_tau_s = r.f64();
-  spec.ft.staleness.prior_fraction = r.f64();
-  spec.ft.checkpoint_interval_s = r.f64();
-  spec.ft.checkpoint_cost_factor = r.f64();
-  spec.ft.modeled_partition_s_per_cell = r.f64();
-
-  spec.persist.enabled = r.u8() != 0;
-  spec.persist.dir = r.str();
-  spec.persist.resume = r.u8() != 0;
-  spec.persist.checkpoint_interval_s = r.f64();
-  spec.persist.keep_last_n = r.i32();
-  spec.persist.modeled_partition_s_per_cell = r.f64();
-  spec.persist.halt_after_steps = r.i32();
-  spec.modeled_partition_s_per_cell = r.f64();
-
-  spec.strategy = r.str();
-  spec.canonical_grain = r.i32();
-  spec.targets.clear();
-  const std::uint32_t n_targets = r.count(sizeof(double), 4096);
-  for (std::uint32_t i = 0; r.ok() && i < n_targets; ++i)
-    spec.targets.push_back(r.f64());
-  spec.stale_weight = r.f64();
-  spec.repartition_threshold = r.f64();
-  spec.threads = r.i32();
-  spec.dynamic_capacities = r.u8() != 0;
-
-  spec.failures.clear();
-  const std::uint32_t n_failures =
-      r.count(2 * sizeof(double) + sizeof(std::uint64_t), 4096);
-  for (std::uint32_t i = 0; r.ok() && i < n_failures; ++i) {
-    FailurePlan plan;
-    plan.at_s = r.f64();
-    plan.node = static_cast<grid::NodeId>(r.u64());
-    plan.downtime_s = r.f64();
-    spec.failures.push_back(plan);
-  }
-  spec.random_mtbf_s = r.f64();
-  spec.random_mttr_s = r.f64();
-
-  spec.budget.cpu_s = r.f64();
-  spec.budget.mem_bytes = r.u64();
-  spec.budget.io_bytes = r.u64();
-  spec.budget.wall_s = r.f64();
-  const std::uint8_t action = r.u8();
-  if (r.ok() && action > static_cast<std::uint8_t>(
-                             res::ResourceBudget::Action::kThrottle))
-    r.fail("unknown budget action " + std::to_string(action));
-  spec.budget.action = static_cast<res::ResourceBudget::Action>(action);
-  spec.budget.throttle_factor = r.f64();
-
-  if (r.ok() && !r.at_end())
-    r.fail("trailing bytes after run-spec payload");
-  if (!r.ok()) return r.status();
+  run_spec_fields(io, spec);
+  if (io.in.ok() && !io.in.at_end())
+    io.in.fail("trailing bytes after run-spec payload");
+  if (!io.in.ok()) return io.in.status();
   return spec;
 }
 

@@ -74,30 +74,6 @@ const char* to_string(WorkloadKind kind) {
   return "?";
 }
 
-core::ManagedRunConfig RunSpec::to_managed() const {
-  core::ManagedRunConfig config;
-  config.app = app;
-  config.app_name = app_name;
-  config.nprocs = nprocs;
-  config.capacity_spread = capacity_spread;
-  config.with_background_load = with_background_load;
-  config.load = load;
-  config.system_sensitive = system_sensitive;
-  config.proactive = proactive;
-  config.weights = weights;
-  config.monitor = monitor;
-  config.exec = exec;
-  config.meta = meta;
-  config.agent_period_s = agent_period_s;
-  config.load_event_threshold = load_event_threshold;
-  config.seed = seed;
-  config.ft = ft;
-  config.persist = persist;
-  config.modeled_partition_s_per_cell = modeled_partition_s_per_cell;
-  config.obs = obs;
-  return config;
-}
-
 core::TraceRunConfig RunSpec::to_trace() const {
   core::TraceRunConfig config;
   config.exec = exec;
@@ -193,8 +169,9 @@ void add_run_flags(util::CliFlags& flags, const RunSpec& defaults) {
                  "reliable directives and heartbeat detection");
   flags.add_double("drop", defaults.ft.channel.drop_probability,
                    "control-message drop probability (with --ft)");
-  flags.add_double("checkpoint", defaults.ft.checkpoint_interval_s,
-                   "save-state interval in seconds (with --ft)");
+  flags.add_double("checkpoint", defaults.checkpoint_interval_s,
+                   "save-state interval in seconds (ft or durable "
+                   "checkpoints)");
   flags.add_double("reliable-timeout", defaults.ft.reliable.timeout_s,
                    "seconds before the first directive retry");
   flags.add_double("reliable-backoff", defaults.ft.reliable.backoff_factor,
@@ -243,7 +220,7 @@ RunSpec spec_from_flags(const util::CliFlags& flags, RunSpec base) {
   }
   base.ft.enabled = flags.get_bool("ft");
   base.ft.channel.drop_probability = flags.get_double("drop");
-  base.ft.checkpoint_interval_s = flags.get_double("checkpoint");
+  base.checkpoint_interval_s = flags.get_double("checkpoint");
   base.ft.reliable.timeout_s = flags.get_double("reliable-timeout");
   base.ft.reliable.backoff_factor = flags.get_double("reliable-backoff");
   base.ft.reliable.max_attempts =

@@ -4,11 +4,13 @@
 // struct — core::ManagedRunConfig for managed executions,
 // core::TraceRunConfig for replays, core::SystemSensitiveConfig for the
 // Table 5 experiment — and every example re-assembled them from scratch.
-// RunSpec collapses those into a single flat spec with one env/CLI merge
-// path (util::CliFlags::merge_env + add_run_flags below).  The legacy
-// structs remain the internal representation: to_managed()/to_trace()/
-// to_system_sensitive() produce them verbatim, so a default RunSpec maps
-// onto the exact defaults existing seeded runs depend on.
+// RunSpec collapses those into a single spec with one env/CLI merge path
+// (util::CliFlags::merge_env + add_run_flags below).  It *is* a
+// core::ManagedRunConfig — every managed-run knob is declared once, there —
+// extended with the scheduling, replay and failure-injection knobs; a
+// managed run takes the spec itself.  to_trace()/to_system_sensitive()
+// produce the replay and Table 5 configs, so a default RunSpec maps onto
+// the exact defaults existing seeded runs depend on.
 //
 // A RunSpec also names *who* is running (tenant) and *how urgently*
 // (priority) — the admission and fair-share inputs of service::Scheduler —
@@ -57,7 +59,10 @@ struct RunContext {
   std::function<bool()> cancel_requested;
 };
 
-struct RunSpec {
+/// The application, cluster, management-policy, fault-tolerance,
+/// persistence and observability knobs are the inherited
+/// core::ManagedRunConfig fields.
+struct RunSpec : core::ManagedRunConfig {
   // ---- identity & scheduling ------------------------------------------
   std::string name = "run";
   std::string tenant = "default";
@@ -65,35 +70,13 @@ struct RunSpec {
   int priority = 0;
   WorkloadKind kind = WorkloadKind::kManaged;
 
-  // ---- application & cluster ------------------------------------------
-  amr::Rm3dConfig app;
-  /// Control-network namespace: prefixes every agent port and topic (see
-  /// ManagedRunConfig::app_name for the byte-compatibility caveat).
-  std::string app_name = "rm3d";
-  std::size_t nprocs = 16;
-  /// Node-speed heterogeneity (0 = homogeneous Blue-Horizon-like nodes).
-  double capacity_spread = 0.0;
+  // ---- cluster ----------------------------------------------------------
   /// Multi-site federation: >1 builds a federated cluster of
   /// nprocs/sites nodes per site joined by a wan_mbps WAN link.
   std::size_t sites = 1;
   double wan_mbps = 20.0;
-  bool with_background_load = false;
-  grid::LoadGeneratorConfig load;
 
-  // ---- management policy ----------------------------------------------
-  bool system_sensitive = false;
-  bool proactive = false;
-  monitor::CapacityWeights weights{0.8, 0.1, 0.1};
-  monitor::ResourceMonitorConfig monitor;
-  core::ExecModelConfig exec;
-  core::MetaPartitionerConfig meta;
-  double agent_period_s = 2.0;
-  double load_event_threshold = 0.85;
-  std::uint64_t seed = 40;
-  core::FaultToleranceConfig ft;
-  core::PersistenceConfig persist;
-  double modeled_partition_s_per_cell = 0.0;
-  obs::ObsConfig obs;
+  // ---- resource limits -------------------------------------------------
   /// Per-run resource limits (0 = unlimited), enforced by the scheduler
   /// or worker when a res::ResourceAccountant is wired in: a kill-action
   /// violator is shed with Status::resource_exhausted (carrying the
@@ -128,9 +111,8 @@ struct RunSpec {
   // ---- custom workload -------------------------------------------------
   std::function<util::Status(RunContext&)> custom;
 
-  /// Exact legacy-config equivalents (field-for-field, so a default
+  /// The replay and Table 5 configs this spec describes (a default
   /// RunSpec reproduces the historical defaults byte-for-byte).
-  [[nodiscard]] core::ManagedRunConfig to_managed() const;
   [[nodiscard]] core::TraceRunConfig to_trace() const;
   [[nodiscard]] core::SystemSensitiveConfig to_system_sensitive() const;
 

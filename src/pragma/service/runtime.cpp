@@ -31,8 +31,7 @@ std::unique_ptr<Journal> Runtime::make_journal(JournalConfig config,
 }
 
 Runtime::Runtime(Options options)
-    : defaults_(std::move(options.defaults)),
-      distributed_(std::move(options.distributed)),
+    : distributed_(std::move(options.distributed)),
       journal_(make_journal(std::move(options.journal), &recovery_)),
       scheduler_(with_journal(options.scheduler, journal_.get()),
                  options.pool) {
@@ -43,7 +42,6 @@ Runtime::Runtime(Options options)
     defaults_.wan_mbps = options.grid->wan_mbps;
     defaults_.seed = options.grid->seed;
   }
-  if (options.monitor) defaults_.monitor = *options.monitor;
   if (options.obs) {
     defaults_.obs = *options.obs;
     obs::apply(defaults_.obs);

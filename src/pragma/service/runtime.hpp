@@ -1,13 +1,12 @@
 // pragma::Runtime — the front door of the service layer.
 //
 // Owns the wiring every example used to duplicate: the scheduler, the
-// process-wide obs setup, the default RunSpec (grid shape, monitor
-// cadence), and the per-trace WorkGridCache map that lets concurrent
-// replays of one adaptation trace coalesce their rasterization work.
+// process-wide obs setup, the default RunSpec (grid shape), and the
+// per-trace WorkGridCache map that lets concurrent replays of one
+// adaptation trace coalesce their rasterization work.
 //
 //   auto rt = pragma::Runtime::Builder{}
 //                 .grid({.nprocs = 32, .capacity_spread = 0.35})
-//                 .monitor(monitor::ResourceMonitorConfig{})
 //                 .obs(obs_config)
 //                 .build();
 //   RunSpec spec = rt.spec();          // defaults pre-applied
@@ -40,9 +39,7 @@ struct GridSpec {
 
 class Runtime {
   struct Options {
-    RunSpec defaults;
     std::optional<GridSpec> grid;
-    std::optional<monitor::ResourceMonitorConfig> monitor;
     std::optional<obs::ObsConfig> obs;
     SchedulerConfig scheduler;
     DistributedConfig distributed;
@@ -58,19 +55,9 @@ class Runtime {
       options_.grid = grid;
       return *this;
     }
-    /// Default NWS monitor cadence/noise/history.
-    Builder& monitor(monitor::ResourceMonitorConfig config) {
-      options_.monitor = config;
-      return *this;
-    }
     /// Process-wide observability, applied (merge-enable) at build().
     Builder& obs(obs::ObsConfig config) {
       options_.obs = config;
-      return *this;
-    }
-    /// Wholesale default RunSpec; grid()/monitor()/obs() overlay it.
-    Builder& defaults(RunSpec spec) {
-      options_.defaults = std::move(spec);
       return *this;
     }
     /// Concurrent runs in flight (0 = executing pool's size).

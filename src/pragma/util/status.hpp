@@ -9,9 +9,7 @@
 // Conventions (see DESIGN.md "Durability & error-handling conventions"):
 //   * parsers and loaders of external bytes return Expected<T>;
 //   * programmer errors (violated preconditions on in-process data) keep
-//     throwing std::logic_error family exceptions;
-//   * legacy throwing wrappers (load_trace, parse_rules) remain and simply
-//     rethrow the Status message for callers that predate this layer.
+//     throwing std::logic_error family exceptions.
 //
 // Error messages are truncated to kMaxMessageBytes so that hostile input
 // echoed into a message cannot balloon memory or log volume.

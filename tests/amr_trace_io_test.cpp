@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-// EXPECT_THROW intentionally discards nodiscard results.
-#pragma GCC diagnostic ignored "-Wunused-result"
-
 #include <cstdio>
 #include <sstream>
 
@@ -40,29 +37,36 @@ void expect_equal_traces(const AdaptationTrace& a, const AdaptationTrace& b) {
   }
 }
 
-TEST(TraceIo, RoundTripsSyntheticTrace) {
-  const AdaptationTrace original = sample_trace();
+util::Expected<AdaptationTrace> try_load(const std::string& text) {
+  std::istringstream is(text);
+  return try_load_trace(is);
+}
+
+/// save_trace then try_load_trace; the load must succeed.
+AdaptationTrace round_trip(const AdaptationTrace& original) {
   std::stringstream buffer;
   save_trace(buffer, original);
-  const AdaptationTrace loaded = load_trace(buffer);
-  expect_equal_traces(original, loaded);
+  util::Expected<AdaptationTrace> loaded = try_load_trace(buffer);
+  EXPECT_TRUE(loaded) << loaded.status().to_string();
+  return loaded ? std::move(loaded).value() : AdaptationTrace{};
+}
+
+TEST(TraceIo, RoundTripsSyntheticTrace) {
+  const AdaptationTrace original = sample_trace();
+  expect_equal_traces(original, round_trip(original));
 }
 
 TEST(TraceIo, RoundTripsRm3dTrace) {
   Rm3dConfig config;
   config.coarse_steps = 40;
   const AdaptationTrace original = Rm3dEmulator(config).run();
-  std::stringstream buffer;
-  save_trace(buffer, original);
-  const AdaptationTrace loaded = load_trace(buffer);
-  expect_equal_traces(original, loaded);
+  expect_equal_traces(original, round_trip(original));
 }
 
 TEST(TraceIo, RoundTripPreservesDerivedMetrics) {
   const AdaptationTrace original = sample_trace();
-  std::stringstream buffer;
-  save_trace(buffer, original);
-  const AdaptationTrace loaded = load_trace(buffer);
+  const AdaptationTrace loaded = round_trip(original);
+  ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_DOUBLE_EQ(original.churn(i), loaded.churn(i));
     EXPECT_DOUBLE_EQ(original.scatter(i), loaded.scatter(i));
@@ -86,13 +90,17 @@ TEST(TraceIo, InconsistentConfigThrows) {
 }
 
 TEST(TraceIo, RejectsBadMagic) {
-  std::stringstream buffer("not-a-trace 1\n");
-  EXPECT_THROW(load_trace(buffer), std::runtime_error);
+  const auto trace = try_load("not-a-trace 1\n");
+  ASSERT_FALSE(trace);
+  EXPECT_EQ(trace.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(trace.status().message(), "load_trace: bad header");
 }
 
 TEST(TraceIo, RejectsUnsupportedVersion) {
-  std::stringstream buffer("pragma-trace 99\n");
-  EXPECT_THROW(load_trace(buffer), std::runtime_error);
+  const auto trace = try_load("pragma-trace 99\n");
+  ASSERT_FALSE(trace);
+  EXPECT_EQ(trace.status().code(), util::StatusCode::kUnimplemented);
+  EXPECT_EQ(trace.status().message(), "load_trace: unsupported version 99");
 }
 
 TEST(TraceIo, RejectsTruncatedInput) {
@@ -101,27 +109,21 @@ TEST(TraceIo, RejectsTruncatedInput) {
   save_trace(buffer, original);
   std::string text = buffer.str();
   text.resize(text.size() * 2 / 3);
-  std::stringstream truncated(text);
-  EXPECT_THROW(load_trace(truncated), std::runtime_error);
+  const auto trace = try_load(text);
+  ASSERT_FALSE(trace);
+  EXPECT_EQ(trace.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(trace.status().message().rfind("load_trace: bad ", 0), 0u)
+      << trace.status().message();
 }
 
 TEST(TraceIo, FileRoundTrip) {
   const AdaptationTrace original = sample_trace();
   const std::string path = ::testing::TempDir() + "/pragma_trace_test.txt";
   save_trace_file(path, original);
-  const AdaptationTrace loaded = load_trace_file(path);
-  expect_equal_traces(original, loaded);
+  const util::Expected<AdaptationTrace> loaded = try_load_trace_file(path);
   std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileThrows) {
-  EXPECT_THROW(load_trace_file("/nonexistent/dir/trace.txt"),
-               std::runtime_error);
-}
-
-util::Expected<AdaptationTrace> try_load(const std::string& text) {
-  std::istringstream is(text);
-  return try_load_trace(is);
+  ASSERT_TRUE(loaded) << loaded.status().to_string();
+  expect_equal_traces(original, loaded.value());
 }
 
 TEST(TraceIoHardened, TryLoadReturnsStatusNotThrow) {

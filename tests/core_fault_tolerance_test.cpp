@@ -19,7 +19,7 @@ ManagedRunConfig ft_config(int steps = 40) {
   config.with_background_load = true;
   config.system_sensitive = true;
   config.ft.enabled = true;
-  config.ft.checkpoint_interval_s = 20.0;
+  config.checkpoint_interval_s = 20.0;
   return config;
 }
 
@@ -62,7 +62,7 @@ TEST(FaultTolerantRun, DetectsFailureByHeartbeatSilence) {
   ManagedRunConfig config = ft_config(60);
   // No checkpoint before the failure is confirmed (~21 s in), so the
   // rollback must recompute everything the victim did since t = 0.
-  config.ft.checkpoint_interval_s = 1000.0;
+  config.checkpoint_interval_s = 1000.0;
   ManagedRun managed(config);
   managed.schedule_failure(10.0, 3, /*permanent*/ -1.0);
   const ManagedRunReport report = managed.run();
@@ -139,7 +139,7 @@ TEST(FaultTolerantRun, DeterministicReplayIsBitIdentical) {
 TEST(FaultTolerantRun, CheckpointIntervalTradesOverheadForLostWork) {
   auto with_interval = [](double interval_s) {
     ManagedRunConfig config = ft_config(60);
-    config.ft.checkpoint_interval_s = interval_s;
+    config.checkpoint_interval_s = interval_s;
     ManagedRun managed(config);
     managed.schedule_failure(10.0, 3, -1.0);
     return managed.run();

@@ -33,7 +33,7 @@ ManagedRunConfig persist_config(const std::string& dir, int steps = 40) {
   config.persist.dir = dir;
   // Checkpoint on (almost) every step boundary so a mid-run kill always
   // has generations to recover from.
-  config.persist.checkpoint_interval_s = 1e-6;
+  config.checkpoint_interval_s = 1e-6;
   config.persist.keep_last_n = 4;
   return config;
 }

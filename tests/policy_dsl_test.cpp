@@ -66,12 +66,14 @@ TEST(ParseRule, MalformedInputsThrow) {
 }
 
 TEST(ParseRules, SkipsCommentsAndBlankLines) {
-  const auto policies = parse_rules(R"(
+  const auto parsed = try_parse_rules(R"(
 # a comment
 if a = 1 then x = 1
 
 if b = 2 then x = 2  # trailing comment
 )");
+  ASSERT_TRUE(parsed) << parsed.status().to_string();
+  const std::vector<Policy>& policies = parsed.value();
   ASSERT_EQ(policies.size(), 2u);
   EXPECT_EQ(policies[0].name, "rule_3");
   EXPECT_EQ(policies[1].name, "rule_5");
@@ -110,14 +112,13 @@ TEST(ParseRule, ErrorReportsLineColumnAndSnippet) {
 }
 
 TEST(ParseRules, ErrorReportsFailingFileLine) {
-  try {
-    (void)parse_rules(
-        "# comment\nif a = 1 then x = 1\nif load > 0.8 foo = bar\n");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_NE(std::string(error.what()).find("line 3"), std::string::npos)
-        << error.what();
-  }
+  const auto parsed = try_parse_rules(
+      "# comment\nif a = 1 then x = 1\nif load > 0.8 foo = bar\n");
+  ASSERT_FALSE(parsed);
+  EXPECT_EQ(parsed.status().code(), util::StatusCode::kInvalidArgument);
+  const std::string& message = parsed.status().message();
+  EXPECT_NE(message.find("line 3"), std::string::npos) << message;
+  EXPECT_NE(message.find("got 'foo'"), std::string::npos) << message;
 }
 
 TEST(TryParseRules, ReturnsRulesOnValidInput) {

@@ -100,7 +100,7 @@ TEST(BudgetEnforcement, KillActionShedsWithResourceExhaustedAndHint) {
 TEST(BudgetEnforcement, ThrottleActionFinishesSlowed) {
   // Unbudgeted baseline: what the run costs at full speed.
   const core::ManagedRunReport baseline =
-      core::ManagedRun(managed_spec("baseline").to_managed()).run();
+      core::ManagedRun(managed_spec("baseline")).run();
 
   res::ResourceAccountant accountant;
   util::ThreadPool pool(1);
@@ -317,10 +317,10 @@ TEST(BudgetFlags, NegativeEnvBudgetRejectedWithEnvProvenance) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal payload: v2 budget roundtrip, v1 rejection
+// Journal payload: budget roundtrip, v1 rejection
 // ---------------------------------------------------------------------------
 
-/// The 41 bytes the version-2 payload appends after the version-1 fields:
+/// The 41-byte budget tail version 2 added after the version-1 fields:
 /// f64 cpu_s + u64 mem + u64 io + f64 wall + u8 action + f64 factor.
 constexpr std::size_t kBudgetTailBytes = 8 + 8 + 8 + 8 + 1 + 8;
 
@@ -347,8 +347,8 @@ TEST(BudgetJournal, RunSpecPayloadV2RoundtripsBudget) {
 }
 
 TEST(BudgetJournal, V1PayloadRejectedAsUnimplemented) {
-  // A version-1 (pre-budget) payload is exactly the version-2 encoding of
-  // a default-budget spec with the version word rewritten and the budget
+  // A version-1 (pre-budget) payload stand-in: the current encoding of a
+  // default-budget spec with the version word rewritten and the budget
   // tail cut off.  Only the current payload version decodes.
   std::vector<std::uint8_t> payload = encode_run_spec(managed_spec("old"));
   io::ByteWriter version;

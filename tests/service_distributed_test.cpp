@@ -46,7 +46,7 @@ RunSpec managed_spec(const std::string& dir, int steps = 18,
   spec.seed = seed;
   spec.persist.enabled = true;
   spec.persist.dir = dir;
-  spec.persist.checkpoint_interval_s = 1e-6;
+  spec.checkpoint_interval_s = 1e-6;
   spec.persist.keep_last_n = 4;
   return spec;
 }
@@ -102,7 +102,7 @@ void expect_reports_bit_identical(const core::ManagedRunReport& a,
 core::ManagedRunReport reference_report(RunSpec spec,
                                         const std::string& dir) {
   spec.persist.dir = dir;
-  return core::ManagedRun(spec.to_managed()).run();
+  return core::ManagedRun(spec).run();
 }
 
 TEST(Distributed, BurstCompletesAndMatchesStandalone) {

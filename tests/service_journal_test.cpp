@@ -84,46 +84,146 @@ RunSpec small_managed_spec(const std::string& name, std::uint64_t seed = 7) {
   return spec;
 }
 
-/// A spec exercising every optional field group of the payload codec.
+/// Every field the run-spec payload persists, listed independently of the
+/// codec's own field list so that a field missing from both directions of
+/// the codec still fails RunSpecRoundTripsBitwise.
+#define PRAGMA_PERSISTED_RUN_SPEC_FIELDS(X)                                 \
+  X(name) X(tenant) X(priority) X(kind)                                     \
+  X(app.base_dims.x) X(app.base_dims.y) X(app.base_dims.z)                  \
+  X(app.max_levels) X(app.ratio) X(app.regrid_interval) X(app.coarse_steps) \
+  X(app.seed) X(app.thresholds) X(app.cluster.efficiency)                   \
+  X(app.cluster.min_width) X(app.cluster.max_box_cells)                     \
+  X(app.cluster.max_depth) X(app_name) X(nprocs) X(capacity_spread)         \
+  X(sites) X(wan_mbps) X(with_background_load) X(load.update_period_s)      \
+  X(load.mean_cpu_load) X(load.reversion) X(load.volatility)                \
+  X(load.burst_probability) X(load.burst_load) X(load.burst_duration_s)     \
+  X(load.mean_link_utilization) X(load.node_bias_spread)                    \
+  X(system_sensitive) X(proactive) X(weights.cpu) X(weights.memory)         \
+  X(weights.bandwidth) X(monitor.period_s) X(monitor.noise)                 \
+  X(monitor.history) X(exec.flops_per_cell_update)                          \
+  X(exec.bytes_per_face_cell) X(exec.bytes_per_cell)                        \
+  X(exec.message_latency_s) X(exec.partition_time_scale)                    \
+  X(exec.redistribution_overhead) X(meta.hysteresis) X(agent_period_s)      \
+  X(load_event_threshold) X(seed) X(ft.enabled)                             \
+  X(ft.channel.drop_probability) X(ft.channel.duplicate_probability)        \
+  X(ft.channel.jitter_s) X(ft.reliable.timeout_s)                           \
+  X(ft.reliable.backoff_factor) X(ft.reliable.max_attempts)                 \
+  X(ft.heartbeat.topic) X(ft.heartbeat.period_s)                            \
+  X(ft.heartbeat.suspect_missed) X(ft.heartbeat.confirm_missed)             \
+  X(ft.staleness.fresh_age_s) X(ft.staleness.decay_tau_s)                   \
+  X(ft.staleness.prior_fraction) X(ft.checkpoint_cost_factor)               \
+  X(persist.enabled) X(persist.dir) X(persist.resume)                       \
+  X(persist.keep_last_n) X(persist.halt_after_steps)                        \
+  X(checkpoint_interval_s) X(modeled_partition_s_per_cell) X(strategy)      \
+  X(canonical_grain) X(targets) X(stale_weight) X(repartition_threshold)    \
+  X(threads) X(dynamic_capacities) X(failures.at(0).at_s)                  \
+  X(failures.at(0).node)                                                    \
+  X(failures.at(0).downtime_s) X(random_mtbf_s) X(random_mttr_s)            \
+  X(budget.cpu_s) X(budget.mem_bytes) X(budget.io_bytes) X(budget.wall_s)  \
+  X(budget.action) X(budget.throttle_factor)
+
+/// A spec holding a non-default value in every persisted field.
 RunSpec elaborate_spec() {
   RunSpec spec = small_managed_spec("elaborate", 99);
   spec.tenant = "tenant-x";
   spec.priority = 3;
+  spec.kind = WorkloadKind::kTraceReplay;
+  spec.app.base_dims = {64, 16, 24};
+  spec.app.max_levels = 4;
+  spec.app.ratio = 3;
+  spec.app.regrid_interval = 6;
+  spec.app.seed = 11;
+  spec.app.thresholds = {0.5, 0.75, 1.5};
+  spec.app.cluster.efficiency = 0.8;
+  spec.app.cluster.min_width = 3;
+  spec.app.cluster.max_box_cells = 4096;
+  spec.app.cluster.max_depth = 32;
   spec.app_name = "rm3d-variant";
-  spec.app.thresholds = {0.5, 0.75};
   spec.sites = 2;
   spec.wan_mbps = 12.5;
   spec.with_background_load = true;
+  spec.load.update_period_s = 1.5;
+  spec.load.mean_cpu_load = 0.4;
+  spec.load.reversion = 0.2;
+  spec.load.volatility = 0.1;
+  spec.load.burst_probability = 0.02;
+  spec.load.burst_load = 0.5;
+  spec.load.burst_duration_s = 15.0;
+  spec.load.mean_link_utilization = 0.2;
+  spec.load.node_bias_spread = 0.25;
   spec.system_sensitive = true;
   spec.proactive = true;
-  spec.weights.memory = 0.25;
+  spec.weights = {0.5, 0.25, 0.25};
+  spec.monitor.period_s = 3.0;
+  spec.monitor.noise = 0.05;
+  spec.monitor.history = 512;
+  spec.exec.flops_per_cell_update = 4000.0;
+  spec.exec.bytes_per_face_cell = 100.0;
+  spec.exec.bytes_per_cell = 64.0;
+  spec.exec.message_latency_s = 300e-6;
+  spec.exec.partition_time_scale = 120.0;
+  spec.exec.redistribution_overhead = 5.0;
+  spec.meta.hysteresis = 2;
+  spec.agent_period_s = 1.5;
+  spec.load_event_threshold = 0.9;
   spec.ft.enabled = true;
   spec.ft.channel.drop_probability = 0.05;
+  spec.ft.channel.duplicate_probability = 0.01;
+  spec.ft.channel.jitter_s = 1e-3;
+  spec.ft.reliable.timeout_s = 0.25;
+  spec.ft.reliable.backoff_factor = 1.5;
+  spec.ft.reliable.max_attempts = 5;
   spec.ft.heartbeat.topic = "hb/elaborate";
+  spec.ft.heartbeat.period_s = 0.5;
+  spec.ft.heartbeat.suspect_missed = 4;
+  spec.ft.heartbeat.confirm_missed = 9;
+  spec.ft.staleness.fresh_age_s = 3.0;
+  spec.ft.staleness.decay_tau_s = 8.0;
+  spec.ft.staleness.prior_fraction = 0.1;
+  spec.ft.checkpoint_cost_factor = 1.25;
   spec.persist.enabled = true;
   spec.persist.dir = "ckpt/elaborate";
+  spec.persist.resume = true;
   spec.persist.keep_last_n = 3;
+  spec.persist.halt_after_steps = 7;
+  spec.checkpoint_interval_s = 12.5;
   spec.strategy = "GMISP+SP";
+  spec.canonical_grain = 4;
   spec.targets = {0.1, 0.2, 0.3};
+  spec.stale_weight = 0.5;
+  spec.repartition_threshold = 0.3;
   spec.threads = 2;
   spec.dynamic_capacities = true;
   spec.failures.push_back({60.0, 3, 120.0});
   spec.random_mtbf_s = 1e6;
+  spec.random_mttr_s = 30.0;
+  spec.budget.cpu_s = 12.5;
+  spec.budget.mem_bytes = 1ull << 30;
+  spec.budget.io_bytes = 1ull << 20;
+  spec.budget.wall_s = 60.0;
+  spec.budget.action = res::ResourceBudget::Action::kThrottle;
+  spec.budget.throttle_factor = 3.5;
   return spec;
 }
 
 TEST(JournalCodec, RunSpecRoundTripsBitwise) {
   const RunSpec original = elaborate_spec();
+  RunSpec defaults;
+  defaults.failures.push_back({});
   const std::vector<std::uint8_t> payload = encode_run_spec(original);
   util::Expected<RunSpec> decoded = decode_run_spec(payload);
   ASSERT_TRUE(decoded.has_value()) << decoded.status().to_string();
-  // Re-encoding the decode must reproduce the payload byte for byte —
-  // the codec covers every value field, so this is a full-surface check.
-  EXPECT_EQ(encode_run_spec(decoded.value()), payload);
-  EXPECT_EQ(decoded.value().name, "elaborate");
-  EXPECT_EQ(decoded.value().journal_key(), original.journal_key());
-  ASSERT_EQ(decoded.value().failures.size(), 1u);
-  EXPECT_EQ(decoded.value().failures[0].node, 3u);
+  const RunSpec& spec = decoded.value();
+  ASSERT_EQ(spec.failures.size(), original.failures.size());
+  // Every persisted field holds a non-default value and comes back
+  // exactly (doubles bit for bit).
+#define PRAGMA_EXPECT_ROUND_TRIP(field)                                  \
+  EXPECT_NE(original.field, defaults.field) << #field " holds its default"; \
+  EXPECT_EQ(spec.field, original.field) << #field;
+  PRAGMA_PERSISTED_RUN_SPEC_FIELDS(PRAGMA_EXPECT_ROUND_TRIP)
+#undef PRAGMA_EXPECT_ROUND_TRIP
+  EXPECT_EQ(encode_run_spec(spec), payload);
+  EXPECT_EQ(spec.journal_key(), original.journal_key());
 }
 
 TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
@@ -131,9 +231,57 @@ TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
   payload.push_back(0);
   EXPECT_FALSE(decode_run_spec(payload).has_value());
 
-  payload = encode_run_spec(small_managed_spec("a"));
-  payload[0] = 0xFF;  // version little-endian low byte
-  EXPECT_FALSE(decode_run_spec(payload).has_value());
+  // Payloads of the retired versions 1 and 2, and of an unknown one.
+  for (const std::uint32_t version : {1u, 2u, 0xFFu}) {
+    payload = encode_run_spec(small_managed_spec("a"));
+    std::memcpy(payload.data(), &version, sizeof version);
+    const util::Expected<RunSpec> decoded = decode_run_spec(payload);
+    ASSERT_FALSE(decoded.has_value()) << version;
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kUnimplemented)
+        << version;
+  }
+}
+
+/// The libFuzzer seeds in fuzz/corpus/journal, written by the current
+/// encoder: valid.wal is two pending records of one spec (name "corpus",
+/// tenant "fuzz", 12 steps, 4 procs, thresholds {0.5}, targets {0.1, 0.2},
+/// one failure plan) and a tombstone for the first; batch.wal is one batch
+/// frame of that spec and its "corpus-1" twin (seed + 1000) and a
+/// tombstone; torn.wal cuts valid.wal halfway into the second payload;
+/// bitflip.wal flips bit 4 of the first payload's byte 24.  A payload
+/// version bump must regenerate them, or the fuzzer explores stale bytes.
+TEST(JournalCorpus, SeedsDecodeWithCurrentCodec) {
+  const std::string corpus = std::string(PRAGMA_SOURCE_DIR) +
+                             "/fuzz/corpus/journal/";
+  for (const char* name : {"valid.wal", "batch.wal"}) {
+    const std::vector<std::uint8_t> bytes = read_file(corpus + name);
+    const JournalScan scan = scan_journal_file(bytes);
+    EXPECT_TRUE(scan.tail.is_ok()) << name << ": " << scan.tail.to_string();
+    EXPECT_EQ(scan.valid_bytes, bytes.size()) << name;
+    std::size_t pending = 0;
+    for (const JournalRecord& record : scan.records) {
+      if (record.type != JournalRecordType::kPending) continue;
+      ++pending;
+      const util::Expected<RunSpec> spec = decode_run_spec(record.payload);
+      ASSERT_TRUE(spec.has_value())
+          << name << " seq " << record.seq << ": " << spec.status().to_string();
+      EXPECT_EQ(encode_run_spec(spec.value()), record.payload)
+          << name << " seq " << record.seq;
+    }
+    EXPECT_EQ(pending, 2u) << name;
+  }
+
+  // The damaged seeds stop at their damaged frame: torn.wal after the
+  // first intact record, bitflip.wal at the first (corrupt) record.
+  const JournalScan torn = scan_journal_file(read_file(corpus + "torn.wal"));
+  EXPECT_EQ(torn.tail.code(), util::StatusCode::kDataLoss);
+  ASSERT_EQ(torn.records.size(), 1u);
+  EXPECT_TRUE(decode_run_spec(torn.records[0].payload).has_value());
+  const JournalScan flipped =
+      scan_journal_file(read_file(corpus + "bitflip.wal"));
+  EXPECT_EQ(flipped.tail.code(), util::StatusCode::kDataLoss);
+  EXPECT_TRUE(flipped.records.empty());
+  EXPECT_EQ(flipped.valid_bytes, kJournalFileHeaderBytes);
 }
 
 TEST(JournalCodec, JournalKeyDistinguishesDerivedRuns) {

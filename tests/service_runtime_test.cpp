@@ -40,16 +40,6 @@ std::string fingerprint(const core::RunSummary& run) {
 
 TEST(RunSpecConversion, DefaultSpecReproducesLegacyDefaults) {
   const RunSpec spec;
-  const core::ManagedRunConfig managed = spec.to_managed();
-  const core::ManagedRunConfig legacy;
-  EXPECT_EQ(managed.nprocs, legacy.nprocs);
-  EXPECT_EQ(managed.seed, legacy.seed);
-  EXPECT_EQ(managed.app_name, legacy.app_name);
-  EXPECT_DOUBLE_EQ(managed.capacity_spread, legacy.capacity_spread);
-  EXPECT_DOUBLE_EQ(managed.agent_period_s, legacy.agent_period_s);
-  EXPECT_EQ(managed.ft.enabled, legacy.ft.enabled);
-  EXPECT_EQ(managed.persist.enabled, legacy.persist.enabled);
-
   // Trace replays share the unified machine description (16 procs, one
   // replay thread) instead of the old standalone TraceRunConfig defaults.
   const core::TraceRunConfig trace = spec.to_trace();
@@ -65,20 +55,6 @@ TEST(RunSpecConversion, FieldsMapThrough) {
   RunSpec spec;
   spec.nprocs = 24;
   spec.seed = 7;
-  spec.app_name = "demo";
-  spec.system_sensitive = true;
-  spec.proactive = true;
-  spec.ft.enabled = true;
-  spec.modeled_partition_s_per_cell = 1e-9;
-  const core::ManagedRunConfig managed = spec.to_managed();
-  EXPECT_EQ(managed.nprocs, 24u);
-  EXPECT_EQ(managed.seed, 7u);
-  EXPECT_EQ(managed.app_name, "demo");
-  EXPECT_TRUE(managed.system_sensitive);
-  EXPECT_TRUE(managed.proactive);
-  EXPECT_TRUE(managed.ft.enabled);
-  EXPECT_DOUBLE_EQ(managed.modeled_partition_s_per_cell, 1e-9);
-
   spec.strategy = "SFC";
   spec.dynamic_capacities = true;
   const core::SystemSensitiveConfig sensitive = spec.to_system_sensitive();

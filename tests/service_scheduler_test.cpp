@@ -355,7 +355,7 @@ TEST(SchedulerDeterminism, ConcurrentBatchMatchesSerialBitwise) {
   std::vector<std::string> serial;
   for (std::size_t i = 0; i < kRuns; ++i)
     serial.push_back(
-        fingerprint(core::ManagedRun(base.derived(i).to_managed()).run()));
+        fingerprint(core::ManagedRun(base.derived(i)).run()));
 
   // The same derived specs, four at a time through the scheduler.
   util::ThreadPool pool(4);
