@@ -24,6 +24,7 @@
 #include "pragma/amr/delta.hpp"
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/amr/synthetic.hpp"
+#include "pragma/core/exec_model.hpp"
 #include "pragma/partition/metrics.hpp"
 #include "pragma/util/table.hpp"
 #include "pragma/util/thread_pool.hpp"
@@ -233,8 +234,8 @@ std::vector<PipelineEntry> run_pipeline_harness() {
 // Besides the timing curves, the sweep *gates* correctness: the vectorized
 // build must match WorkGrid::reference_build bitwise, apply_delta must
 // match a from-scratch rebuild bitwise, the table-driven communication
-// sweep must match its reference, the incremental communication tracker
-// must match the full sweep, and the incremental build must not be slower
+// sweep and the execution model's communication tally must match the
+// reference fold, and the incremental build must not be slower
 // than the full rebuild at the lowest churn.  Any violation makes the
 // binary exit nonzero, which is what the perf-smoke CI job checks.
 
@@ -334,8 +335,6 @@ std::vector<PipelineEntry> run_churn_sweep(int& failures) {
 
       const auto partitioner = partition::make_partitioner("G-MISP+SP");
       const auto targets = partition::equal_targets(64);
-      const partition::OwnerMap owners_before =
-          partitioner->partition(base, targets).owners;
       const partition::OwnerMap owners_after =
           partitioner->partition(full, targets).owners;
       const double swept = partition::communication_volume(full,
@@ -349,14 +348,13 @@ std::vector<PipelineEntry> run_churn_sweep(int& failures) {
                      swept, reference_swept);
         ++failures;
       }
-      partition::IncrementalCommVolume tracker;
-      tracker.reset(base, owners_before);
-      const double tracked = tracker.update(full, owners_after);
-      if (std::memcmp(&tracked, &swept, sizeof(double)) != 0) {
+      const double mapped =
+          core::ExecutionModel{}.map(full, owners_after).communication;
+      if (std::memcmp(&mapped, &reference_swept, sizeof(double)) != 0) {
         std::fprintf(stderr,
-                     "GATE FAILED: incremental comm tracker differs from "
-                     "sweep (%.17g vs %.17g)\n",
-                     tracked, swept);
+                     "GATE FAILED: execution-model communication differs "
+                     "from reference (%.17g vs %.17g)\n",
+                     mapped, reference_swept);
         ++failures;
       }
     }

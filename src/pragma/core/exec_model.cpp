@@ -1,98 +1,167 @@
 #include "pragma/core/exec_model.hpp"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
 #include <stdexcept>
 
 namespace pragma::core {
 
-MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
-                               const partition::OwnerMap& owners,
-                               const std::vector<int>* proc_sites) const {
-  const auto nprocs = static_cast<std::size_t>(owners.nprocs);
+namespace {
 
-  MappedLoad mapped;
-  mapped.work = partition::processor_loads(grid, owners);
+/// Substeps per coarse step of the levels in `mask`: the sum of r^l over
+/// its set bits, in ascending level order (integer-valued, like
+/// partition::face_cost).
+double substeps(std::uint32_t mask, int num_levels, int ratio) {
+  double sum = 0.0;
+  double r = 1.0;
+  for (int l = 0; l < num_levels; ++l) {
+    if (mask & (1u << l)) sum += r;
+    r *= static_cast<double>(ratio);
+  }
+  return sum;
+}
 
-  std::vector<double> face_cells(nprocs, 0.0);
+/// The map() sweep, generic over how a level mask becomes a face cost and
+/// a substep count (table lookups, or per-mask folds on grids too deep to
+/// tabulate).  Every cost, work and substep term is an integer-valued
+/// double far below 2^53, so the per-run partial sums below are exact:
+/// the result does not depend on how the terms are grouped.
+template <class FaceCost, class Substeps>
+void sweep(const partition::WorkGrid& grid, const int* owner,
+           const int* site, const FaceCost& face_cost,
+           const Substeps& substeps_of, MappedLoad& mapped) {
+  if (grid.cell_count() == 0) return;
+  const std::size_t nprocs = mapped.work.size();
   const amr::IntVec3 dims = grid.lattice_dims();
-  const int g = grid.grain();
-  // Cross-site exchanges: one WAN message per (proc pair, level) per
-  // substep, not per face.
-  std::set<std::tuple<int, int, int>> wan_exchanges;
+  const std::uint32_t* levels = grid.levels().data();
+  double* work = mapped.work.data();
+  double* face = mapped.face_cells.data();
+  // Cross-site exchanges: one WAN message per (processor pair, level) per
+  // substep, not per face.  charged[a * nprocs + b] (a < b) holds the
+  // levels already counted for the pair.
+  std::vector<std::uint32_t> charged(site != nullptr ? nprocs * nprocs : 0,
+                                     0u);
 
-  auto visit_face = [&](std::size_t a, std::size_t b) {
-    const int pa = owners.owner[a];
-    const int pb = owners.owner[b];
-    if (pa == pb) return;
-    const std::uint32_t shared =
-        grid.levels_present(a) & grid.levels_present(b);
-    if (shared == 0) return;
-    const bool cross_site =
-        proc_sites != nullptr &&
-        (*proc_sites)[static_cast<std::size_t>(pa)] !=
-            (*proc_sites)[static_cast<std::size_t>(pb)];
-    double cost = 0.0;
-    double r = 1.0;
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      if (shared & (1u << l)) {
-        const double edge = static_cast<double>(g) * r;
-        cost += edge * edge * r;  // face cells x substeps
-        if (cross_site &&
-            wan_exchanges.insert({std::min(pa, pb), std::max(pa, pb), l})
-                .second)
-          mapped.wan_messages += r;  // substeps of this level
-      }
-      r *= static_cast<double>(grid.ratio());
+  // Runs of same-owner cells keep the owner's work and own-side face
+  // cost in registers; accumulating into work[owner] per cell would chain
+  // every iteration through a store-to-load forward.
+  int run_owner = owner[0];
+  double run_work = 0.0;
+  double run_face = 0.0;
+  double communication = 0.0;
+  const auto cut = [&](int oc, int on, std::uint32_t shared) {
+    const double cost = face_cost(shared);
+    run_face += cost;
+    face[on] += cost;
+    communication += cost;
+    if (site != nullptr && site[oc] != site[on]) {
+      mapped.wan_face_cells += cost;
+      std::uint32_t& seen =
+          charged[static_cast<std::size_t>(std::min(oc, on)) * nprocs +
+                  static_cast<std::size_t>(std::max(oc, on))];
+      mapped.wan_messages += substeps_of(shared & ~seen);
+      seen |= shared;
     }
-    face_cells[static_cast<std::size_t>(pa)] += cost;
-    face_cells[static_cast<std::size_t>(pb)] += cost;
-    if (cross_site) mapped.wan_face_cells += cost;
   };
-
-  for (int z = 0; z < dims.z; ++z)
-    for (int y = 0; y < dims.y; ++y)
+  // Every face is visited once from its lower cell.  A face past the
+  // lattice boundary resolves to the cell itself, whose owner matches.
+  const std::size_t sy = static_cast<std::size_t>(dims.x);
+  const std::size_t sz = sy * static_cast<std::size_t>(dims.y);
+  for (int z = 0; z < dims.z; ++z) {
+    const std::size_t zstep = z + 1 < dims.z ? sz : 0;
+    for (int y = 0; y < dims.y; ++y) {
+      const std::size_t ystep = y + 1 < dims.y ? sy : 0;
+      const std::size_t base =
+          sy * static_cast<std::size_t>(y) + sz * static_cast<std::size_t>(z);
       for (int x = 0; x < dims.x; ++x) {
-        const std::size_t c = grid.linear({x, y, z});
-        if (x + 1 < dims.x) visit_face(c, grid.linear({x + 1, y, z}));
-        if (y + 1 < dims.y) visit_face(c, grid.linear({x, y + 1, z}));
-        if (z + 1 < dims.z) visit_face(c, grid.linear({x, y, z + 1}));
+        const std::size_t c = base + static_cast<std::size_t>(x);
+        const std::size_t xn = c + static_cast<std::size_t>(x + 1 < dims.x);
+        const int oc = owner[c];
+        const std::uint32_t lc = levels[c];
+        if (oc != run_owner) {
+          work[run_owner] += run_work;
+          face[run_owner] += run_face;
+          run_owner = oc;
+          run_work = 0.0;
+          run_face = 0.0;
+        }
+        run_work += grid.work(c);
+        const auto visit = [&](std::size_t n) {
+          if (owner[n] != oc) cut(oc, owner[n], lc & levels[n]);
+        };
+        visit(xn);
+        visit(c + ystep);
+        visit(c + zstep);
       }
-
-  mapped.face_cells = std::move(face_cells);
+    }
+  }
+  work[run_owner] += run_work;
+  face[run_owner] += run_face;
+  mapped.communication = communication;
 
   // Message count = per-level ownership fragmentation: the number of
   // maximal same-owner runs of level-l cells along the SFC order, per
   // substep.  Each fragment is a patch piece with its own ghost exchanges
   // and metadata — this is where fine-grain partitioning of scattered
-  // refinement patterns pays its "partitioning induced overheads".
+  // refinement patterns pays its "partitioning induced overheads".  A
+  // fragment of level l starts wherever l is present but was not in the
+  // previous cell of the same owner: two boundary exchanges per substep.
+  const std::vector<std::uint32_t>& order = grid.order();
+  double* messages = mapped.messages.data();
+  run_owner = owner[order.front()];
+  double run_substeps = 0.0;
+  std::uint32_t previous_levels = 0;
+  for (const std::uint32_t c : order) {
+    const int o = owner[c];
+    if (o != run_owner) {
+      messages[run_owner] += 2.0 * run_substeps;
+      run_owner = o;
+      run_substeps = 0.0;
+      previous_levels = 0;
+    }
+    run_substeps += substeps_of(levels[c] & ~previous_levels);
+    previous_levels = levels[c];
+  }
+  messages[run_owner] += 2.0 * run_substeps;
+}
+
+}  // namespace
+
+MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
+                               const partition::OwnerMap& owners,
+                               const std::vector<int>* proc_sites) const {
+  partition::validate_owners("ExecutionModel::map", grid, owners);
+  const auto nprocs = static_cast<std::size_t>(owners.nprocs);
+  if (proc_sites != nullptr && proc_sites->size() < nprocs)
+    throw std::invalid_argument(
+        "ExecutionModel::map: fewer proc_sites than processors");
+
+  MappedLoad mapped;
+  mapped.work.assign(nprocs, 0.0);
+  mapped.face_cells.assign(nprocs, 0.0);
   mapped.messages.assign(nprocs, 0.0);
-  std::vector<double> substeps(static_cast<std::size_t>(grid.num_levels()));
-  {
-    double r = 1.0;
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      substeps[static_cast<std::size_t>(l)] = r;
-      r *= static_cast<double>(grid.ratio());
-    }
+  const int* site = proc_sites != nullptr ? proc_sites->data() : nullptr;
+  const int levels = grid.num_levels();
+  const int ratio = grid.ratio();
+  const std::vector<double> faces = partition::face_cost_table(grid);
+  if (faces.empty()) {
+    sweep(
+        grid, owners.owner.data(), site,
+        [&](std::uint32_t mask) {
+          return partition::face_cost(mask, grid.grain(), levels, ratio);
+        },
+        [&](std::uint32_t mask) { return substeps(mask, levels, ratio); },
+        mapped);
+    return mapped;
   }
-  int prev_owner = -1;
-  std::uint32_t prev_levels = 0;
-  for (std::uint32_t c : grid.order()) {
-    const int owner = owners.owner[c];
-    const std::uint32_t levels = grid.levels_present(c);
-    for (int l = 0; l < grid.num_levels(); ++l) {
-      const bool now = (levels >> l) & 1u;
-      const bool before = owner == prev_owner && ((prev_levels >> l) & 1u);
-      // A fragment of level l starts here: two boundary exchanges per
-      // substep of that level.
-      if (now && !before)
-        mapped.messages[static_cast<std::size_t>(owner)] +=
-            2.0 * substeps[static_cast<std::size_t>(l)];
-    }
-    prev_owner = owner;
-    prev_levels = levels;
-  }
+  std::vector<double> steps(faces.size());
+  for (std::size_t mask = 0; mask < steps.size(); ++mask)
+    steps[mask] = substeps(static_cast<std::uint32_t>(mask), levels, ratio);
+  const double* face_table = faces.data();
+  const double* step_table = steps.data();
+  sweep(
+      grid, owners.owner.data(), site,
+      [face_table](std::uint32_t mask) { return face_table[mask]; },
+      [step_table](std::uint32_t mask) { return step_table[mask]; }, mapped);
   return mapped;
 }
 
@@ -153,6 +222,8 @@ double ExecutionModel::migration_time(const partition::WorkGrid& grid,
                                       const grid::Cluster& cluster) const {
   if (previous.owner.size() != current.owner.size())
     throw std::invalid_argument("migration_time: lattice mismatch");
+  partition::validate_owners("migration_time", grid, previous);
+  partition::validate_owners("migration_time", grid, current);
   const auto nprocs = static_cast<std::size_t>(
       std::max(previous.nprocs, current.nprocs));
   std::vector<double> outgoing(nprocs, 0.0);
@@ -178,6 +249,13 @@ double ExecutionModel::migration_time(const partition::WorkGrid& grid,
 partition::OwnerMap project_owners(const partition::OwnerMap& source,
                                    amr::IntVec3 source_dims,
                                    amr::IntVec3 target_dims) {
+  if (source_dims.x <= 0 || source_dims.y <= 0 || source_dims.z <= 0 ||
+      target_dims.x <= 0 || target_dims.y <= 0 || target_dims.z <= 0)
+    throw std::invalid_argument("project_owners: dims must be positive");
+  if (source.owner.size() != static_cast<std::size_t>(source_dims.x) *
+                                 static_cast<std::size_t>(source_dims.y) *
+                                 static_cast<std::size_t>(source_dims.z))
+    throw std::invalid_argument("project_owners: source size mismatch");
   if (target_dims.x % source_dims.x != 0 ||
       target_dims.y % source_dims.y != 0 ||
       target_dims.z % source_dims.z != 0)

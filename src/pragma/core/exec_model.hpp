@@ -59,6 +59,9 @@ struct MappedLoad {
   /// messages crossing site boundaries (charged against the shared WAN).
   double wan_face_cells = 0.0;
   double wan_messages = 0.0;
+  /// Total cut-face cost, each face counted once: the same value as
+  /// partition::communication_volume of the assignment.
+  double communication = 0.0;
   [[nodiscard]] std::size_t nprocs() const { return work.size(); }
 };
 
@@ -71,7 +74,9 @@ class ExecutionModel {
   /// Precompute the per-processor load/traffic of an assignment.  When
   /// `proc_sites` is given (federated grids: site of the node each
   /// processor runs on), cross-site ghost traffic is tallied separately
-  /// for the WAN charge.
+  /// for the WAN charge.  Throws std::invalid_argument when the owner map
+  /// does not cover the grid, an owner is out of range, or `proc_sites`
+  /// has fewer than owners.nprocs entries.
   [[nodiscard]] MappedLoad map(
       const partition::WorkGrid& grid, const partition::OwnerMap& owners,
       const std::vector<int>* proc_sites = nullptr) const;
@@ -87,7 +92,9 @@ class ExecutionModel {
                                    const grid::Cluster& cluster) const;
 
   /// Time to migrate ownership differences between two assignments (data
-  /// redistribution through the switch, bulk-synchronous).
+  /// redistribution through the switch, bulk-synchronous).  Throws
+  /// std::invalid_argument unless both owner maps cover the grid with
+  /// in-range owners.
   [[nodiscard]] double migration_time(const partition::WorkGrid& grid,
                                       const partition::OwnerMap& previous,
                                       const partition::OwnerMap& current,
@@ -103,7 +110,9 @@ class ExecutionModel {
 };
 
 /// Project an owner map from a coarser partitioning lattice onto a finer
-/// canonical lattice (dims must divide exactly).
+/// canonical lattice.  Throws std::invalid_argument unless every dim is
+/// positive, the source dims divide the target dims exactly, and `source`
+/// covers the source lattice.
 [[nodiscard]] partition::OwnerMap project_owners(
     const partition::OwnerMap& source, amr::IntVec3 source_dims,
     amr::IntVec3 target_dims);

@@ -73,10 +73,14 @@ RunSummary TraceRunner::replay(
 
   partition::OwnerMap previous_canonical;
   bool has_previous = false;
-  // Maintains the communication volume across snapshots by refreshing only
-  // the faces incident to cells whose owner or level mask changed (exact —
-  // see IncrementalCommVolume), instead of a full face sweep per snapshot.
-  partition::IncrementalCommVolume comm_tracker;
+  // The previous partition mapped onto this snapshot's grid: computed as
+  // the stale term of the previous iteration, it is both the reuse check's
+  // loads and, when the partition is kept, the fresh mapping.
+  MappedLoad carried;
+  // evaluate_pac's imbalance: targets normalised by their sum.
+  double target_sum = 0.0;
+  for (const double t : config_.targets) target_sum += t;
+  if (target_sum <= 0.0) target_sum = 1.0;
 
   double weighted_imbalance = 0.0;
   double weighted_efficiency = 0.0;
@@ -133,8 +137,7 @@ RunSummary TraceRunner::replay(
     bool reuse_previous = false;
     if (meta != nullptr && has_previous &&
         config_.repartition_threshold > 0.0) {
-      const std::vector<double> loads =
-          partition::processor_loads(canonical, previous_canonical);
+      const std::vector<double>& loads = carried.work;
       const double total = canonical.total_work();
       double worst = 0.0;
       for (std::size_t p = 0; p < loads.size(); ++p) {
@@ -180,12 +183,13 @@ RunSummary TraceRunner::replay(
     // the covered steps run against this snapshot's workload, the second
     // half against the next snapshot's (the "stale partition" effect that
     // penalizes expensive balancing in highly dynamic phases).
-    const StepTime fresh = model_.step_time(canonical, owners, cluster_);
+    const MappedLoad mapped =
+        reuse_previous ? std::move(carried) : model_.map(canonical, owners);
+    const StepTime fresh = model_.time_of(mapped, cluster_);
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
-      const std::shared_ptr<const partition::WorkGrid> next_canonical =
-          canonical_grid(i + 1);
-      stale = model_.step_time(*next_canonical, owners, cluster_);
+      carried = model_.map(*canonical_grid(i + 1), owners);
+      stale = model_.time_of(carried, cluster_);
     }
     const double sw = std::clamp(config_.stale_weight, 0.0, 1.0);
     StepTime step;
@@ -201,17 +205,16 @@ RunSummary TraceRunner::replay(
           octant::to_string(meta->history().back().state.octant());
     record.step_time_s = step.total_s;
 
-    partition::PartitionResult canonical_result;
-    canonical_result.owners = owners;
-    canonical_result.partitioner = result.partitioner;
-    canonical_result.partition_seconds = result.partition_seconds;
-    const partition::PacMetrics pac = partition::evaluate_pac(
-        canonical, canonical_result, config_.targets,
-        has_previous ? &previous_canonical : nullptr, config_.threads,
-        &comm_tracker);
-    record.imbalance = pac.load_imbalance;
-    record.comm_volume = pac.communication;
-    if (!reuse_previous) baseline_imbalance = pac.load_imbalance;
+    const double total = canonical.total_work();
+    double worst = 0.0;
+    for (std::size_t p = 0; p < mapped.work.size(); ++p) {
+      const double share = config_.targets[p] / target_sum;
+      if (share <= 0.0) continue;
+      worst = std::max(worst, mapped.work[p] / (share * total));
+    }
+    record.imbalance = total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
+    record.comm_volume = mapped.communication;
+    if (!reuse_previous) baseline_imbalance = record.imbalance;
 
     record.partition_s = model_.partition_cost(result.partition_seconds);
     if (has_previous)
@@ -224,7 +227,7 @@ RunSummary TraceRunner::replay(
     const double uniform = hierarchy.uniform_fine_work();
     record.amr_efficiency =
         uniform > 0.0
-            ? 1.0 - (hierarchy.total_work() + 0.5 * pac.communication) /
+            ? 1.0 - (hierarchy.total_work() + 0.5 * record.comm_volume) /
                         uniform
             : 0.0;
 

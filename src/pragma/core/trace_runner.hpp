@@ -40,9 +40,10 @@ struct TraceRunConfig {
   /// repartitioning").  Static baselines repartition at every regrid, as
   /// the original SAMR framework did.  Set to 0 to disable.
   double repartition_threshold = 0.20;
-  /// Worker threads for the partitioning pipeline (WorkGrid rasterization,
-  /// communication sweep).  0 = hardware_concurrency; 1 = the serial code
-  /// path, bitwise-identical to pre-threading replays.
+  /// Worker threads for WorkGrid rasterization.  Snapshots are costed by
+  /// serial ExecutionModel::map sweeps, which also yield the communication
+  /// volume.  0 = hardware_concurrency; 1 = the serial code path,
+  /// bitwise-identical to pre-threading replays.
   int threads = 0;
   /// When > 0, charge partitioning as cells * this instead of the
   /// partitioner's wall-clock measurement (same knob as

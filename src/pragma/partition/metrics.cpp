@@ -11,47 +11,8 @@
 namespace pragma::partition {
 
 namespace {
-/// Shared guard for the per-processor accumulators: the owner map must
-/// cover every grain cell and every owner must be a valid processor, or
-/// the accumulation loops index out of bounds.
-void validate_owners(const char* who, const WorkGrid& grid,
-                     const OwnerMap& owners) {
-  if (owners.owner.size() != grid.cell_count())
-    throw std::invalid_argument(std::string(who) + ": size mismatch");
-  for (int owner : owners.owner)
-    if (owner < 0 || owner >= owners.nprocs)
-      throw std::invalid_argument(std::string(who) + ": owner out of range");
-}
-
-/// Cost of one lattice face whose sides share the levels in `mask`: a
-/// level-l face is (g r^l)^2 cells, exchanged r^l times per coarse step.
-/// Terms fold in ascending level order — the table builder and the
-/// incremental tracker must repeat this association bit for bit.
-double face_cost_scalar(std::uint32_t mask, int g, int num_levels,
-                        int ratio) {
-  double cost = 0.0;
-  double r = 1.0;
-  for (int l = 0; l < num_levels; ++l) {
-    if (mask & (1u << l)) {
-      const double edge = static_cast<double>(g) * r;
-      cost += edge * edge * r;
-    }
-    r *= static_cast<double>(ratio);
-  }
-  return cost;
-}
-
-/// Past this depth the 2^levels table stops paying for itself; callers
-/// fall back to the scalar per-face fold.
-constexpr int kCommTableMaxLevels = 16;
-
-std::vector<double> build_cost_table(int g, int num_levels, int ratio) {
-  std::vector<double> table(std::size_t{1} << num_levels, 0.0);
-  for (std::size_t mask = 1; mask < table.size(); ++mask)
-    table[mask] = face_cost_scalar(static_cast<std::uint32_t>(mask), g,
-                                   num_levels, ratio);
-  return table;
-}
+/// Deepest grid whose 2^levels face-cost table is built.
+constexpr int kFaceCostTableMaxLevels = 16;
 
 /// Branchless z-slab sweep over [z0, z1) using a precomputed cost table.
 /// Boundary faces resolve to the cell itself (owner difference 0), so the
@@ -88,6 +49,42 @@ double sweep_slab_table(const int* owner, const std::uint32_t* levels,
 }
 }  // namespace
 
+void validate_owners(const char* who, const WorkGrid& grid,
+                     const OwnerMap& owners) {
+  if (owners.owner.size() != grid.cell_count())
+    throw std::invalid_argument(std::string(who) + ": size mismatch");
+  // Branch-free so the pass vectorizes; a negative owner wraps past
+  // nprocs as unsigned.
+  const auto nprocs = static_cast<unsigned>(std::max(owners.nprocs, 0));
+  bool out_of_range = false;
+  for (int owner : owners.owner)
+    out_of_range |= static_cast<unsigned>(owner) >= nprocs;
+  if (out_of_range)
+    throw std::invalid_argument(std::string(who) + ": owner out of range");
+}
+
+double face_cost(std::uint32_t mask, int grain, int num_levels, int ratio) {
+  double cost = 0.0;
+  double r = 1.0;
+  for (int l = 0; l < num_levels; ++l) {
+    if (mask & (1u << l)) {
+      const double edge = static_cast<double>(grain) * r;
+      cost += edge * edge * r;
+    }
+    r *= static_cast<double>(ratio);
+  }
+  return cost;
+}
+
+std::vector<double> face_cost_table(const WorkGrid& grid) {
+  if (grid.num_levels() > kFaceCostTableMaxLevels) return {};
+  std::vector<double> table(std::size_t{1} << grid.num_levels(), 0.0);
+  for (std::size_t mask = 1; mask < table.size(); ++mask)
+    table[mask] = face_cost(static_cast<std::uint32_t>(mask), grid.grain(),
+                            grid.num_levels(), grid.ratio());
+  return table;
+}
+
 std::vector<double> processor_loads(const WorkGrid& grid,
                                     const OwnerMap& owners) {
   validate_owners("processor_loads", grid, owners);
@@ -122,7 +119,7 @@ double reference_communication_volume(const WorkGrid& grid,
         const std::size_t c = grid.linear({x, y, z});
         const auto face = [&](std::size_t n) {
           if (owners.owner[c] == owners.owner[n]) return;
-          total += face_cost_scalar(
+          total += face_cost(
               grid.levels_present(c) & grid.levels_present(n), g,
               grid.num_levels(), grid.ratio());
         };
@@ -140,11 +137,8 @@ double communication_volume(const WorkGrid& grid, const OwnerMap& owners,
   PRAGMA_SPAN_VAR(span, "partition", "communication_volume");
   span.annotate("cells", grid.cell_count());
   const amr::IntVec3 dims = grid.lattice_dims();
-  if (grid.num_levels() > kCommTableMaxLevels)
-    return reference_communication_volume(grid, owners);
-
-  const std::vector<double> table =
-      build_cost_table(grid.grain(), grid.num_levels(), grid.ratio());
+  const std::vector<double> table = face_cost_table(grid);
+  if (table.empty()) return reference_communication_volume(grid, owners);
   const int* owner = owners.owner.data();
   const std::uint32_t* levels = grid.levels().data();
 
@@ -169,105 +163,6 @@ double communication_volume(const WorkGrid& grid, const OwnerMap& owners,
   return total;
 }
 
-bool IncrementalCommVolume::shape_matches(const WorkGrid& grid) const {
-  const amr::IntVec3 d = grid.lattice_dims();
-  return d.x == dims_.x && d.y == dims_.y && d.z == dims_.z &&
-         grain_ == grid.grain() && num_levels_ == grid.num_levels() &&
-         ratio_ == grid.ratio();
-}
-
-void IncrementalCommVolume::reset(const WorkGrid& grid,
-                                  const OwnerMap& owners) {
-  validate_owners("IncrementalCommVolume::reset", grid, owners);
-  dims_ = grid.lattice_dims();
-  grain_ = grid.grain();
-  num_levels_ = grid.num_levels();
-  ratio_ = grid.ratio();
-  prev_owner_ = owners.owner;
-  prev_levels_ = grid.levels();
-  table_ = num_levels_ <= kCommTableMaxLevels
-               ? build_cost_table(grain_, num_levels_, ratio_)
-               : std::vector<double>{};
-
-  const std::size_t count = grid.cell_count();
-  face_.assign(count * 3, 0.0);
-  const std::size_t sy = static_cast<std::size_t>(dims_.x);
-  const std::size_t sz = sy * static_cast<std::size_t>(dims_.y);
-  const auto cost = [&](std::size_t a, std::size_t b) {
-    if (prev_owner_[a] == prev_owner_[b]) return 0.0;
-    const std::uint32_t mask = prev_levels_[a] & prev_levels_[b];
-    return table_.empty()
-               ? face_cost_scalar(mask, grain_, num_levels_, ratio_)
-               : table_[mask];
-  };
-  // Prime the total with the serial sweep's fold order (z, y, x cells;
-  // x, y, z faces per cell) so it starts bitwise-identical to
-  // communication_volume.
-  total_ = 0.0;
-  for (int z = 0; z < dims_.z; ++z)
-    for (int y = 0; y < dims_.y; ++y)
-      for (int x = 0; x < dims_.x; ++x) {
-        const std::size_t c = static_cast<std::size_t>(x) +
-                              sy * static_cast<std::size_t>(y) +
-                              sz * static_cast<std::size_t>(z);
-        if (x + 1 < dims_.x) total_ += face_[c * 3 + 0] = cost(c, c + 1);
-        if (y + 1 < dims_.y) total_ += face_[c * 3 + 1] = cost(c, c + sy);
-        if (z + 1 < dims_.z) total_ += face_[c * 3 + 2] = cost(c, c + sz);
-      }
-}
-
-double IncrementalCommVolume::update(const WorkGrid& grid,
-                                     const OwnerMap& owners) {
-  if (!primed() || !shape_matches(grid) ||
-      owners.owner.size() != prev_owner_.size()) {
-    reset(grid, owners);
-    return total_;
-  }
-  validate_owners("IncrementalCommVolume::update", grid, owners);
-  PRAGMA_SPAN_VAR(span, "partition", "communication_volume.incremental");
-
-  const std::vector<std::uint32_t>& levels = grid.levels();
-  const std::size_t count = prev_owner_.size();
-  const std::size_t sy = static_cast<std::size_t>(dims_.x);
-  const std::size_t sz = sy * static_cast<std::size_t>(dims_.y);
-  const auto cost = [&](std::size_t a, std::size_t b) {
-    if (owners.owner[a] == owners.owner[b]) return 0.0;
-    const std::uint32_t mask = levels[a] & levels[b];
-    return table_.empty()
-               ? face_cost_scalar(mask, grain_, num_levels_, ratio_)
-               : table_[mask];
-  };
-  // Re-evaluating a face is idempotent (second visit contributes new - new
-  // = 0), so both endpoints of a face may independently trigger it without
-  // any dedup bookkeeping.  The += of integer-valued deltas is exact, so
-  // total_ stays equal to the full sweep bit for bit.
-  const auto refresh = [&](std::size_t cell, std::size_t axis,
-                           std::size_t neighbor) {
-    const std::size_t f = cell * 3 + axis;
-    const double fresh = cost(cell, neighbor);
-    total_ += fresh - face_[f];
-    face_[f] = fresh;
-  };
-  std::size_t changed = 0;
-  for (std::size_t c = 0; c < count; ++c) {
-    if (owners.owner[c] == prev_owner_[c] && levels[c] == prev_levels_[c])
-      continue;
-    ++changed;
-    const amr::IntVec3 p = grid.coords(c);
-    if (p.x + 1 < dims_.x) refresh(c, 0, c + 1);
-    if (p.y + 1 < dims_.y) refresh(c, 1, c + sy);
-    if (p.z + 1 < dims_.z) refresh(c, 2, c + sz);
-    if (p.x > 0) refresh(c - 1, 0, c);
-    if (p.y > 0) refresh(c - sy, 1, c);
-    if (p.z > 0) refresh(c - sz, 2, c);
-    prev_owner_[c] = owners.owner[c];
-    prev_levels_[c] = levels[c];
-  }
-  span.annotate("changed_cells", changed);
-  span.annotate("cells", count);
-  return total_;
-}
-
 double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
                           const OwnerMap& current) {
   if (previous.owner.size() != current.owner.size())
@@ -283,8 +178,7 @@ double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
 
 PacMetrics evaluate_pac(const WorkGrid& grid, const PartitionResult& result,
                         std::span<const double> targets,
-                        const OwnerMap* previous, int threads,
-                        IncrementalCommVolume* comm_tracker) {
+                        const OwnerMap* previous, int threads) {
   validate_owners("evaluate_pac", grid, result.owners);
   if (targets.size() != static_cast<std::size_t>(result.owners.nprocs))
     throw std::invalid_argument("evaluate_pac: targets/nprocs mismatch");
@@ -303,10 +197,7 @@ PacMetrics evaluate_pac(const WorkGrid& grid, const PartitionResult& result,
   }
   metrics.load_imbalance = total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
 
-  metrics.communication =
-      comm_tracker != nullptr
-          ? comm_tracker->update(grid, result.owners)
-          : communication_volume(grid, result.owners, threads);
+  metrics.communication = communication_volume(grid, result.owners, threads);
   metrics.partition_time = result.partition_seconds;
   if (previous != nullptr)
     metrics.data_migration = migration_fraction(grid, *previous,

@@ -35,8 +35,14 @@ struct PacMetrics {
   double overhead = 0.0;
 };
 
-/// Per-processor work loads of an assignment.  Throws std::invalid_argument
-/// when the owner map does not cover the grid or an owner is out of range.
+/// Throws std::invalid_argument (message prefixed with `who`) unless the
+/// owner map covers every grain cell of `grid` with an owner in
+/// [0, owners.nprocs) -- the precondition of every per-processor tally.
+void validate_owners(const char* who, const WorkGrid& grid,
+                     const OwnerMap& owners);
+
+/// Per-processor work loads of an assignment.  Validates like
+/// validate_owners.
 [[nodiscard]] std::vector<double> processor_loads(const WorkGrid& grid,
                                                   const OwnerMap& owners);
 
@@ -44,6 +50,18 @@ struct PacMetrics {
 /// processor_loads.
 [[nodiscard]] std::vector<double> processor_storage(const WorkGrid& grid,
                                                     const OwnerMap& owners);
+
+/// Communication cost of one lattice face whose two sides share the levels
+/// in `mask`: a level-l face is (grain r^l)^2 cells, exchanged r^l times
+/// per coarse step.  Terms fold in ascending level order.  Every term is an
+/// integer-valued double, so sums of face costs are exact in any order.
+[[nodiscard]] double face_cost(std::uint32_t mask, int grain, int num_levels,
+                               int ratio);
+
+/// face_cost of every level mask of `grid` (entry `mask`, 2^levels
+/// entries).  Empty for grids deeper than 16 levels, where the table stops
+/// paying for itself and callers fold face_cost per face.
+[[nodiscard]] std::vector<double> face_cost_table(const WorkGrid& grid);
 
 /// Total inter-processor communication volume (MIT-weighted ghost faces).
 /// `threads` > 1 splits the face sweep over z-slabs with per-thread
@@ -59,50 +77,6 @@ struct PacMetrics {
 [[nodiscard]] double reference_communication_volume(const WorkGrid& grid,
                                                     const OwnerMap& owners);
 
-/// Incrementally maintained communication volume.  A trace replay's owner
-/// map and level masks change only near regrid activity, so instead of
-/// re-sweeping every lattice face the tracker stores the cost of each face
-/// and, on update, recomputes just the faces incident to cells whose owner
-/// or level mask changed.  All face costs are integer-valued (powers of the
-/// refinement ratio times the squared grain edge), so the subtract/re-add
-/// bookkeeping is exact and total() always equals the full sweep bit for
-/// bit.  reset() primes the tracker with a slab-order fold matching the
-/// serial sweep's association.
-class IncrementalCommVolume {
- public:
-  IncrementalCommVolume() = default;
-
-  /// Prime from scratch over `grid`/`owners`.  total() afterwards is
-  /// bitwise-identical to communication_volume(grid, owners, 1).
-  void reset(const WorkGrid& grid, const OwnerMap& owners);
-
-  /// Refresh after owner/level changes and return total().  Recomputes only
-  /// the faces incident to changed cells; falls back to reset() when the
-  /// lattice shape, grain, or level structure changed.  Throws
-  /// std::invalid_argument when the owner map does not cover the grid.
-  double update(const WorkGrid& grid, const OwnerMap& owners);
-
-  /// Current communication volume (0 until primed).
-  [[nodiscard]] double total() const { return total_; }
-  [[nodiscard]] bool primed() const { return !face_.empty(); }
-
- private:
-  [[nodiscard]] bool shape_matches(const WorkGrid& grid) const;
-
-  amr::IntVec3 dims_{0, 0, 0};
-  int grain_ = 0;
-  int num_levels_ = 0;
-  int ratio_ = 0;
-  std::vector<int> prev_owner_;
-  std::vector<std::uint32_t> prev_levels_;
-  /// Cost of the +x, +y, +z faces of each cell (3 per cell; 0 past the
-  /// lattice boundary).
-  std::vector<double> face_;
-  /// Shared-level-mask -> face cost (see communication_volume).
-  std::vector<double> table_;
-  double total_ = 0.0;
-};
-
 /// Storage fraction that changed owner between two assignments over the
 /// same lattice.
 [[nodiscard]] double migration_fraction(const WorkGrid& grid,
@@ -112,15 +86,11 @@ class IncrementalCommVolume {
 /// Evaluate the full 5-component metric.  `previous` may be null.  Throws
 /// std::invalid_argument when the owner map does not cover the grid or
 /// targets.size() != nprocs.  `threads` parallelizes the communication
-/// sweep (see communication_volume).  When `comm_tracker` is non-null the
-/// communication component comes from the tracker's incremental update
-/// (exact — see IncrementalCommVolume) instead of a full face sweep.
+/// sweep (see communication_volume).
 [[nodiscard]] PacMetrics evaluate_pac(const WorkGrid& grid,
                                       const PartitionResult& result,
                                       std::span<const double> targets,
                                       const OwnerMap* previous = nullptr,
-                                      int threads = 1,
-                                      IncrementalCommVolume* comm_tracker =
-                                          nullptr);
+                                      int threads = 1);
 
 }  // namespace pragma::partition

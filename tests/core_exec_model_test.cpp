@@ -5,10 +5,111 @@
 // EXPECT_THROW intentionally discards nodiscard results.
 #pragma GCC diagnostic ignored "-Wunused-result"
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "pragma/amr/rm3d.hpp"
 #include "pragma/amr/synthetic.hpp"
+#include "pragma/util/rng.hpp"
 
 namespace pragma::core {
 namespace {
+
+/// Equivalence oracle for ExecutionModel::map: the direct formulation, with
+/// a per-face level loop, a per-level message loop and a std::set for the
+/// WAN (processor pair, level) dedup.
+MappedLoad reference_map(const partition::WorkGrid& grid,
+                         const partition::OwnerMap& owners,
+                         const std::vector<int>* proc_sites = nullptr) {
+  const auto nprocs = static_cast<std::size_t>(owners.nprocs);
+
+  MappedLoad mapped;
+  mapped.work = partition::processor_loads(grid, owners);
+
+  std::vector<double> face_cells(nprocs, 0.0);
+  const amr::IntVec3 dims = grid.lattice_dims();
+  const int g = grid.grain();
+  std::set<std::tuple<int, int, int>> wan_exchanges;
+
+  auto visit_face = [&](std::size_t a, std::size_t b) {
+    const int pa = owners.owner[a];
+    const int pb = owners.owner[b];
+    if (pa == pb) return;
+    const std::uint32_t shared =
+        grid.levels_present(a) & grid.levels_present(b);
+    if (shared == 0) return;
+    const bool cross_site =
+        proc_sites != nullptr &&
+        (*proc_sites)[static_cast<std::size_t>(pa)] !=
+            (*proc_sites)[static_cast<std::size_t>(pb)];
+    double cost = 0.0;
+    double r = 1.0;
+    for (int l = 0; l < grid.num_levels(); ++l) {
+      if (shared & (1u << l)) {
+        const double edge = static_cast<double>(g) * r;
+        cost += edge * edge * r;
+        if (cross_site &&
+            wan_exchanges.insert({std::min(pa, pb), std::max(pa, pb), l})
+                .second)
+          mapped.wan_messages += r;
+      }
+      r *= static_cast<double>(grid.ratio());
+    }
+    face_cells[static_cast<std::size_t>(pa)] += cost;
+    face_cells[static_cast<std::size_t>(pb)] += cost;
+    if (cross_site) mapped.wan_face_cells += cost;
+  };
+
+  for (int z = 0; z < dims.z; ++z)
+    for (int y = 0; y < dims.y; ++y)
+      for (int x = 0; x < dims.x; ++x) {
+        const std::size_t c = grid.linear({x, y, z});
+        if (x + 1 < dims.x) visit_face(c, grid.linear({x + 1, y, z}));
+        if (y + 1 < dims.y) visit_face(c, grid.linear({x, y + 1, z}));
+        if (z + 1 < dims.z) visit_face(c, grid.linear({x, y, z + 1}));
+      }
+  mapped.face_cells = std::move(face_cells);
+
+  mapped.messages.assign(nprocs, 0.0);
+  std::vector<double> substeps(static_cast<std::size_t>(grid.num_levels()));
+  {
+    double r = 1.0;
+    for (int l = 0; l < grid.num_levels(); ++l) {
+      substeps[static_cast<std::size_t>(l)] = r;
+      r *= static_cast<double>(grid.ratio());
+    }
+  }
+  int prev_owner = -1;
+  std::uint32_t prev_levels = 0;
+  for (std::uint32_t c : grid.order()) {
+    const int owner = owners.owner[c];
+    const std::uint32_t levels = grid.levels_present(c);
+    for (int l = 0; l < grid.num_levels(); ++l) {
+      const bool now = (levels >> l) & 1u;
+      const bool before = owner == prev_owner && ((prev_levels >> l) & 1u);
+      if (now && !before)
+        mapped.messages[static_cast<std::size_t>(owner)] +=
+            2.0 * substeps[static_cast<std::size_t>(l)];
+    }
+    prev_owner = owner;
+    prev_levels = levels;
+  }
+  return mapped;
+}
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool bitwise_equal(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
 
 amr::GridHierarchy test_hierarchy() {
   amr::SyntheticConfig config;
@@ -168,6 +269,24 @@ TEST(ProjectOwners, NonDividingDimsThrow) {
                std::invalid_argument);
 }
 
+TEST(ProjectOwners, ZeroDimsThrow) {
+  partition::OwnerMap coarse;
+  coarse.nprocs = 1;
+  coarse.owner = {0, 0};
+  EXPECT_THROW(project_owners(coarse, {0, 1, 1}, {4, 2, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(project_owners(coarse, {2, 1, 1}, {4, 0, 2}),
+               std::invalid_argument);
+}
+
+TEST(ProjectOwners, SourceSmallerThanLatticeThrows) {
+  partition::OwnerMap coarse;
+  coarse.nprocs = 1;
+  coarse.owner = {0};  // the source lattice has 2 cells
+  EXPECT_THROW(project_owners(coarse, {2, 1, 1}, {4, 2, 2}),
+               std::invalid_argument);
+}
+
 
 TEST(ExecutionModel, WanTrafficChargedOnFederations) {
   const partition::WorkGrid grid(test_hierarchy(), 2);
@@ -221,6 +340,113 @@ TEST(ExecutionModel, FragmentedOwnershipCostsMoreMessages) {
   const MappedLoad a = model.map(grid, contiguous);
   const MappedLoad b = model.map(grid, striped);
   EXPECT_GT(b.messages[0], a.messages[0] * 2.0);
+}
+
+/// 17 levels, one more than face-cost tables are built for, so map() folds
+/// per face.  Every level is present along the y = z = 0 row of level-0
+/// cells: faces cut there share all 17 level bits.  The deep boxes are two
+/// cells wide, which keeps every work and cost term exactly representable.
+amr::GridHierarchy deep_hierarchy() {
+  amr::GridHierarchy hierarchy({6, 4, 4}, 2, 17);
+  for (int l = 1; l < 17; ++l) {
+    const int r = 1 << l;
+    std::vector<amr::Box> boxes;
+    for (int x = 1; x < 6; ++x)
+      boxes.emplace_back(amr::IntVec3{x * r - 1, 0, 0},
+                         amr::IntVec3{x * r + 1, 1, 1});
+    hierarchy.set_level_boxes(l, std::move(boxes));
+  }
+  return hierarchy;
+}
+
+// The table-driven map() against the oracle on RM3D snapshots across
+// consecutive regrids at grains 1-3, and on a grid too deep to tabulate:
+// contiguous and randomly perturbed owner maps, with and without a 3-site
+// federation.  Its communication total must equal the reference face
+// sweep's bit for bit.
+TEST(ExecutionModel, MapMatchesReferenceBitwise) {
+  amr::Rm3dConfig app;
+  app.coarse_steps = 100;
+  const amr::AdaptationTrace trace = amr::Rm3dEmulator(app).run();
+  ASSERT_GE(trace.size(), 26u);
+  std::vector<std::pair<std::string, partition::WorkGrid>> grids;
+  for (int grain = 1; grain <= 3; ++grain)
+    for (std::size_t i = 20; i < 26; ++i)
+      grids.emplace_back("grain " + std::to_string(grain) + " snapshot " +
+                             std::to_string(i),
+                         partition::WorkGrid(trace.at(i).hierarchy, grain));
+  grids.emplace_back("17 levels", partition::WorkGrid(deep_hierarchy(), 1));
+  ASSERT_EQ(grids.back().second.num_levels(), 17);
+
+  const ExecutionModel model;
+  const auto partitioner = partition::make_partitioner("SFC");
+  util::Rng rng(15);
+  for (const auto& [name, grid] : grids) {
+    ASSERT_GT(grid.num_levels(), 1);
+    for (const int nprocs : {5, 16}) {
+      const partition::OwnerMap blocky =
+          partitioner->partition(grid, partition::equal_targets(nprocs))
+              .owners;
+      partition::OwnerMap perturbed = blocky;
+      for (int& owner : perturbed.owner)
+        if (rng.uniform() < 0.05)
+          owner = static_cast<int>(rng.uniform_int(0, nprocs - 1));
+      std::vector<int> sites(static_cast<std::size_t>(nprocs));
+      for (int p = 0; p < nprocs; ++p)
+        sites[static_cast<std::size_t>(p)] = p % 3;
+      for (const partition::OwnerMap* owners :
+           {&blocky, static_cast<const partition::OwnerMap*>(&perturbed)}) {
+        for (const std::vector<int>* proc_sites :
+             {static_cast<const std::vector<int>*>(nullptr),
+              static_cast<const std::vector<int>*>(&sites)}) {
+          SCOPED_TRACE(name + " nprocs " + std::to_string(nprocs) +
+                       (owners == &blocky ? " blocky" : " perturbed") +
+                       (proc_sites != nullptr ? " 3 sites" : ""));
+          const MappedLoad fast = model.map(grid, *owners, proc_sites);
+          const MappedLoad slow = reference_map(grid, *owners, proc_sites);
+          EXPECT_TRUE(bitwise_equal(fast.work, slow.work));
+          EXPECT_TRUE(bitwise_equal(fast.face_cells, slow.face_cells));
+          EXPECT_TRUE(bitwise_equal(fast.messages, slow.messages));
+          EXPECT_TRUE(
+              bitwise_equal(fast.wan_face_cells, slow.wan_face_cells));
+          EXPECT_TRUE(bitwise_equal(fast.wan_messages, slow.wan_messages));
+          EXPECT_TRUE(bitwise_equal(
+              fast.communication,
+              partition::reference_communication_volume(grid, *owners)));
+          if (proc_sites != nullptr) {
+            EXPECT_GT(fast.wan_messages, 0.0);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExecutionModel, MapRejectsBadInputs) {
+  const partition::WorkGrid grid(test_hierarchy(), 2);
+  const ExecutionModel model;
+  partition::OwnerMap owners = split_by_curve(grid, 4);
+  const std::vector<int> short_sites{0, 1, 0};
+  EXPECT_THROW(model.map(grid, owners, &short_sites), std::invalid_argument);
+  owners.owner.back() = 4;
+  EXPECT_THROW(model.map(grid, owners), std::invalid_argument);
+  owners.owner.pop_back();
+  EXPECT_THROW(model.map(grid, owners), std::invalid_argument);
+}
+
+TEST(ExecutionModel, MigrationTimeRejectsBadInputs) {
+  const partition::WorkGrid grid(test_hierarchy(), 2);
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
+  const ExecutionModel model;
+  const partition::OwnerMap owners = split_by_curve(grid, 4);
+  partition::OwnerMap out_of_range = owners;
+  out_of_range.owner.front() = 4;
+  EXPECT_THROW(model.migration_time(grid, owners, out_of_range, cluster),
+               std::invalid_argument);
+  partition::OwnerMap shorter = owners;
+  shorter.owner.pop_back();
+  EXPECT_THROW(model.migration_time(grid, shorter, shorter, cluster),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 // EXPECT_THROW intentionally discards nodiscard results.
 #pragma GCC diagnostic ignored "-Wunused-result"
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/core/system_sensitive.hpp"
 #include "pragma/core/trace_runner.hpp"
@@ -20,6 +25,77 @@ const amr::AdaptationTrace& short_rm3d_trace() {
     return amr::Rm3dEmulator(config).run();
   }();
   return trace;
+}
+
+/// Every RunSummary field and SnapshotRecord of the Table 4 strategies on
+/// 16 and 64 homogeneous processors, one runner per processor count, with
+/// the modeled (deterministic) partitioning cost and the serial pipeline.
+std::string replay_reference_text() {
+  const policy::PolicyBase policies = policy::standard_policy_base();
+  std::string out;
+  char line[512];
+  for (const std::size_t nprocs : {std::size_t{16}, std::size_t{64}}) {
+    const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(nprocs);
+    TraceRunConfig config;
+    config.nprocs = nprocs;
+    config.threads = 1;
+    config.modeled_partition_s_per_cell = 50e-9;
+    const TraceRunner runner(short_rm3d_trace(), cluster, config);
+    for (const char* strategy : {"SFC", "G-MISP+SP", "pBD-ISP", "adaptive"}) {
+      const RunSummary s = std::string(strategy) == "adaptive"
+                               ? runner.run_adaptive(policies)
+                               : runner.run_static(strategy);
+      std::snprintf(line, sizeof(line),
+                    "run %s nprocs=%zu runtime_s=%.17g compute_s=%.17g "
+                    "comm_s=%.17g migration_s=%.17g partition_s=%.17g "
+                    "max_imbalance=%.17g mean_imbalance=%.17g "
+                    "amr_efficiency=%.17g switches=%zu records=%zu\n",
+                    s.label.c_str(), nprocs, s.runtime_s, s.compute_s,
+                    s.comm_s, s.migration_s, s.partition_s, s.max_imbalance,
+                    s.mean_imbalance, s.amr_efficiency, s.switches,
+                    s.records.size());
+      out += line;
+      for (const SnapshotRecord& r : s.records) {
+        std::snprintf(line, sizeof(line),
+                      "  %d %s %s %.17g %.17g %.17g %.17g %.17g %.17g\n",
+                      r.step, r.partitioner.c_str(),
+                      r.octant.empty() ? "-" : r.octant.c_str(),
+                      r.step_time_s, r.imbalance, r.comm_volume,
+                      r.migration_s, r.partition_s, r.amr_efficiency);
+        out += line;
+      }
+    }
+  }
+  return out;
+}
+
+// Pins replay outputs bit for bit.  On a mismatch the regenerated text is
+// written to trace_replay_reference.actual in the working directory; after
+// a deliberate change to replay numbers, copy it over the reference.
+TEST(TraceRunner, ReplayMatchesCommittedReference) {
+  const std::string path =
+      std::string(PRAGMA_SOURCE_DIR) + "/ci/trace_replay_reference.out";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  const std::string actual = replay_reference_text();
+  if (actual == expected.str()) return;
+  std::ofstream("trace_replay_reference.actual", std::ios::binary) << actual;
+  std::istringstream a(actual);
+  std::istringstream e(expected.str());
+  std::string a_line;
+  std::string e_line;
+  for (int n = 1;; ++n) {
+    const bool more_a = static_cast<bool>(std::getline(a, a_line));
+    const bool more_e = static_cast<bool>(std::getline(e, e_line));
+    if (!more_a && !more_e) break;
+    if (!more_a || !more_e || a_line != e_line) {
+      ADD_FAILURE() << path << " differs at line " << n << "\n  expected: "
+                    << (more_e ? e_line : "<eof>")
+                    << "\n  actual:   " << (more_a ? a_line : "<eof>");
+      return;
+    }
+  }
 }
 
 TEST(TraceRunner, ValidatesConfiguration) {

@@ -1,6 +1,6 @@
 // Property tests for the incremental partitioning pipeline: hierarchy
-// deltas, WorkGrid::apply_delta vs from-scratch rebuilds (bitwise), the
-// bounded LRU work-grid cache, and the incremental communication tracker.
+// deltas, WorkGrid::apply_delta vs from-scratch rebuilds (bitwise), and
+// the bounded LRU work-grid cache.
 #include "pragma/amr/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cstring>
 #include <vector>
 
-#include "pragma/partition/metrics.hpp"
 #include "pragma/partition/partitioner.hpp"
 #include "pragma/partition/workgrid.hpp"
 #include "pragma/util/rng.hpp"
@@ -295,27 +294,6 @@ TEST(WorkGridCache, GetOrUpdateFallsBackWithoutPreviousEntry) {
   expect_bitwise_equal(*grid, WorkGrid(after, kGrain));
   EXPECT_EQ(cache.stats().incremental_builds, 0u);
   EXPECT_EQ(cache.stats().full_builds, 1u);
-}
-
-TEST(IncrementalCommVolume, TracksFullSweepBitwiseAcrossRegrids) {
-  util::Rng rng(31);
-  const auto partitioner = make_partitioner("G-MISP+SP");
-  const auto targets = equal_targets(8);
-
-  amr::GridHierarchy current = random_hierarchy(rng);
-  IncrementalCommVolume tracker;
-  for (int round = 0; round < 10; ++round) {
-    const WorkGrid grid(current, kGrain);
-    const OwnerMap owners = partitioner->partition(grid, targets).owners;
-    const double tracked = tracker.update(grid, owners);
-    const double swept = communication_volume(grid, owners, 1);
-    const double reference = reference_communication_volume(grid, owners);
-    ASSERT_EQ(std::memcmp(&tracked, &swept, sizeof(double)), 0)
-        << "round " << round;
-    ASSERT_EQ(std::memcmp(&swept, &reference, sizeof(double)), 0)
-        << "round " << round;
-    current = mutate(rng, current);
-  }
 }
 
 }  // namespace
