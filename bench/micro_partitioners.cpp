@@ -6,22 +6,19 @@
 //
 // In addition to the google-benchmark suite, main() first runs a small
 // fixed harness over the hot pipeline kernels — prefix-sum splitters vs the
-// reference scan kernels, serial vs parallel WorkGrid build and
+// reference scan kernels, serial vs parallel WorkGrid build, and the
 // communication sweep — and writes the results to
 // BENCH_partition_pipeline.json (name -> ns/op, cells, threads) so runs can
-// be diffed mechanically.
+// be diffed mechanically.  It then runs the equivalence gates below.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "pragma/amr/delta.hpp"
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/amr/synthetic.hpp"
 #include "pragma/core/exec_model.hpp"
@@ -99,8 +96,6 @@ void BM_WorkGridBuild(benchmark::State& state) {
 }
 
 void BM_PacMetrics(benchmark::State& state) {
-  const int threads =
-      util::resolve_threads(static_cast<int>(state.range(0)));
   const auto partitioner = partition::make_partitioner("G-MISP+SP");
   const partition::WorkGrid grid(sample_hierarchy(),
                                  partitioner->preferred_grain(),
@@ -110,7 +105,7 @@ void BM_PacMetrics(benchmark::State& state) {
       partitioner->partition(grid, targets);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        partition::evaluate_pac(grid, result, targets, nullptr, threads));
+        partition::evaluate_pac(grid, result, targets));
   }
 }
 
@@ -212,34 +207,22 @@ std::vector<PipelineEntry> run_pipeline_harness() {
   const auto partitioner = partition::make_partitioner("G-MISP+SP");
   const partition::PartitionResult result =
       partitioner->partition(grid, targets);
-  for (const int threads : {1, hw}) {
-    add("communication_volume", threads, time_ns_per_op([&] {
-          benchmark::DoNotOptimize(partition::communication_volume(
-              grid, result.owners, threads));
-        }));
-    if (hw == 1) break;
-  }
+  add("communication_volume", 1, time_ns_per_op([&] {
+        benchmark::DoNotOptimize(
+            partition::communication_volume(grid, result.owners));
+      }));
   return entries;
 }
 
-// ---- Regrid-churn sweep: full rebuild vs incremental ----------------------
+// ---- Equivalence gates ----------------------------------------------------
 //
-// Controlled by two environment variables (google-benchmark owns argv):
-//   PRAGMA_PIPELINE_LARGE  "0" shrinks the sweep to a small lattice for
-//                          quick local runs (default: the 1M+-grain-cell
-//                          configuration the committed baseline reports).
-//   PRAGMA_PIPELINE_CHURN  comma-separated move fractions for the sweep
-//                          (default "0.02,0.05,0.10,0.25").
-//
-// Besides the timing curves, the sweep *gates* correctness: the vectorized
-// build must match WorkGrid::reference_build bitwise, apply_delta must
-// match a from-scratch rebuild bitwise, the table-driven communication
+// Run once on a 1M-cell synthetic lattice: the vectorized build must match
+// WorkGrid::reference_build bitwise, and the table-driven communication
 // sweep and the execution model's communication tally must match the
-// reference fold, and the incremental build must not be slower
-// than the full rebuild at the lowest churn.  Any violation makes the
-// binary exit nonzero, which is what the perf-smoke CI job checks.
+// reference fold.  Any violation makes the binary exit nonzero, which is
+// what the perf-smoke CI job checks.
 
-/// Bitwise comparison of every array a full rebuild would produce.
+/// Bitwise comparison of every array a grid build produces.
 bool grids_bitwise_equal(const partition::WorkGrid& a,
                          const partition::WorkGrid& b, const char* what,
                          int& failures) {
@@ -275,141 +258,44 @@ bool grids_bitwise_equal(const partition::WorkGrid& a,
   return true;
 }
 
-std::vector<double> churn_levels_from_env() {
-  std::vector<double> churns;
-  if (const char* env = std::getenv("PRAGMA_PIPELINE_CHURN")) {
-    std::stringstream stream(env);
-    std::string item;
-    while (std::getline(stream, item, ','))
-      if (!item.empty()) churns.push_back(std::atof(item.c_str()));
-  }
-  if (churns.empty()) churns = {0.02, 0.05, 0.10, 0.25};
-  return churns;
-}
-
-std::vector<PipelineEntry> run_churn_sweep(int& failures) {
-  const char* large_env = std::getenv("PRAGMA_PIPELINE_LARGE");
-  const bool large = large_env == nullptr || std::strcmp(large_env, "0") != 0;
-  const std::vector<double> churns = churn_levels_from_env();
-
+int run_equivalence_gates() {
+  // 128 x 128 x 64 grain cells at grain 2 = 1,048,576 cells.
   amr::SyntheticConfig config;
-  if (large) {
-    // 128 x 128 x 64 grain cells at grain 2 = 1,048,576 cells.
-    config.base_dims = {256, 256, 128};
-    config.box_count = 96;
-    config.box_edge = 32;
-  } else {
-    config.box_count = 16;
-    config.box_edge = 4;
-  }
+  config.base_dims = {256, 256, 128};
+  config.box_count = 96;
+  config.box_edge = 32;
   constexpr int kGrain = 2;
+  const amr::GridHierarchy hierarchy =
+      amr::SyntheticAppGenerator(config).build_hierarchy();
 
-  std::vector<PipelineEntry> entries;
-  bool oracle_checked = false;
-  double lowest_churn = -1.0;
-  double lowest_speedup = 0.0;
+  int failures = 0;
+  const partition::WorkGrid grid(hierarchy, kGrain);
+  grids_bitwise_equal(grid,
+                      partition::WorkGrid::reference_build(hierarchy, kGrain),
+                      "vectorized vs reference build", failures);
 
-  for (const double move_fraction : churns) {
-    amr::SyntheticConfig step = config;
-    step.move_fraction = move_fraction;
-    amr::SyntheticAppGenerator generator(step);
-    const amr::AdaptationTrace trace = generator.generate(2);
-    const amr::GridHierarchy& before = trace.at(0).hierarchy;
-    const amr::GridHierarchy& after = trace.at(1).hierarchy;
-    const amr::HierarchyDelta delta = amr::diff_hierarchies(before, after);
-    const amr::HierarchyDelta reverse = delta.reversed();
-
-    const partition::WorkGrid base(before, kGrain);
-    const partition::WorkGrid full(after, kGrain);
-    const std::size_t cells = full.cell_count();
-
-    // Bitwise gates.  The scalar-oracle comparisons are O(cells * boxes)
-    // and config-independent, so they run once per sweep; the
-    // incremental-vs-rebuild gate runs at every churn level.
-    if (!oracle_checked) {
-      oracle_checked = true;
-      const partition::WorkGrid reference =
-          partition::WorkGrid::reference_build(after, kGrain);
-      grids_bitwise_equal(full, reference, "vectorized vs reference build",
-                          failures);
-
-      const auto partitioner = partition::make_partitioner("G-MISP+SP");
-      const auto targets = partition::equal_targets(64);
-      const partition::OwnerMap owners_after =
-          partitioner->partition(full, targets).owners;
-      const double swept = partition::communication_volume(full,
-                                                           owners_after, 1);
-      const double reference_swept =
-          partition::reference_communication_volume(full, owners_after);
-      if (std::memcmp(&swept, &reference_swept, sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "GATE FAILED: table comm sweep differs from reference "
-                     "(%.17g vs %.17g)\n",
-                     swept, reference_swept);
-        ++failures;
-      }
-      const double mapped =
-          core::ExecutionModel{}.map(full, owners_after).communication;
-      if (std::memcmp(&mapped, &reference_swept, sizeof(double)) != 0) {
-        std::fprintf(stderr,
-                     "GATE FAILED: execution-model communication differs "
-                     "from reference (%.17g vs %.17g)\n",
-                     mapped, reference_swept);
-        ++failures;
-      }
-    }
-    partition::WorkGrid incremental = base;
-    if (!incremental.apply_delta(delta)) {
-      std::fprintf(stderr, "GATE FAILED: apply_delta rejected churn %.3g\n",
-                   move_fraction);
-      ++failures;
-      continue;
-    }
-    char label[64];
-    std::snprintf(label, sizeof(label), "apply_delta@churn=%.3g",
-                  delta.churn());
-    grids_bitwise_equal(incremental, full, label, failures);
-
-    // Timing: the full rebuild vs the in-place incremental update (one
-    // forward + one reverse application per iteration — an exact round
-    // trip, so the grid state is stable across iterations).
-    const double full_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(partition::WorkGrid(after, kGrain));
-    });
-    const double pair_ns = time_ns_per_op([&] {
-      benchmark::DoNotOptimize(incremental.apply_delta(reverse));
-      benchmark::DoNotOptimize(incremental.apply_delta(delta));
-    });
-    const double incremental_ns = pair_ns / 2.0;
-    const double speedup =
-        incremental_ns > 0.0 ? full_ns / incremental_ns : 0.0;
-
-    char name[96];
-    std::snprintf(name, sizeof(name), "regrid_full_rebuild@churn=%.3g",
-                  move_fraction);
-    entries.push_back({name, full_ns, cells, 1});
-    std::snprintf(name, sizeof(name), "regrid_incremental@churn=%.3g",
-                  move_fraction);
-    entries.push_back({name, incremental_ns, cells, 1});
-    std::printf("  churn %.3g (delta churn %.3g): full %.0f ns, "
-                "incremental %.0f ns, speedup %.1fx\n",
-                move_fraction, delta.churn(), full_ns, incremental_ns,
-                speedup);
-
-    if (lowest_churn < 0.0 || move_fraction < lowest_churn) {
-      lowest_churn = move_fraction;
-      lowest_speedup = speedup;
-    }
-  }
-
-  if (lowest_churn >= 0.0 && lowest_speedup < 1.0) {
+  const auto partitioner = partition::make_partitioner("G-MISP+SP");
+  const partition::OwnerMap owners =
+      partitioner->partition(grid, partition::equal_targets(64)).owners;
+  const double swept = partition::communication_volume(grid, owners);
+  const double reference_swept =
+      partition::reference_communication_volume(grid, owners);
+  if (std::memcmp(&swept, &reference_swept, sizeof(double)) != 0) {
     std::fprintf(stderr,
-                 "GATE FAILED: incremental path slower than full rebuild at "
-                 "churn %.3g (%.2fx)\n",
-                 lowest_churn, lowest_speedup);
+                 "GATE FAILED: table comm sweep differs from reference "
+                 "(%.17g vs %.17g)\n",
+                 swept, reference_swept);
     ++failures;
   }
-  return entries;
+  const double mapped = core::ExecutionModel{}.map(grid, owners).communication;
+  if (std::memcmp(&mapped, &reference_swept, sizeof(double)) != 0) {
+    std::fprintf(stderr,
+                 "GATE FAILED: execution-model communication differs "
+                 "from reference (%.17g vs %.17g)\n",
+                 mapped, reference_swept);
+    ++failures;
+  }
+  return failures;
 }
 
 }  // namespace
@@ -434,14 +320,11 @@ BENCHMARK_CAPTURE(BM_SplitterReference, optimal,
                   &partition::reference_optimal_split)
     ->Arg(64);
 BENCHMARK(BM_WorkGridBuild)->ArgsProduct({{2, 4, 8}, {1, 0}});
-BENCHMARK(BM_PacMetrics)->Arg(1)->Arg(0);
+BENCHMARK(BM_PacMetrics);
 BENCHMARK(BM_Regrid);
 
 int main(int argc, char** argv) {
-  int gate_failures = 0;
-  std::vector<PipelineEntry> entries = run_pipeline_harness();
-  const std::vector<PipelineEntry> churn = run_churn_sweep(gate_failures);
-  entries.insert(entries.end(), churn.begin(), churn.end());
+  const std::vector<PipelineEntry> entries = run_pipeline_harness();
   if (write_pipeline_json(entries, "BENCH_partition_pipeline.json"))
     std::printf("wrote BENCH_partition_pipeline.json (%zu entries)\n",
                 entries.size());
@@ -451,9 +334,9 @@ int main(int argc, char** argv) {
   for (const PipelineEntry& e : entries)
     std::printf("  %-36s threads=%d  %12.1f ns/op\n", e.name.c_str(),
                 e.threads, e.ns_per_op);
+  const int gate_failures = run_equivalence_gates();
   if (gate_failures > 0) {
-    std::fprintf(stderr, "%d equivalence/performance gate(s) failed\n",
-                 gate_failures);
+    std::fprintf(stderr, "%d equivalence gate(s) failed\n", gate_failures);
     return 1;
   }
 

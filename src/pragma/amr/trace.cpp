@@ -17,20 +17,6 @@ std::size_t AdaptationTrace::index_for_step(int step) const {
   return index;
 }
 
-HierarchyDelta AdaptationTrace::delta(std::size_t i) const {
-  if (i == 0 || i >= snapshots_.size()) {
-    const std::size_t at = std::min(i, snapshots_.empty()
-                                           ? std::size_t{0}
-                                           : snapshots_.size() - 1);
-    if (snapshots_.empty()) return {};
-    const GridHierarchy& h = snapshots_[at].hierarchy;
-    const GridHierarchy empty(h.base_dims(), h.ratio(), h.max_levels());
-    return diff_hierarchies(empty, h);
-  }
-  return diff_hierarchies(snapshots_[i - 1].hierarchy,
-                          snapshots_[i].hierarchy);
-}
-
 double AdaptationTrace::churn(std::size_t i) const {
   if (i == 0 || i >= snapshots_.size()) return 0.0;
   const GridHierarchy& prev = snapshots_[i - 1].hierarchy;

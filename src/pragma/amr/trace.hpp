@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "pragma/amr/delta.hpp"
 #include "pragma/amr/hierarchy.hpp"
 
 namespace pragma::amr {
@@ -40,13 +39,6 @@ class AdaptationTrace {
   /// Index of the snapshot in effect at coarse step `step` (the last
   /// snapshot with snapshot.step <= step).
   [[nodiscard]] std::size_t index_for_step(int step) const;
-
-  /// Structural delta from snapshot i-1 to snapshot i: the per-level box
-  /// additions/removals the regrid performed.  Snapshot 0 (and any i out of
-  /// range) yields a full-replacement delta from an empty hierarchy.  This
-  /// is what the incremental WorkGrid/comm-volume path consumes during
-  /// replay.
-  [[nodiscard]] HierarchyDelta delta(std::size_t i) const;
 
   /// Refinement churn between snapshot i-1 and i: the symmetric-difference
   /// volume of refined regions across all levels, normalized by the union

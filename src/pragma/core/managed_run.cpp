@@ -7,7 +7,6 @@
 
 #include "pragma/core/run_snapshot.hpp"
 #include "pragma/obs/flight_recorder.hpp"
-#include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
 #include "pragma/policy/builtin.hpp"
 #include "pragma/util/logging.hpp"
@@ -407,7 +406,6 @@ bool ManagedRun::try_restore() {
     owners_.owner.assign(snapshot.owners.begin(), snapshot.owners.end());
     owners_.nprocs = snapshot.owners_nprocs;
     canonical_ = std::move(canonical);
-    canonical_hierarchy_ = trace_.snapshots().back().hierarchy;
     mapped_ = model_.map(*canonical_, owners_);
     has_assignment_ = true;
 
@@ -505,27 +503,11 @@ void ManagedRun::repartition(bool count_as_regrid) {
   const partition::PartitionResult result =
       partitioner.partition(native, targets);
 
-  // Steady-state regrids move few boxes, so the canonical grid is usually
-  // updated in place from the hierarchy delta (bitwise-identical to the
-  // rebuild, see WorkGrid::apply_delta) instead of re-rasterized.
-  bool incremental = false;
-  if (canonical_.has_value() && canonical_hierarchy_.has_value()) {
-    const amr::HierarchyDelta delta =
-        amr::diff_hierarchies(*canonical_hierarchy_, emulator_.hierarchy());
-    if (delta.compatible &&
-        delta.churn() <= partition::kIncrementalChurnLimit)
-      incremental = canonical_->apply_delta(delta);
-  }
-  if (!incremental)
+  // The emulator's hierarchy changes only at a regrid, so an event
+  // repartition keeps the canonical grid rasterized at the last one.
+  if (count_as_regrid || !canonical_.has_value())
     canonical_.emplace(emulator_.hierarchy(), 2,
                        partition::CurveKind::kHilbert);
-  canonical_hierarchy_ = emulator_.hierarchy();
-  static obs::Counter& canonical_incremental =
-      obs::metrics().counter("core.managed_run.canonical_incremental");
-  static obs::Counter& canonical_full =
-      obs::metrics().counter("core.managed_run.canonical_full");
-  (incremental ? canonical_incremental : canonical_full).add();
-  span.annotate("canonical_incremental", incremental ? "true" : "false");
   partition::OwnerMap next = project_owners(
       result.owners, native.lattice_dims(), canonical_->lattice_dims());
 

@@ -289,9 +289,6 @@ class ManagedRun {
 
   // Current assignment state.
   std::optional<partition::WorkGrid> canonical_;
-  /// The hierarchy canonical_ was rasterized from — the "before" side of
-  /// the delta when the next repartition updates the grid incrementally.
-  std::optional<amr::GridHierarchy> canonical_hierarchy_;
   partition::OwnerMap owners_;
   MappedLoad mapped_;
   bool has_assignment_ = false;

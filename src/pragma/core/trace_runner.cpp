@@ -104,22 +104,12 @@ RunSummary TraceRunner::replay(
 
     const partition::Partitioner& partitioner = select(i);
 
-    // Each snapshot's canonical grid is rasterized once per runner and
-    // shared across replays through the cache (snapshot i+1's grid, built
+    // Canonical grids come from the cache: snapshot i+1's grid, built
     // below for the stale-partition term, is this lookup on the next
-    // iteration — and on every other replay of the same trace).  A cache
-    // miss derives the grid from the previous snapshot's entry via the
-    // hierarchy delta instead of re-rasterizing.
-    const auto canonical_grid = [&](std::size_t index)
-        -> std::shared_ptr<const partition::WorkGrid> {
-      const amr::GridHierarchy& h = trace_.at(index).hierarchy;
-      if (index > 0)
-        return grids.get_or_update(index, h, index - 1,
-                                   trace_.at(index - 1).hierarchy,
-                                   config_.canonical_grain,
-                                   partition::CurveKind::kHilbert,
-                                   config_.threads);
-      return grids.get_or_build(index, h, config_.canonical_grain,
+    // iteration, and concurrent replays of the same trace share it.
+    const auto canonical_grid = [&](std::size_t index) {
+      return grids.get_or_build(index, trace_.at(index).hierarchy,
+                                config_.canonical_grain,
                                 partition::CurveKind::kHilbert,
                                 config_.threads);
     };
@@ -164,11 +154,8 @@ RunSummary TraceRunner::replay(
                             ? meta->current_grain()
                             : partitioner.preferred_grain();
       const std::shared_ptr<const partition::WorkGrid> native =
-          i > 0 ? grids.get_or_update(i, hierarchy, i - 1,
-                                      trace_.at(i - 1).hierarchy, grain,
-                                      partitioner.curve(), config_.threads)
-                : grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
-                                     config_.threads);
+          grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
+                             config_.threads);
       result = partitioner.partition(*native, config_.targets);
       if (config_.modeled_partition_s_per_cell > 0.0)
         result.partition_seconds =

@@ -125,9 +125,9 @@ class TraceRunner {
   const grid::Cluster& cluster_;
   TraceRunConfig config_;
   ExecutionModel model_;
-  /// Canonical (and native) work grids keyed by snapshot index: each grid
-  /// is rasterized once per runner and shared across replays.  Bypassed
-  /// when config_.shared_cache points at a service-owned cache.
+  /// Canonical (and native) work grids keyed by snapshot index, shared
+  /// across replays while they stay in the LRU (see WorkGridCache).
+  /// Bypassed when config_.shared_cache points at a service-owned cache.
   mutable partition::WorkGridCache workgrid_cache_;
 };
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "pragma/obs/tracer.hpp"
-#include "pragma/util/thread_pool.hpp"
 
 namespace pragma::partition {
 
@@ -14,19 +13,18 @@ namespace {
 /// Deepest grid whose 2^levels face-cost table is built.
 constexpr int kFaceCostTableMaxLevels = 16;
 
-/// Branchless z-slab sweep over [z0, z1) using a precomputed cost table.
-/// Boundary faces resolve to the cell itself (owner difference 0), so the
-/// inner loop is a straight-line select+gather chain; adding the resulting
-/// 0.0 terms leaves the non-negative accumulator bitwise unchanged, which
-/// keeps the fold order identical to the reference sweep's.
-double sweep_slab_table(const int* owner, const std::uint32_t* levels,
-                        amr::IntVec3 dims, const double* table, int z0,
-                        int z1) {
+/// Branchless lattice sweep using a precomputed cost table.  Boundary
+/// faces resolve to the cell itself (owner difference 0), so the inner loop
+/// is a straight-line select+gather chain; adding the resulting 0.0 terms
+/// leaves the non-negative accumulator bitwise unchanged, which keeps the
+/// fold order identical to the reference sweep's.
+double sweep_table(const int* owner, const std::uint32_t* levels,
+                   amr::IntVec3 dims, const double* table) {
   const std::size_t sy = static_cast<std::size_t>(dims.x);
   const std::size_t sz =
       static_cast<std::size_t>(dims.x) * static_cast<std::size_t>(dims.y);
-  double slab_total = 0.0;
-  for (int z = z0; z < z1; ++z) {
+  double total = 0.0;
+  for (int z = 0; z < dims.z; ++z) {
     const std::size_t zstep = z + 1 < dims.z ? sz : 0;
     for (int y = 0; y < dims.y; ++y) {
       const std::size_t ystep = y + 1 < dims.y ? sy : 0;
@@ -39,13 +37,13 @@ double sweep_slab_table(const int* owner, const std::uint32_t* levels,
         const std::size_t zn = c + zstep;
         const int oc = owner[c];
         const std::uint32_t lc = levels[c];
-        slab_total += oc != owner[xn] ? table[lc & levels[xn]] : 0.0;
-        slab_total += oc != owner[yn] ? table[lc & levels[yn]] : 0.0;
-        slab_total += oc != owner[zn] ? table[lc & levels[zn]] : 0.0;
+        total += oc != owner[xn] ? table[lc & levels[xn]] : 0.0;
+        total += oc != owner[yn] ? table[lc & levels[yn]] : 0.0;
+        total += oc != owner[zn] ? table[lc & levels[zn]] : 0.0;
       }
     }
   }
-  return slab_total;
+  return total;
 }
 }  // namespace
 
@@ -130,37 +128,15 @@ double reference_communication_volume(const WorkGrid& grid,
   return total;
 }
 
-double communication_volume(const WorkGrid& grid, const OwnerMap& owners,
-                            int threads) {
+double communication_volume(const WorkGrid& grid, const OwnerMap& owners) {
   if (owners.owner.size() != grid.cell_count())
     throw std::invalid_argument("communication_volume: size mismatch");
   PRAGMA_SPAN_VAR(span, "partition", "communication_volume");
   span.annotate("cells", grid.cell_count());
-  const amr::IntVec3 dims = grid.lattice_dims();
   const std::vector<double> table = face_cost_table(grid);
   if (table.empty()) return reference_communication_volume(grid, owners);
-  const int* owner = owners.owner.data();
-  const std::uint32_t* levels = grid.levels().data();
-
-  if (threads <= 1 || dims.z < 2)
-    return sweep_slab_table(owner, levels, dims, table.data(), 0, dims.z);
-
-  // Z-slabs sweep disjoint face sets; per-slab partials reduce in slab
-  // order (bitwise equal to the serial sweep for the integer-valued costs).
-  std::vector<double> partials(
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            static_cast<std::size_t>(dims.z)),
-      0.0);
-  const std::size_t used = util::parallel_blocks(
-      static_cast<std::size_t>(dims.z), static_cast<int>(partials.size()),
-      [&](std::size_t block, std::size_t begin, std::size_t end) {
-        partials[block] =
-            sweep_slab_table(owner, levels, dims, table.data(),
-                             static_cast<int>(begin), static_cast<int>(end));
-      });
-  double total = 0.0;
-  for (std::size_t b = 0; b < used; ++b) total += partials[b];
-  return total;
+  return sweep_table(owners.owner.data(), grid.levels().data(),
+                     grid.lattice_dims(), table.data());
 }
 
 double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
@@ -178,7 +154,7 @@ double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
 
 PacMetrics evaluate_pac(const WorkGrid& grid, const PartitionResult& result,
                         std::span<const double> targets,
-                        const OwnerMap* previous, int threads) {
+                        const OwnerMap* previous) {
   validate_owners("evaluate_pac", grid, result.owners);
   if (targets.size() != static_cast<std::size_t>(result.owners.nprocs))
     throw std::invalid_argument("evaluate_pac: targets/nprocs mismatch");
@@ -197,7 +173,7 @@ PacMetrics evaluate_pac(const WorkGrid& grid, const PartitionResult& result,
   }
   metrics.load_imbalance = total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
 
-  metrics.communication = communication_volume(grid, result.owners, threads);
+  metrics.communication = communication_volume(grid, result.owners);
   metrics.partition_time = result.partition_seconds;
   if (previous != nullptr)
     metrics.data_migration = migration_fraction(grid, *previous,

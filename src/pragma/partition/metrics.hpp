@@ -64,13 +64,11 @@ void validate_owners(const char* who, const WorkGrid& grid,
 [[nodiscard]] std::vector<double> face_cost_table(const WorkGrid& grid);
 
 /// Total inter-processor communication volume (MIT-weighted ghost faces).
-/// `threads` > 1 splits the face sweep over z-slabs with per-thread
-/// partials reduced in slab order.  The sweep is branchless and
-/// table-driven (per-face cost looked up by the shared level mask); its
-/// result is bitwise-identical to reference_communication_volume.
+/// The sweep is branchless and table-driven (per-face cost looked up by the
+/// shared level mask); its result is bitwise-identical to
+/// reference_communication_volume.
 [[nodiscard]] double communication_volume(const WorkGrid& grid,
-                                          const OwnerMap& owners,
-                                          int threads = 1);
+                                          const OwnerMap& owners);
 
 /// Bitwise equivalence oracle for communication_volume: the pre-SIMD
 /// serial sweep with the per-face scalar level fold.
@@ -85,12 +83,10 @@ void validate_owners(const char* who, const WorkGrid& grid,
 
 /// Evaluate the full 5-component metric.  `previous` may be null.  Throws
 /// std::invalid_argument when the owner map does not cover the grid or
-/// targets.size() != nprocs.  `threads` parallelizes the communication
-/// sweep (see communication_volume).
+/// targets.size() != nprocs.
 [[nodiscard]] PacMetrics evaluate_pac(const WorkGrid& grid,
                                       const PartitionResult& result,
                                       std::span<const double> targets,
-                                      const OwnerMap* previous = nullptr,
-                                      int threads = 1);
+                                      const OwnerMap* previous = nullptr);
 
 }  // namespace pragma::partition

@@ -11,14 +11,6 @@ PrefixSums::PrefixSums(std::span<const double> weights) {
     pre_[i + 1] = pre_[i] + weights[i];
 }
 
-void PrefixSums::update_suffix(std::size_t from,
-                               std::span<const double> weights) {
-  pre_.resize(weights.size() + 1);
-  if (pre_.size() == 1) pre_[0] = 0.0;
-  for (std::size_t i = from; i < weights.size(); ++i)
-    pre_[i + 1] = pre_[i] + weights[i];
-}
-
 std::size_t PrefixSums::last_within(std::size_t lo, std::size_t hi,
                                     double bound) const {
   const auto first = pre_.begin() + static_cast<std::ptrdiff_t>(lo);

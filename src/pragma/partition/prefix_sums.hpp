@@ -45,14 +45,6 @@ class PrefixSums {
     return last_within(lo, size(), bound);
   }
 
-  /// Re-fold the sums from element `from` to the end after `weights`
-  /// changed in [from, size()).  `weights` must be the full sequence this
-  /// view summarizes (same size).  The fold repeats the constructor's
-  /// left-to-right association starting from the retained prefix(from), so
-  /// the result is bitwise-identical to rebuilding from scratch whenever
-  /// the untouched prefix is.  O(size - from), one streaming pass.
-  void update_suffix(std::size_t from, std::span<const double> weights);
-
   /// Smallest k in [lo, hi] with sum(lo, k) >= bound; hi if none.
   [[nodiscard]] std::size_t first_reaching(std::size_t lo, std::size_t hi,
                                            double bound) const;

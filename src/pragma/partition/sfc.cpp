@@ -143,27 +143,4 @@ std::vector<std::uint32_t> curve_order(amr::IntVec3 dims, CurveKind kind) {
   return *curve_order_shared(dims, kind);
 }
 
-std::shared_ptr<const std::vector<std::uint32_t>> curve_rank_shared(
-    amr::IntVec3 dims, CurveKind kind) {
-  using RankPtr = std::shared_ptr<const std::vector<std::uint32_t>>;
-  static std::mutex mutex;
-  static std::unordered_map<CurveCacheKey, RankPtr, CurveCacheKeyHash> cache;
-
-  const CurveCacheKey key{dims, kind};
-  {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  const auto order = curve_order_shared(dims, kind);
-  std::vector<std::uint32_t> rank(order->size());
-  for (std::uint32_t r = 0; r < static_cast<std::uint32_t>(order->size());
-       ++r)
-    rank[(*order)[r]] = r;
-  auto inverse =
-      std::make_shared<const std::vector<std::uint32_t>>(std::move(rank));
-  std::lock_guard<std::mutex> lock(mutex);
-  return cache.try_emplace(key, std::move(inverse)).first->second;
-}
-
 }  // namespace pragma::partition

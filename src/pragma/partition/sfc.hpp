@@ -42,13 +42,6 @@ curve_order_shared(amr::IntVec3 dims, CurveKind kind);
 [[nodiscard]] std::vector<std::uint32_t> curve_order(amr::IntVec3 dims,
                                                      CurveKind kind);
 
-/// Inverse of curve_order_shared(): rank[linear cell index] = position of
-/// that cell along the curve.  Memoized and shared exactly like the forward
-/// order; the incremental WorkGrid path uses it to map touched lattice
-/// cells back into the 1-D work sequence without a scan.
-[[nodiscard]] std::shared_ptr<const std::vector<std::uint32_t>>
-curve_rank_shared(amr::IntVec3 dims, CurveKind kind);
-
 /// Smallest b with 2^b >= max extent.
 [[nodiscard]] int curve_bits(amr::IntVec3 dims);
 

@@ -22,8 +22,7 @@ struct BoxTask {
 };
 
 /// Per-box weights of level l (MIT substepping: a level-l cell advances
-/// r^l times per coarse step).  Must repeat GridHierarchy::cumulative_ratio
-/// exactly so delta application matches full builds bit for bit.
+/// r^l times per coarse step).
 BoxTask make_task(const amr::Box& box, int level, int ratio) {
   std::int64_t rr = 1;
   for (int i = 0; i < level; ++i) rr *= ratio;
@@ -34,11 +33,12 @@ BoxTask make_task(const amr::Box& box, int level, int ratio) {
 }
 
 /// Reference scalar kernel (the pre-SIMD implementation): rasterize one box
-/// onto (work, storage) and its level's cover plane via per-cell Box
-/// intersections.  Kept as the bitwise oracle for rasterize_box below.
+/// onto (work, storage) and set its level's bit in the level masks via
+/// per-cell Box intersections.  Kept as the bitwise oracle for
+/// rasterize_box below.
 void reference_rasterize_box(const BoxTask& task, int grain,
                              amr::IntVec3 dims, double* work, double* storage,
-                             std::uint32_t* cover) {
+                             std::uint32_t* levels) {
   const amr::Box in_l0 = task.box->coarsen(task.rr);
   const amr::IntVec3 glo{in_l0.lo().x / grain, in_l0.lo().y / grain,
                          in_l0.lo().z / grain};
@@ -62,7 +62,7 @@ void reference_rasterize_box(const BoxTask& task, int grain,
                      static_cast<std::size_t>(gz));
         work[c] += overlap * task.work_per_l0;
         storage[c] += overlap * task.cells_per_l0;
-        cover[c] += 1;
+        levels[c] |= 1u << task.level;
       }
 }
 
@@ -73,12 +73,8 @@ void reference_rasterize_box(const BoxTask& task, int grain,
 /// per-cell contributions are products of exact small integers, so the
 /// factored form (ox * (oy*oz*weight)) produces bitwise-identical sums to
 /// the reference kernel's (ox*oy*oz) * weight.
-///
-/// `sign` is +1 to deposit a box and -1 to withdraw it (apply_delta);
-/// `touched`, when non-null, stamps every cell the box covers.
 void rasterize_box(const BoxTask& task, int grain, amr::IntVec3 dims,
-                   double* work, double* storage, std::uint32_t* cover,
-                   double sign, std::uint8_t* touched) {
+                   double* work, double* storage, std::uint32_t* levels) {
   const amr::Box in_l0 = task.box->coarsen(task.rr);
   const amr::IntVec3 glo{in_l0.lo().x / grain, in_l0.lo().y / grain,
                          in_l0.lo().z / grain};
@@ -113,15 +109,13 @@ void rasterize_box(const BoxTask& task, int grain, amr::IntVec3 dims,
     oz[static_cast<std::size_t>(k)] =
         axis_overlap(glo.z + k, in_l0.lo().z, in_l0.hi().z);
 
-  const std::uint32_t cover_delta = sign < 0.0
-                                        ? static_cast<std::uint32_t>(-1)
-                                        : static_cast<std::uint32_t>(1);
+  const std::uint32_t bit = 1u << task.level;
   for (int k = 0; k < nz; ++k)
     for (int j = 0; j < ny; ++j) {
       const double oyz = oy[static_cast<std::size_t>(j)] *
                          oz[static_cast<std::size_t>(k)];
-      const double wyz = sign * (oyz * task.work_per_l0);
-      const double syz = sign * (oyz * task.cells_per_l0);
+      const double wyz = oyz * task.work_per_l0;
+      const double syz = oyz * task.cells_per_l0;
       const std::size_t base =
           static_cast<std::size_t>(glo.x) +
           static_cast<std::size_t>(dims.x) *
@@ -130,16 +124,12 @@ void rasterize_box(const BoxTask& task, int grain, amr::IntVec3 dims,
                    static_cast<std::size_t>(glo.z + k));
       double* wrow = work + base;
       double* srow = storage + base;
-      std::uint32_t* crow = cover + base;
+      std::uint32_t* lrow = levels + base;
       for (int i = 0; i < nx; ++i) {
         const double o = ox[static_cast<std::size_t>(i)];
         wrow[i] += o * wyz;
         srow[i] += o * syz;
-        crow[i] += cover_delta;
-      }
-      if (touched != nullptr) {
-        std::uint8_t* trow = touched + base;
-        for (int i = 0; i < nx; ++i) trow[i] = 1;
+        lrow[i] |= bit;
       }
     }
 }
@@ -174,7 +164,6 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
   work_.assign(count, 0.0);
   levels_.assign(count, 0u);
   storage_.assign(count, 0.0);
-  cover_.assign(count * static_cast<std::size_t>(num_levels_), 0u);
 
   // Rasterize each level's boxes onto the grain lattice.  A level-l box is
   // first coarsened to level-0 index space; for each overlapped grain cell
@@ -185,13 +174,11 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
       tasks.push_back(make_task(box, level.level, ratio_));
 
   const auto deposit = [&](const BoxTask& task, double* work, double* storage,
-                           std::uint32_t* cover_planes) {
-    std::uint32_t* plane =
-        cover_planes + static_cast<std::size_t>(task.level) * count;
+                           std::uint32_t* levels) {
     if (reference_kernels)
-      reference_rasterize_box(task, grain, dims_, work, storage, plane);
+      reference_rasterize_box(task, grain, dims_, work, storage, levels);
     else
-      rasterize_box(task, grain, dims_, work, storage, plane, 1.0, nullptr);
+      rasterize_box(task, grain, dims_, work, storage, levels);
   };
 
   // Too few boxes to amortize per-thread partial grids: stay serial.
@@ -200,50 +187,38 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
       threads > 1 ? tasks.size() / kMinTasksPerThread : 1;
   if (max_blocks <= 1) {
     for (const BoxTask& task : tasks)
-      deposit(task, work_.data(), storage_.data(), cover_.data());
+      deposit(task, work_.data(), storage_.data(), levels_.data());
   } else {
     const int blocks =
         static_cast<int>(std::min<std::size_t>(
             static_cast<std::size_t>(threads), max_blocks));
-    const std::size_t planes = count * static_cast<std::size_t>(num_levels_);
     std::vector<std::vector<double>> part_work;
     std::vector<std::vector<double>> part_storage;
-    std::vector<std::vector<std::uint32_t>> part_cover;
+    std::vector<std::vector<std::uint32_t>> part_levels;
     part_work.resize(static_cast<std::size_t>(blocks));
     part_storage.resize(static_cast<std::size_t>(blocks));
-    part_cover.resize(static_cast<std::size_t>(blocks));
+    part_levels.resize(static_cast<std::size_t>(blocks));
     const std::size_t used = util::parallel_blocks(
         tasks.size(), blocks,
         [&](std::size_t block, std::size_t begin, std::size_t end) {
           auto& bw = part_work[block];
           auto& bs = part_storage[block];
-          auto& bc = part_cover[block];
+          auto& bl = part_levels[block];
           bw.assign(count, 0.0);
           bs.assign(count, 0.0);
-          bc.assign(planes, 0u);
+          bl.assign(count, 0u);
           for (std::size_t t = begin; t < end; ++t)
-            deposit(tasks[t], bw.data(), bs.data(), bc.data());
+            deposit(tasks[t], bw.data(), bs.data(), bl.data());
         });
     // Merge the contiguous slices in block order: deterministic for a
     // fixed thread count (and exact whenever the work values are, as for
-    // the integer-valued per-box contributions).
-    for (std::size_t b = 0; b < used; ++b) {
+    // the integer-valued per-box contributions; the level masks OR).
+    for (std::size_t b = 0; b < used; ++b)
       for (std::size_t c = 0; c < count; ++c) {
         work_[c] += part_work[b][c];
         storage_[c] += part_storage[b][c];
+        levels_[c] |= part_levels[b][c];
       }
-      for (std::size_t p = 0; p < planes; ++p) cover_[p] += part_cover[b][p];
-    }
-  }
-
-  // Level bitmasks are derived from the cover counts (bit l set iff any
-  // level-l box covers the cell) — counts, unlike bits, survive removal.
-  for (int l = 0; l < num_levels_; ++l) {
-    const std::uint32_t bit = 1u << l;
-    const std::uint32_t* plane =
-        cover_.data() + static_cast<std::size_t>(l) * count;
-    for (std::size_t c = 0; c < count; ++c)
-      levels_[c] |= plane[c] != 0 ? bit : 0u;
   }
 
   total_work_ = 0.0;
@@ -253,86 +228,6 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
   sequence_.reserve(order_->size());
   for (std::uint32_t c : *order_) sequence_.push_back(work_[c]);
   prefix_ = PrefixSums(sequence_);
-}
-
-bool WorkGrid::apply_delta(const amr::HierarchyDelta& delta) {
-  if (!delta.compatible) return false;
-  if (delta.after_levels < 1 || delta.after_levels > 32) return false;
-  if (delta.before_levels != num_levels_) return false;
-  const amr::IntVec3 expect{(delta.base_dims.x + grain_ - 1) / grain_,
-                            (delta.base_dims.y + grain_ - 1) / grain_,
-                            (delta.base_dims.z + grain_ - 1) / grain_};
-  if (!(expect == dims_)) return false;
-  const int max_levels = std::max(num_levels_, delta.after_levels);
-  for (const amr::LevelDelta& level : delta.levels)
-    if (level.level < 0 || level.level >= max_levels) return false;
-  if (delta.empty()) return true;
-
-  PRAGMA_SPAN_VAR(span, "partition", "WorkGrid.apply_delta");
-  const std::size_t count = work_.size();
-
-  // Grow the cover planes when the delta deepens the hierarchy; trailing
-  // planes of removed levels end up all-zero and are trimmed below.
-  cover_.resize(count * static_cast<std::size_t>(max_levels), 0u);
-
-  // Withdraw removed boxes, deposit added ones, stamping every grain cell
-  // either kind covers.  The per-cell contributions are exact integers, so
-  // subtraction restores the pre-box sums bit for bit.
-  std::vector<std::uint8_t> touched(count, 0);
-  std::size_t changed_boxes = 0;
-  for (const amr::LevelDelta& level : delta.levels) {
-    std::uint32_t* plane =
-        cover_.data() + static_cast<std::size_t>(level.level) * count;
-    // A box's total work contribution is its coarsened volume times the
-    // level weight (the grain-cell overlaps tile the coarsened box), so
-    // total_work_ updates in O(1) per box — and stays bitwise-identical to
-    // the constructor's fold because every quantity is an exact integer.
-    for (const amr::Box& box : level.removed) {
-      const BoxTask task = make_task(box, level.level, ratio_);
-      rasterize_box(task, grain_, dims_, work_.data(), storage_.data(),
-                    plane, -1.0, touched.data());
-      total_work_ -= static_cast<double>(box.coarsen(task.rr).volume()) *
-                     task.work_per_l0;
-    }
-    for (const amr::Box& box : level.added) {
-      const BoxTask task = make_task(box, level.level, ratio_);
-      rasterize_box(task, grain_, dims_, work_.data(), storage_.data(),
-                    plane, 1.0, touched.data());
-      total_work_ += static_cast<double>(box.coarsen(task.rr).volume()) *
-                     task.work_per_l0;
-    }
-    changed_boxes += level.removed.size() + level.added.size();
-  }
-  num_levels_ = delta.after_levels;
-  cover_.resize(count * static_cast<std::size_t>(num_levels_));
-
-  // Re-derive the level bitmask of touched cells from the cover counts and
-  // refresh their entries in the SFC-ordered sequence; untouched cells are
-  // exactly as a full rebuild would leave them.
-  if (!rank_) rank_ = curve_rank_shared(dims_, curve_);
-  const std::vector<std::uint32_t>& rank = *rank_;
-  std::size_t touched_cells = 0;
-  std::size_t min_rank = sequence_.size();
-  for (std::size_t c = 0; c < count; ++c) {
-    if (!touched[c]) continue;
-    ++touched_cells;
-    std::uint32_t mask = 0;
-    for (int l = 0; l < num_levels_; ++l) {
-      const std::uint32_t covered =
-          cover_[static_cast<std::size_t>(l) * count + c];
-      mask |= covered != 0 ? 1u << l : 0u;
-    }
-    levels_[c] = mask;
-    const std::size_t r = rank[c];
-    sequence_[r] = work_[c];
-    min_rank = std::min(min_rank, r);
-  }
-  if (min_rank < sequence_.size()) prefix_.update_suffix(min_rank, sequence_);
-
-  span.annotate("boxes", changed_boxes);
-  span.annotate("touched_cells", touched_cells);
-  span.annotate("cells", count);
-  return true;
 }
 
 amr::IntVec3 WorkGrid::coords(std::size_t c) const {
@@ -358,10 +253,6 @@ struct CacheCounters {
       obs::metrics().counter("partition.workgrid_cache.misses");
   obs::Counter& evictions =
       obs::metrics().counter("partition.workgrid_cache.evictions");
-  obs::Counter& incremental =
-      obs::metrics().counter("partition.workgrid_cache.incremental_builds");
-  obs::Counter& full =
-      obs::metrics().counter("partition.workgrid_cache.full_builds");
 };
 
 CacheCounters& cache_counters() {
@@ -414,41 +305,7 @@ std::shared_ptr<const WorkGrid> WorkGridCache::get_or_build(
   auto grid = std::make_shared<const WorkGrid>(hierarchy, grain, curve,
                                                threads);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.full_builds;
-  cache_counters().full.add();
   return insert_locked(key, std::move(grid));
-}
-
-std::shared_ptr<const WorkGrid> WorkGridCache::get_or_update(
-    std::size_t snapshot, const amr::GridHierarchy& hierarchy,
-    std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-    int grain, CurveKind curve, int threads) {
-  const Key key{snapshot, grain, curve};
-  std::shared_ptr<const WorkGrid> previous;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto grid = find_locked(key)) return grid;
-    const auto prev_it = cache_.find(Key{prev_snapshot, grain, curve});
-    if (prev_it != cache_.end()) previous = prev_it->second.grid;
-  }
-
-  if (previous != nullptr) {
-    const amr::HierarchyDelta delta =
-        amr::diff_hierarchies(prev_hierarchy, hierarchy);
-    if (delta.compatible && delta.churn() <= kIncrementalChurnLimit) {
-      // Copy-on-update: the cached previous grid stays immutable and
-      // shared; the copy absorbs the delta over the touched cells only.
-      auto updated = std::make_shared<WorkGrid>(*previous);
-      if (updated->apply_delta(delta)) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.incremental_builds;
-        cache_counters().incremental.add();
-        return insert_locked(key,
-                             std::shared_ptr<const WorkGrid>(std::move(updated)));
-      }
-    }
-  }
-  return get_or_build(snapshot, hierarchy, grain, curve, threads);
 }
 
 std::size_t WorkGridCache::size() const {

@@ -10,14 +10,11 @@
 //   * the storage volume (for migration cost).
 // Partitioners then assign each grain cell to a processor.
 //
-// Incremental maintenance: most regrids move a small fraction of the
-// hierarchy's boxes, so a grid can be *updated* from an amr::HierarchyDelta
-// (apply_delta) instead of re-rasterized from scratch — only the grain
-// cells covered by added/removed boxes are touched.  Per-box contributions
-// are integer-valued by construction (overlap volumes times integer powers
-// of the refinement ratio), so the subtract/re-add round-trip is exact and
-// the updated grid is bitwise-identical to a full rebuild; reference_build
-// keeps the scalar rebuild around as the equivalence oracle.
+// A grid is always rasterized whole from its hierarchy.  Per-box
+// contributions are integer-valued by construction (overlap volumes times
+// integer powers of the refinement ratio), so any summation order gives
+// the same bits; reference_build keeps the scalar per-box kernel around as
+// the equivalence oracle.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +24,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "pragma/amr/delta.hpp"
 #include "pragma/amr/hierarchy.hpp"
 #include "pragma/partition/prefix_sums.hpp"
 #include "pragma/partition/sfc.hpp"
 
 namespace pragma::partition {
-
-/// Deltas whose churn() exceeds this are cheaper to absorb with a full
-/// rebuild (the incremental path's per-touched-cell bookkeeping stops
-/// paying for itself well before half the boxes have moved).
-inline constexpr double kIncrementalChurnLimit = 0.35;
 
 class WorkGrid {
  public:
@@ -50,18 +41,10 @@ class WorkGrid {
 
   /// Bitwise equivalence oracle: the same grid built with the pre-SIMD
   /// scalar per-box kernel (serial).  Tests and the perf-smoke bench gate
-  /// the vectorized constructor and apply_delta against this.
+  /// the vectorized constructor against this.
   [[nodiscard]] static WorkGrid reference_build(
       const amr::GridHierarchy& hierarchy, int grain,
       CurveKind curve = CurveKind::kHilbert);
-
-  /// Update this grid in place from a hierarchy delta, touching only the
-  /// grain cells covered by the delta's boxes (work, level masks, storage,
-  /// SFC sequence, and prefix sums).  Returns false — leaving the grid
-  /// unmodified — when the delta cannot be applied: incompatible domain or
-  /// ratio, level-count mismatch with this grid's state, or more levels
-  /// than the 32-bit mask can hold.  Callers fall back to a full rebuild.
-  [[nodiscard]] bool apply_delta(const amr::HierarchyDelta& delta);
 
   [[nodiscard]] int grain() const { return grain_; }
   [[nodiscard]] amr::IntVec3 lattice_dims() const { return dims_; }
@@ -125,27 +108,21 @@ class WorkGrid {
   std::vector<double> work_;
   std::vector<std::uint32_t> levels_;
   std::vector<double> storage_;
-  /// Per-level box cover counts, level-major: cover_[l * cell_count() + c]
-  /// = number of level-l boxes overlapping grain cell c.  levels_ is the
-  /// derived bitmask (bit l set iff the count is nonzero); the counts are
-  /// what make level bits removable under apply_delta.
-  std::vector<std::uint32_t> cover_;
   std::shared_ptr<const std::vector<std::uint32_t>> order_;
-  /// Inverse of order_, fetched lazily on the first apply_delta.
-  std::shared_ptr<const std::vector<std::uint32_t>> rank_;
   std::vector<double> sequence_;
   PrefixSums prefix_;
   double total_work_ = 0.0;
 };
 
 /// Thread-safe LRU cache of immutable WorkGrids keyed by (snapshot index,
-/// grain, curve).  Trace replays and multi-run benches request the same
-/// canonical grid once per partitioner run; with the cache each grid is
-/// rasterized exactly once per trace and shared from then on.  The entry
-/// count is bounded (least-recently-used grids are evicted) so long
-/// multi-run services do not grow without limit, and steady-state regrids
-/// can derive snapshot i's grid from snapshot i-1's via apply_delta
-/// (get_or_update) instead of rebuilding.
+/// grain, curve).  The entry count is bounded (least-recently-used grids
+/// are evicted) so long multi-run services do not grow without limit.  A
+/// grid is shared only while it stays among the max_entries() most recent
+/// keys: a replay reuses snapshot i+1's grid from snapshot i's
+/// stale-partition lookup, and concurrent replays of one trace share
+/// grids, but a sequential replay of a trace longer than the cap (the
+/// canonical 201-snapshot trace against the default 64) finds its early
+/// grids evicted and rasterizes them again.
 class WorkGridCache {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 64;
@@ -159,17 +136,6 @@ class WorkGridCache {
       std::size_t snapshot, const amr::GridHierarchy& hierarchy, int grain,
       CurveKind curve, int threads = 1);
 
-  /// Like get_or_build, but on a miss first tries to derive the grid from
-  /// the cached (`prev_snapshot`, `grain`, `curve`) entry by applying the
-  /// hierarchy delta — a copy plus an update over the touched cells, which
-  /// at low regrid churn is far cheaper than re-rasterizing.  Falls back to
-  /// a full build when the previous grid is absent, the delta churn exceeds
-  /// kIncrementalChurnLimit, or apply_delta rejects the delta.
-  [[nodiscard]] std::shared_ptr<const WorkGrid> get_or_update(
-      std::size_t snapshot, const amr::GridHierarchy& hierarchy,
-      std::size_t prev_snapshot, const amr::GridHierarchy& prev_hierarchy,
-      int grain, CurveKind curve, int threads = 1);
-
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const { return max_entries_; }
   void clear();
@@ -180,8 +146,6 @@ class WorkGridCache {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
-    std::uint64_t incremental_builds = 0;  ///< grids derived via apply_delta
-    std::uint64_t full_builds = 0;         ///< grids rasterized from scratch
   };
   [[nodiscard]] Stats stats() const;
 

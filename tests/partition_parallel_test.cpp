@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "pragma/amr/rm3d.hpp"
-#include "pragma/partition/metrics.hpp"
 #include "pragma/partition/sfc.hpp"
 #include "pragma/partition/workgrid.hpp"
 
@@ -73,22 +72,6 @@ TEST(WorkGridParallel, MatchesSerialExactly) {
   EXPECT_EQ(serial.total_work(), parallel.total_work());
   EXPECT_EQ(serial.sequence(), parallel.sequence());
   EXPECT_EQ(&serial.order(), &parallel.order());  // shared curve cache
-}
-
-TEST(CommunicationVolumeParallel, MatchesSerialExactly) {
-  const WorkGrid grid(rm3d_hierarchy(), 2);
-  const auto partitioner = make_partitioner("G-MISP+SP");
-  const PartitionResult result =
-      partitioner->partition(grid, equal_targets(16));
-  const double serial = communication_volume(grid, result.owners, 1);
-  for (const int threads : {2, 3, 8})
-    EXPECT_EQ(communication_volume(grid, result.owners, threads), serial);
-  const PacMetrics serial_pac =
-      evaluate_pac(grid, result, equal_targets(16), nullptr, 1);
-  const PacMetrics parallel_pac =
-      evaluate_pac(grid, result, equal_targets(16), nullptr, 8);
-  EXPECT_EQ(serial_pac.communication, parallel_pac.communication);
-  EXPECT_EQ(serial_pac.load_imbalance, parallel_pac.load_imbalance);
 }
 
 TEST(WorkGridCacheTest, SameKeySharesOneGrid) {
