@@ -141,7 +141,7 @@ SweepPoint run_point(const BenchConfig& config, std::size_t workers,
   plane.queue_capacity = static_cast<std::size_t>(config.runs) + 8;
   service::DistributedService service(plane, config.seed);
   for (std::size_t w = 0; w < workers; ++w)
-    service.add_worker("w" + std::to_string(w));
+    service.add_worker(std::string("w").append(std::to_string(w)));
 
   // Kill ceil(workers * churn) workers, staggered through the burst's
   // early-middle phase (slices run at 1 s cadence, so t = 2.0 + 1.5 i
@@ -151,8 +151,9 @@ SweepPoint run_point(const BenchConfig& config, std::size_t workers,
       std::ceil(static_cast<double>(workers) * churn));
   for (std::size_t k = 0; k < point.kills; ++k) {
     const double at = 2.0 + 1.5 * static_cast<double>(k);
-    service.schedule_kill(at, "w" + std::to_string(k));
-    service.schedule_join(at + 1.0, "r" + std::to_string(k));
+    service.schedule_kill(at, std::string("w").append(std::to_string(k)));
+    service.schedule_join(at + 1.0,
+                          std::string("r").append(std::to_string(k)));
   }
 
   std::vector<std::uint64_t> ids;

@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   service::DistributedService service(plane, spec.seed);
   for (int w = 0; w < workers; ++w)
-    service.add_worker("w" + std::to_string(w));
+    service.add_worker(std::string("w").append(std::to_string(w)));
   if (flags.get_double("kill-at") >= 0.0) {
     service.schedule_kill(flags.get_double("kill-at"), "w0");
     service.schedule_join(flags.get_double("join-at"),

@@ -199,8 +199,8 @@ struct ManagedRunReport {
   std::size_t duplicates_suppressed = 0;
   std::size_t heartbeats_received = 0;
 
-  // Persistence telemetry.  `halted` and `resumed` describe *this
-  // process's* run and are never serialized into a checkpoint.
+  // Persistence telemetry.  These four fields describe *this process's*
+  // run and are never serialized into a checkpoint.
   std::size_t checkpoints_persisted = 0;
   std::size_t checkpoint_generations_rejected = 0;  ///< corrupt, skipped
   bool halted = false;   ///< run() abandoned by the crash-injection hook

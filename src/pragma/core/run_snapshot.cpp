@@ -27,101 +27,75 @@ void mix(std::uint64_t& state, double value) {
   mix(state, std::bit_cast<std::uint64_t>(value));
 }
 
-void encode_record(io::ByteWriter& w, const ManagedStepRecord& r) {
-  w.i32(r.step);
-  w.str(r.octant);
-  w.str(r.partitioner);
-  w.f64(r.sim_time_s);
-  w.f64(r.step_time_s);
-  w.f64(r.imbalance);
-  w.u64(r.live_nodes);
-  w.u8(r.repartitioned ? 1 : 0);
-  w.f64(r.recovery_s);
-  w.f64(r.lost_cells);
-  w.f64(r.detection_s);
+/// Every persisted ManagedStepRecord field, in wire order and at its wire
+/// width; io::FieldWriter encodes the list and io::FieldReader decodes it.
+template <class Io, class Record>
+void record_fields(Io& io, Record& record) {
+  io.i32(record.step);
+  io.str(record.octant);
+  io.str(record.partitioner);
+  io.f64(record.sim_time_s);
+  io.f64(record.step_time_s);
+  io.f64(record.imbalance);
+  io.u64(record.live_nodes);
+  io.flag(record.repartitioned);
+  io.f64(record.recovery_s);
+  io.f64(record.lost_cells);
+  io.f64(record.detection_s);
 }
 
-ManagedStepRecord decode_record(io::ByteReader& r) {
-  ManagedStepRecord record;
-  record.step = r.i32();
-  record.octant = r.str();
-  record.partitioner = r.str();
-  record.sim_time_s = r.f64();
-  record.step_time_s = r.f64();
-  record.imbalance = r.f64();
-  record.live_nodes = static_cast<std::size_t>(r.u64());
-  record.repartitioned = r.u8() != 0;
-  record.recovery_s = r.f64();
-  record.lost_cells = r.f64();
-  record.detection_s = r.f64();
-  return record;
+/// Every persisted ManagedRunReport field.  The per-process fields
+/// (checkpoints_persisted, checkpoint_generations_rejected, halted,
+/// resumed) are not persisted.
+template <class Io, class Report>
+void report_fields(Io& io, Report& report) {
+  io.f64(report.total_time_s);
+  io.u64(report.regrids);
+  io.u64(report.repartitions);
+  io.u64(report.agent_events);
+  io.u64(report.adm_decisions);
+  io.u64(report.event_repartitions);
+  io.u64(report.migrations);
+  io.u64(report.partitioner_switches);
+  io.u64(report.checkpoints);
+  io.f64(report.checkpoint_time_s);
+  io.u64(report.detected_failures);
+  io.u64(report.suspects);
+  io.u64(report.false_suspects);
+  io.u64(report.detector_recoveries);
+  io.f64(report.detection_latency_s);
+  io.f64(report.recovery_time_s);
+  io.f64(report.cells_advanced);
+  io.f64(report.recomputed_cells);
+  io.u64(report.lost_directives);
+  io.u64(report.directive_retries);
+  io.u64(report.directives_abandoned);
+  io.u64(report.messages_lost);
+  io.u64(report.messages_partition_dropped);
+  io.u64(report.duplicates_suppressed);
+  io.u64(report.heartbeats_received);
+  io.list(report.records, 4, kMaxRecords,
+          [&io](auto& record) { record_fields(io, record); });
 }
 
-void encode_report(io::ByteWriter& w, const ManagedRunReport& r) {
-  w.f64(r.total_time_s);
-  w.u64(r.regrids);
-  w.u64(r.repartitions);
-  w.u64(r.agent_events);
-  w.u64(r.adm_decisions);
-  w.u64(r.event_repartitions);
-  w.u64(r.migrations);
-  w.u64(r.partitioner_switches);
-  w.u64(r.checkpoints);
-  w.f64(r.checkpoint_time_s);
-  w.u64(r.detected_failures);
-  w.u64(r.suspects);
-  w.u64(r.false_suspects);
-  w.u64(r.detector_recoveries);
-  w.f64(r.detection_latency_s);
-  w.f64(r.recovery_time_s);
-  w.f64(r.cells_advanced);
-  w.f64(r.recomputed_cells);
-  w.u64(r.lost_directives);
-  w.u64(r.directive_retries);
-  w.u64(r.directives_abandoned);
-  w.u64(r.messages_lost);
-  w.u64(r.messages_partition_dropped);
-  w.u64(r.duplicates_suppressed);
-  w.u64(r.heartbeats_received);
-  w.u32(static_cast<std::uint32_t>(r.records.size()));
-  for (const ManagedStepRecord& record : r.records)
-    encode_record(w, record);
+/// The snapshot's progress counters, validated as a group on decode.
+template <class Io, class Snapshot>
+void progress_fields(Io& io, Snapshot& snapshot) {
+  io.u64(snapshot.config_fingerprint);
+  io.i32(snapshot.completed_steps);
+  io.i32(snapshot.emulator_step);
+  io.f64(snapshot.sim_clock);
+  io.i64(snapshot.max_box_cells);
 }
 
-util::Status decode_report(io::ByteReader& r, ManagedRunReport& out) {
-  out.total_time_s = r.f64();
-  out.regrids = static_cast<std::size_t>(r.u64());
-  out.repartitions = static_cast<std::size_t>(r.u64());
-  out.agent_events = static_cast<std::size_t>(r.u64());
-  out.adm_decisions = static_cast<std::size_t>(r.u64());
-  out.event_repartitions = static_cast<std::size_t>(r.u64());
-  out.migrations = static_cast<std::size_t>(r.u64());
-  out.partitioner_switches = static_cast<std::size_t>(r.u64());
-  out.checkpoints = static_cast<std::size_t>(r.u64());
-  out.checkpoint_time_s = r.f64();
-  out.detected_failures = static_cast<std::size_t>(r.u64());
-  out.suspects = static_cast<std::size_t>(r.u64());
-  out.false_suspects = static_cast<std::size_t>(r.u64());
-  out.detector_recoveries = static_cast<std::size_t>(r.u64());
-  out.detection_latency_s = r.f64();
-  out.recovery_time_s = r.f64();
-  out.cells_advanced = r.f64();
-  out.recomputed_cells = r.f64();
-  out.lost_directives = static_cast<std::size_t>(r.u64());
-  out.directive_retries = static_cast<std::size_t>(r.u64());
-  out.directives_abandoned = static_cast<std::size_t>(r.u64());
-  out.messages_lost = static_cast<std::size_t>(r.u64());
-  out.messages_partition_dropped = static_cast<std::size_t>(r.u64());
-  out.duplicates_suppressed = static_cast<std::size_t>(r.u64());
-  out.heartbeats_received = static_cast<std::size_t>(r.u64());
-  const std::uint32_t nrecords = r.count(4, kMaxRecords);
-  if (!r.ok()) return r.status();
-  out.records.reserve(nrecords);
-  for (std::uint32_t i = 0; i < nrecords; ++i) {
-    out.records.push_back(decode_record(r));
-    if (!r.ok()) return r.status();
-  }
-  return r.status();
+/// The meta-partitioner's select() history and the owner map.
+template <class Io, class Snapshot>
+void assignment_fields(Io& io, Snapshot& snapshot) {
+  io.list(snapshot.select_indices, sizeof(std::uint32_t), kMaxSelectCalls,
+          [&io](auto& index) { io.u32(index); });
+  io.list(snapshot.owners, sizeof(std::int32_t), kMaxOwners,
+          [&io](auto& owner) { io.i32(owner); });
+  io.i32(snapshot.owners_nprocs);
 }
 
 }  // namespace
@@ -149,54 +123,31 @@ std::uint64_t config_fingerprint(const ManagedRunConfig& c) {
 }
 
 std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snapshot) {
-  io::ByteWriter w;
-  w.u32(kPayloadFormat);
-  w.u64(snapshot.config_fingerprint);
-  w.i32(snapshot.completed_steps);
-  w.i32(snapshot.emulator_step);
-  w.f64(snapshot.sim_clock);
-  w.i64(snapshot.max_box_cells);
-  w.u32(static_cast<std::uint32_t>(snapshot.select_indices.size()));
-  for (const std::uint32_t index : snapshot.select_indices) w.u32(index);
-  w.u32(static_cast<std::uint32_t>(snapshot.owners.size()));
-  for (const std::int32_t owner : snapshot.owners) w.i32(owner);
-  w.i32(snapshot.owners_nprocs);
-  io::encode_trace(w, snapshot.trace);
-  encode_report(w, snapshot.report);
-  return w.take();
+  io::FieldWriter io;
+  io.out.u32(kPayloadFormat);
+  progress_fields(io, snapshot);
+  assignment_fields(io, snapshot);
+  io::encode_trace(io.out, snapshot.trace);
+  report_fields(io, snapshot.report);
+  return io.out.take();
 }
 
 util::Expected<RunSnapshot> decode_run_snapshot(
     const std::vector<std::uint8_t>& payload) {
-  io::ByteReader r(payload);
-  RunSnapshot snapshot;
+  io::FieldReader io(payload);
+  io::ByteReader& r = io.in;
   const std::uint32_t format = r.u32();
   if (r.ok() && format != kPayloadFormat)
     return util::Status::unimplemented("run snapshot payload format " +
                                        std::to_string(format));
-  snapshot.config_fingerprint = r.u64();
-  snapshot.completed_steps = r.i32();
-  snapshot.emulator_step = r.i32();
-  snapshot.sim_clock = r.f64();
-  snapshot.max_box_cells = r.i64();
+  RunSnapshot snapshot;
+  progress_fields(io, snapshot);
   if (!r.ok()) return r.status();
   if (snapshot.completed_steps < 0 || snapshot.emulator_step < 0 ||
       !(snapshot.sim_clock >= 0.0))
     return util::Status::invalid("negative progress counters in snapshot");
 
-  const std::uint32_t nselect = r.count(sizeof(std::uint32_t),
-                                        kMaxSelectCalls);
-  if (!r.ok()) return r.status();
-  snapshot.select_indices.reserve(nselect);
-  for (std::uint32_t i = 0; i < nselect; ++i)
-    snapshot.select_indices.push_back(r.u32());
-
-  const std::uint32_t nowners = r.count(sizeof(std::int32_t), kMaxOwners);
-  if (!r.ok()) return r.status();
-  snapshot.owners.reserve(nowners);
-  for (std::uint32_t i = 0; i < nowners; ++i)
-    snapshot.owners.push_back(r.i32());
-  snapshot.owners_nprocs = r.i32();
+  assignment_fields(io, snapshot);
   if (!r.ok()) return r.status();
   if (snapshot.owners_nprocs < 0)
     return util::Status::invalid("negative owner processor count");
@@ -216,9 +167,8 @@ util::Expected<RunSnapshot> decode_run_snapshot(
           "select index " + std::to_string(index) +
           " beyond trace of " + std::to_string(snapshot.trace.size()));
 
-  if (util::Status status = decode_report(r, snapshot.report);
-      !status.is_ok())
-    return status;
+  report_fields(io, snapshot.report);
+  if (!r.ok()) return r.status();
   if (!r.at_end())
     return util::Status::invalid("trailing bytes after run snapshot");
   return snapshot;

@@ -1,22 +1,25 @@
 #include "pragma/io/checkpoint.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "pragma/io/serial.hpp"
 #include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
 #include "pragma/util/crc32.hpp"
 #include "pragma/util/logging.hpp"
 
 namespace pragma::io {
+
+namespace fs = std::filesystem;
 
 namespace {
 obs::Counter& checkpoint_writes_counter() {
@@ -39,58 +42,8 @@ obs::Histogram& checkpoint_bytes_histogram() {
       obs::HistogramOptions::exponential(1024.0, 4.0, 12));
   return histogram;
 }
-}  // namespace
 
-namespace fs = std::filesystem;
-
-namespace {
-
-constexpr const char* kPrefix = "ckpt-";
-constexpr const char* kSuffix = ".pragma";
-constexpr const char* kTmpSuffix = ".tmp";
-
-void put_u32(std::uint8_t* out, std::uint32_t value) {
-  std::memcpy(out, &value, sizeof value);
-}
-
-void put_u64(std::uint8_t* out, std::uint64_t value) {
-  std::memcpy(out, &value, sizeof value);
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t value = 0;
-  std::memcpy(&value, in, sizeof value);
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, in, sizeof value);
-  return value;
-}
-
-/// Parse a generation number out of "ckpt-<digits>.pragma"; 0 = not a
-/// checkpoint file name.
-std::uint64_t generation_of(const std::string& filename) {
-  const std::size_t prefix_len = std::strlen(kPrefix);
-  const std::size_t suffix_len = std::strlen(kSuffix);
-  if (filename.size() <= prefix_len + suffix_len) return 0;
-  if (filename.compare(0, prefix_len, kPrefix) != 0) return 0;
-  if (filename.compare(filename.size() - suffix_len, suffix_len, kSuffix) !=
-      0)
-    return 0;
-  std::uint64_t generation = 0;
-  for (std::size_t i = prefix_len; i < filename.size() - suffix_len; ++i) {
-    const char c = filename[i];
-    if (c < '0' || c > '9') return 0;
-    if (generation > (UINT64_MAX - 9) / 10) return 0;
-    generation = generation * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return generation;
-}
-
-}  // namespace
-
+/// fsync a descriptor / a directory with a bounded, descriptive error.
 util::Status fsync_fd(int fd, const std::string& what) {
   if (::fsync(fd) != 0)
     return util::Status::internal("fsync failed for " + what + ": " +
@@ -104,6 +57,102 @@ util::Status fsync_dir(const std::string& dir) {
   const util::Status status = fsync_fd(dir_fd, dir);
   ::close(dir_fd);
   return status;
+}
+
+}  // namespace
+
+util::Status write_all(int fd, const std::uint8_t* bytes, std::size_t size,
+                       const std::string& what) {
+  std::size_t written = 0;
+  while (written < size) {
+    const ssize_t n = ::write(fd, bytes + written, size - written);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return util::Status::internal("write failed for " + what + ": " +
+                                    std::strerror(errno));
+    }
+    written += static_cast<std::size_t>(n);
+  }
+  return util::Status::ok();
+}
+
+std::string GenerationDir::path_for(std::uint64_t generation) const {
+  char digits[24];
+  std::snprintf(digits, sizeof digits, "%08llu",
+                static_cast<unsigned long long>(generation));
+  return (fs::path(dir) / (prefix + digits + suffix)).string();
+}
+
+std::vector<std::uint64_t> GenerationDir::list() const {
+  std::vector<std::uint64_t> result;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    // "<prefix><digits><suffix>"; anything else, ".tmp" orphans
+    // included, is not a generation.
+    const std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() + suffix.size() ||
+        !name.starts_with(prefix) || !name.ends_with(suffix))
+      continue;
+    const char* last = name.data() + name.size() - suffix.size();
+    std::uint64_t generation = 0;
+    const auto [end, error] =
+        std::from_chars(name.data() + prefix.size(), last, generation);
+    if (error == std::errc() && end == last && generation > 0)
+      result.push_back(generation);
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+util::Status GenerationDir::write_tmp(
+    std::uint64_t generation, const std::vector<std::uint8_t>& bytes) const {
+  const std::string tmp_path = path_for(generation) + ".tmp";
+  const int fd = ::open(tmp_path.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0)
+    return util::Status::internal("cannot open " + tmp_path + ": " +
+                                  std::strerror(errno));
+  util::Status status = write_all(fd, bytes.data(), bytes.size(), tmp_path);
+  if (status.is_ok()) status = fsync_fd(fd, tmp_path);
+  ::close(fd);
+  if (!status.is_ok()) ::unlink(tmp_path.c_str());
+  return status;
+}
+
+util::Status GenerationDir::publish(std::uint64_t generation) const {
+  const std::string final_path = path_for(generation);
+  const std::string tmp_path = final_path + ".tmp";
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    const util::Status status = util::Status::internal(
+        "rename to " + final_path + " failed: " + std::strerror(errno));
+    ::unlink(tmp_path.c_str());
+    return status;
+  }
+  // Make the rename itself durable.
+  return fsync_dir(dir);
+}
+
+util::Expected<std::vector<std::uint8_t>> GenerationDir::read(
+    std::uint64_t generation, std::uint64_t max_bytes) const {
+  const std::string path = path_for(generation);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return util::Status::not_found("cannot open " + path);
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec)
+    return util::Status::internal("cannot stat " + path + ": " +
+                                  ec.message());
+  // Reject oversized files before reading them into memory.
+  if (size > max_bytes)
+    return util::Status::out_of_range(
+        path + " is " + std::to_string(size) + " bytes, above the cap");
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (!bytes.empty() &&
+      !in.read(reinterpret_cast<char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size())))
+    return util::Status::internal("short read from " + path);
+  return bytes;
 }
 
 std::vector<std::uint8_t> encode_envelope(
@@ -163,28 +212,8 @@ util::Expected<std::vector<std::uint8_t>> decode_envelope(
 }
 
 CheckpointStore::CheckpointStore(CheckpointStoreOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), files_{options_.dir, "ckpt-", ".pragma"} {
   if (options_.keep_last_n < 1) options_.keep_last_n = 1;
-}
-
-std::string CheckpointStore::path_for(std::uint64_t generation) const {
-  char name[64];
-  std::snprintf(name, sizeof name, "%s%08llu%s", kPrefix,
-                static_cast<unsigned long long>(generation), kSuffix);
-  return (fs::path(options_.dir) / name).string();
-}
-
-std::vector<std::uint64_t> CheckpointStore::generations() const {
-  std::vector<std::uint64_t> result;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::uint64_t generation =
-        generation_of(entry.path().filename().string());
-    if (generation > 0) result.push_back(generation);
-  }
-  std::sort(result.begin(), result.end());
-  return result;
 }
 
 std::uint64_t CheckpointStore::next_generation() const {
@@ -215,58 +244,21 @@ util::Status CheckpointStore::write_impl(
     return util::Status::internal("cannot create checkpoint dir " +
                                   options_.dir + ": " + ec.message());
 
-  const std::vector<std::uint8_t> file = encode_envelope(payload);
   const std::uint64_t generation = next_generation();
-  const std::string final_path = path_for(generation);
-  const std::string tmp_path = final_path + kTmpSuffix;
-
-  const int fd = ::open(tmp_path.c_str(),
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0)
-    return util::Status::internal("cannot open " + tmp_path + ": " +
-                                  std::strerror(errno));
-  std::size_t written = 0;
-  while (written < file.size()) {
-    const ssize_t n =
-        ::write(fd, file.data() + written, file.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const util::Status status = util::Status::internal(
-          "write failed for " + tmp_path + ": " + std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp_path.c_str());
-      return status;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (util::Status status = fsync_fd(fd, tmp_path); !status.is_ok()) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
+  if (util::Status status =
+          files_.write_tmp(generation, encode_envelope(payload));
+      !status.is_ok())
     return status;
-  }
-  ::close(fd);
-
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const util::Status status = util::Status::internal(
-        "rename to " + final_path + " failed: " + std::strerror(errno));
-    ::unlink(tmp_path.c_str());
+  if (util::Status status = files_.publish(generation); !status.is_ok())
     return status;
-  }
-
-  // Make the rename itself durable.
-  if (util::Status status = fsync_dir(options_.dir); !status.is_ok())
-    return status;
-
-  // Trim to the retention window.  The generation just written is the
-  // newest valid one, so gc() can never touch it.
-  gc();
+  trim(generations(), generation);
   return util::Status::ok();
 }
 
 int CheckpointStore::gc() {
   const std::vector<std::uint64_t> existing = generations();
-  const auto keep = static_cast<std::size_t>(options_.keep_last_n);
-  if (existing.size() <= keep) return 0;
+  if (existing.size() <= static_cast<std::size_t>(options_.keep_last_n))
+    return 0;
 
   // The latest recoverable state is sacrosanct: find the newest
   // generation that passes full validation (torn or bit-flipped newer
@@ -278,15 +270,22 @@ int CheckpointStore::gc() {
       break;
     }
   }
+  return trim(existing, newest_valid);
+}
 
+int CheckpointStore::trim(const std::vector<std::uint64_t>& existing,
+                          std::uint64_t spared) {
+  const auto keep = static_cast<std::size_t>(options_.keep_last_n);
+  if (existing.size() <= keep) return 0;
   int removed = 0;
   std::size_t excess = existing.size() - keep;
   for (std::size_t i = 0; i < existing.size() && excess > 0; ++i) {
-    if (existing[i] == newest_valid) continue;
+    if (existing[i] == spared) continue;
     if (::unlink(path_for(existing[i]).c_str()) == 0) ++removed;
     --excess;
   }
-  if (removed > 0) checkpoint_gc_counter().add(static_cast<std::uint64_t>(removed));
+  if (removed > 0)
+    checkpoint_gc_counter().add(static_cast<std::uint64_t>(removed));
   return removed;
 }
 
@@ -294,29 +293,11 @@ util::Expected<LoadedCheckpoint> CheckpointStore::load_generation(
     std::uint64_t generation) const {
   PRAGMA_SPAN_VAR(span, "io", "CheckpointStore.load_generation");
   span.annotate("generation", generation);
-  const std::string path = path_for(generation);
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    return util::Status::not_found("cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  {
-    std::error_code ec;
-    const std::uintmax_t size = fs::file_size(path, ec);
-    if (ec)
-      return util::Status::internal("cannot stat " + path + ": " +
-                                    ec.message());
-    // Reject oversized files before reading them into memory.
-    if (size > options_.max_payload_bytes + kCheckpointHeaderBytes)
-      return util::Status::out_of_range(
-          path + " is " + std::to_string(size) + " bytes, above the cap");
-    bytes.resize(static_cast<std::size_t>(size));
-  }
-  if (!bytes.empty() &&
-      !in.read(reinterpret_cast<char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size())))
-    return util::Status::internal("short read from " + path);
+  util::Expected<std::vector<std::uint8_t>> bytes = files_.read(
+      generation, options_.max_payload_bytes + kCheckpointHeaderBytes);
+  if (!bytes) return bytes.status();
   util::Expected<std::vector<std::uint8_t>> payload =
-      decode_envelope(bytes, options_.max_payload_bytes);
+      decode_envelope(bytes.value(), options_.max_payload_bytes);
   if (!payload) return payload.status();
   return LoadedCheckpoint{generation, std::move(payload).value()};
 }

@@ -19,14 +19,15 @@
 // writes (short file), bit-flips (either CRC) and future versions are all
 // detected before a byte of payload is interpreted.
 //
-// CheckpointStore manages a directory of numbered generations
+// CheckpointStore manages a GenerationDir of numbered generations
 // (ckpt-00000001.pragma, ckpt-00000002.pragma, …) written via the
 // classic crash-consistent sequence: write to a ".tmp" name, fsync the
 // file, rename() into place, fsync the directory.  A crash mid-write
 // leaves only a ".tmp" orphan which the loader never reads;
 // load_latest_valid() walks generations newest-first and returns the
 // first one that validates, so a corrupted newest generation falls back
-// to its predecessor instead of taking the run down.
+// to its predecessor instead of taking the run down.  The service's
+// admission journal keeps its generations in a GenerationDir too.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +47,38 @@ inline constexpr std::size_t kCheckpointHeaderBytes = 32;
 /// loader allocate more than this.
 inline constexpr std::uint64_t kDefaultMaxPayloadBytes = 64ull << 20;
 
-/// fsync a descriptor / a directory with a bounded, descriptive error —
-/// the crash-consistency primitives shared by CheckpointStore and the
-/// service run journal.
-util::Status fsync_fd(int fd, const std::string& what);
-util::Status fsync_dir(const std::string& dir);
+/// EINTR-safe full write of `size` bytes to `fd`; `what` names the file
+/// in the error.
+util::Status write_all(int fd, const std::uint8_t* bytes, std::size_t size,
+                       const std::string& what);
+
+/// A directory of numbered generation files named
+/// "<prefix><8-digit generation><suffix>", published crash-consistently:
+/// write_tmp() writes and fsyncs "<path>.tmp", publish() renames it into
+/// place and fsyncs the directory.  A crash before the rename leaves a
+/// ".tmp" orphan that list() never returns.
+struct GenerationDir {
+  std::string dir;
+  std::string prefix;
+  std::string suffix;
+
+  [[nodiscard]] std::string path_for(std::uint64_t generation) const;
+  /// Generations present on disk (validated or not), ascending.
+  [[nodiscard]] std::vector<std::uint64_t> list() const;
+  /// Write `bytes` to the generation's tmp file and fsync it; the tmp
+  /// file is removed on failure.
+  util::Status write_tmp(std::uint64_t generation,
+                         const std::vector<std::uint8_t>& bytes) const;
+  /// Rename the tmp file into place and fsync the directory; the tmp
+  /// file is removed when the rename fails.
+  util::Status publish(std::uint64_t generation) const;
+  /// The whole file: kNotFound when it cannot be opened, kOutOfRange when
+  /// it is larger than `max_bytes` (checked before reading), kInternal
+  /// when it cannot be stat'ed or read in full.
+  [[nodiscard]] util::Expected<std::vector<std::uint8_t>> read(
+      std::uint64_t generation,
+      std::uint64_t max_bytes = UINT64_MAX) const;
+};
 
 /// Wrap `payload` in the checkpoint envelope.
 [[nodiscard]] std::vector<std::uint8_t> encode_envelope(
@@ -87,8 +115,9 @@ class CheckpointStore {
   explicit CheckpointStore(CheckpointStoreOptions options);
 
   /// Durably write `payload` as the next generation (tmp + fsync + rename
-  /// + directory fsync).  On success gc() trims generations beyond
-  /// keep_last_n.
+  /// + directory fsync), then trim generations beyond keep_last_n.  The
+  /// new generation is the newest and the window keeps at least one, so
+  /// the trim needs none of gc()'s validation.
   util::Status write(const std::vector<std::uint8_t>& payload);
 
   /// Trim the directory to the keep_last_n retention window, oldest
@@ -110,20 +139,27 @@ class CheckpointStore {
       std::uint64_t generation) const;
 
   /// Generations present on disk (validated or not), ascending.
-  [[nodiscard]] std::vector<std::uint64_t> generations() const;
+  [[nodiscard]] std::vector<std::uint64_t> generations() const {
+    return files_.list();
+  }
 
   /// Next generation number a write() would use.
   [[nodiscard]] std::uint64_t next_generation() const;
 
-  [[nodiscard]] std::string path_for(std::uint64_t generation) const;
+  [[nodiscard]] std::string path_for(std::uint64_t generation) const {
+    return files_.path_for(generation);
+  }
   [[nodiscard]] const CheckpointStoreOptions& options() const {
     return options_;
   }
 
  private:
   util::Status write_impl(const std::vector<std::uint8_t>& payload);
+  /// Delete the oldest of `existing` beyond keep_last_n, never `spared`.
+  int trim(const std::vector<std::uint64_t>& existing, std::uint64_t spared);
 
   CheckpointStoreOptions options_;
+  GenerationDir files_;
 };
 
 }  // namespace pragma::io

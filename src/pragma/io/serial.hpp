@@ -1,4 +1,5 @@
-// Bounded binary (de)serialization for snapshot payloads.
+// Bounded binary (de)serialization for the durable payloads: checkpoint
+// snapshots and admission-journal run specs.
 //
 // ByteWriter appends fixed-width little-endian fields to a growable
 // buffer; ByteReader walks untrusted bytes and *never* trusts a length it
@@ -7,6 +8,11 @@
 // cannot demand a multi-gigabyte vector.  The reader is sticky-error: the
 // first failure latches a Status, every later read returns the zero value,
 // and callers check status() once at the end instead of after each field.
+//
+// A persisted record is written once, as a field list: a function template
+// `fields(io, record)` that names every field in wire order and at its
+// wire width.  FieldWriter gives the list its encode meaning and
+// FieldReader its decode meaning, so the two directions cannot disagree.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +23,25 @@
 #include "pragma/util/status.hpp"
 
 namespace pragma::io {
+
+/// Fixed-width fields at a raw position, for the fixed-layout file and
+/// frame headers.
+inline void put_u32(std::uint8_t* out, std::uint32_t value) {
+  std::memcpy(out, &value, sizeof value);
+}
+inline void put_u64(std::uint8_t* out, std::uint64_t value) {
+  std::memcpy(out, &value, sizeof value);
+}
+[[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* in) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, in, sizeof value);
+  return value;
+}
+[[nodiscard]] inline std::uint64_t get_u64(const std::uint8_t* in) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, in, sizeof value);
+  return value;
+}
 
 class ByteWriter {
  public:
@@ -45,8 +70,13 @@ class ByteWriter {
 
  private:
   void append(const void* data, std::size_t size) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    buffer_.insert(buffer_.end(), p, p + size);
+    // resize + memcpy rather than insert: GCC 12 misreads the inlined
+    // insert as an overflow (-Wstringop-overflow).  An empty string's
+    // data() may be null, which memcpy must not see.
+    if (size == 0) return;
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + size);
+    std::memcpy(buffer_.data() + at, data, size);
   }
   std::vector<std::uint8_t> buffer_;
 };
@@ -156,6 +186,71 @@ class ByteReader {
   std::size_t size_ = 0;
   std::size_t pos_ = 0;
   util::Status status_;
+};
+
+/// Gives a field list its encode meaning: append each field.
+struct FieldWriter {
+  void u32(std::uint32_t value) { out.u32(value); }
+  void i32(std::int32_t value) { out.i32(value); }
+  void i64(std::int64_t value) { out.i64(value); }
+  void u64(std::uint64_t value) { out.u64(value); }
+  void f64(double value) { out.f64(value); }
+  void str(const std::string& value) { out.str(value); }
+  void flag(bool value) { out.u8(value ? 1 : 0); }
+  /// An enum as one byte.
+  template <class Enum>
+  void code(Enum value, Enum /*last*/, const char* /*what*/) {
+    out.u8(static_cast<std::uint8_t>(value));
+  }
+  /// A u32 count, then each item.
+  template <class T, class Each>
+  void list(const std::vector<T>& items, std::size_t /*min_item_bytes*/,
+            std::uint32_t /*cap*/, Each each) {
+    out.u32(static_cast<std::uint32_t>(items.size()));
+    for (const T& item : items) each(item);
+  }
+
+  ByteWriter out;
+};
+
+/// Gives a field list its decode meaning: read each field back over the
+/// record, rejecting out-of-range enums and implausible counts.  The
+/// reader is sticky-error, so a truncated payload zero-fills the rest and
+/// the caller checks once at the end.
+struct FieldReader {
+  explicit FieldReader(const std::vector<std::uint8_t>& payload)
+      : in(payload) {}
+
+  void u32(std::uint32_t& value) { value = in.u32(); }
+  void i32(std::int32_t& value) { value = in.i32(); }
+  void i64(std::int64_t& value) { value = in.i64(); }
+  template <class T>
+  void u64(T& value) {
+    value = static_cast<T>(in.u64());
+  }
+  void f64(double& value) { value = in.f64(); }
+  void str(std::string& value) { value = in.str(); }
+  void flag(bool& value) { value = in.u8() != 0; }
+  /// One byte, at most `last`.
+  template <class Enum>
+  void code(Enum& value, Enum last, const char* what) {
+    const std::uint8_t raw = in.u8();
+    if (in.ok() && raw > static_cast<std::uint8_t>(last))
+      in.fail(std::string("unknown ") + what + " " + std::to_string(raw));
+    value = static_cast<Enum>(raw);
+  }
+  /// A u32 count of at most `cap` items of at least `min_item_bytes`
+  /// each, then each item.
+  template <class T, class Each>
+  void list(std::vector<T>& items, std::size_t min_item_bytes,
+            std::uint32_t cap, Each each) {
+    items.clear();
+    const std::uint32_t n = in.count(min_item_bytes, cap);
+    items.reserve(n);
+    for (std::uint32_t i = 0; in.ok() && i < n; ++i) each(items.emplace_back());
+  }
+
+  ByteReader in;
 };
 
 }  // namespace pragma::io

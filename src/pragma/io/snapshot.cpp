@@ -56,30 +56,6 @@ util::Status decode_levels(ByteReader& reader, amr::GridHierarchy& h) {
 
 }  // namespace
 
-void encode_hierarchy(ByteWriter& writer, const amr::GridHierarchy& h) {
-  writer.i32(h.base_dims().x);
-  writer.i32(h.base_dims().y);
-  writer.i32(h.base_dims().z);
-  writer.i32(h.ratio());
-  writer.i32(h.max_levels());
-  encode_levels(writer, h);
-}
-
-util::Expected<amr::GridHierarchy> decode_hierarchy(ByteReader& reader) {
-  amr::IntVec3 base{reader.i32(), reader.i32(), reader.i32()};
-  const int ratio = reader.i32();
-  const int max_levels = reader.i32();
-  if (!reader.ok()) return reader.status();
-  if (util::Status status = amr::validate_trace_config(base, ratio,
-                                                       max_levels);
-      !status.is_ok())
-    return status;
-  amr::GridHierarchy h(base, ratio, max_levels);
-  if (util::Status status = decode_levels(reader, h); !status.is_ok())
-    return status;
-  return h;
-}
-
 void encode_trace(ByteWriter& writer, const amr::AdaptationTrace& trace) {
   writer.u32(static_cast<std::uint32_t>(trace.size()));
   if (trace.empty()) return;

@@ -1,11 +1,12 @@
-// Binary codecs for AMR state inside checkpoint payloads.
+// Binary codec for the adaptation trace inside checkpoint payloads.
 //
-// The checkpoint payload needs the grid hierarchy and the adaptation
-// trace in a compact, deterministic form.  These codecs mirror the text
-// trace format (config, then per-snapshot levels of boxes) but are
-// binary, and share the same TraceLimits validation caps: a decoded
-// count is checked against both its cap and the remaining buffer before
-// anything is allocated.
+// The checkpoint payload needs the adaptation trace (whose last snapshot
+// is the current hierarchy) in a compact, deterministic form.  The codec
+// mirrors the text trace format (config, then per-snapshot levels of
+// boxes) but is binary, and shares the same TraceLimits validation caps:
+// a decoded count is checked against both its cap and the remaining
+// buffer before anything is allocated.  It builds validated
+// GridHierarchy objects, so it is code rather than a field list.
 #pragma once
 
 #include "pragma/amr/hierarchy.hpp"
@@ -14,11 +15,6 @@
 #include "pragma/util/status.hpp"
 
 namespace pragma::io {
-
-/// Encode/decode one hierarchy (configuration + all levels' boxes).
-void encode_hierarchy(ByteWriter& writer, const amr::GridHierarchy& h);
-[[nodiscard]] util::Expected<amr::GridHierarchy> decode_hierarchy(
-    ByteReader& reader);
 
 /// Encode/decode a whole adaptation trace.
 void encode_trace(ByteWriter& writer, const amr::AdaptationTrace& trace);

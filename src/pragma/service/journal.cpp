@@ -1,16 +1,13 @@
 #include "pragma/service/journal.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <unordered_map>
 
@@ -25,12 +22,12 @@
 namespace pragma::service {
 
 namespace fs = std::filesystem;
+using io::get_u32;
+using io::get_u64;
+using io::put_u32;
+using io::put_u64;
 
 namespace {
-
-constexpr const char* kWalPrefix = "wal-";
-constexpr const char* kWalSuffix = ".pragma-wal";
-constexpr const char* kTmpSuffix = ".tmp";
 
 obs::Counter& appends_counter() {
   static obs::Counter& counter =
@@ -74,58 +71,6 @@ obs::Histogram& fsync_histogram() {
   return histogram;
 }
 
-void put_u32(std::uint8_t* out, std::uint32_t value) {
-  std::memcpy(out, &value, sizeof value);
-}
-
-std::uint32_t get_u32(const std::uint8_t* in) {
-  std::uint32_t value = 0;
-  std::memcpy(&value, in, sizeof value);
-  return value;
-}
-
-std::uint64_t get_u64(const std::uint8_t* in) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, in, sizeof value);
-  return value;
-}
-
-/// Parse a generation number out of "wal-<digits>.pragma-wal"; 0 = not a
-/// journal file name.
-std::uint64_t generation_of(const std::string& filename) {
-  const std::size_t prefix_len = std::strlen(kWalPrefix);
-  const std::size_t suffix_len = std::strlen(kWalSuffix);
-  if (filename.size() <= prefix_len + suffix_len) return 0;
-  if (filename.compare(0, prefix_len, kWalPrefix) != 0) return 0;
-  if (filename.compare(filename.size() - suffix_len, suffix_len, kWalSuffix) !=
-      0)
-    return 0;
-  std::uint64_t generation = 0;
-  for (std::size_t i = prefix_len; i < filename.size() - suffix_len; ++i) {
-    const char c = filename[i];
-    if (c < '0' || c > '9') return 0;
-    if (generation > (UINT64_MAX - 9) / 10) return 0;
-    generation = generation * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return generation;
-}
-
-/// EINTR-safe full write of `bytes` to `fd`.
-util::Status write_all(int fd, const std::uint8_t* bytes, std::size_t size,
-                       const std::string& what) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, bytes + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return util::Status::internal("write failed for " + what + ": " +
-                                    std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return util::Status::ok();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -146,10 +91,8 @@ std::vector<std::uint8_t> encode_journal_record(
   std::vector<std::uint8_t> out(kJournalRecordHeaderBytes + payload.size());
   std::memcpy(out.data(), kJournalRecordMagic, sizeof kJournalRecordMagic);
   put_u32(out.data() + 4, static_cast<std::uint32_t>(type));
-  std::uint64_t value = seq;
-  std::memcpy(out.data() + 8, &value, sizeof value);
-  value = payload.size();
-  std::memcpy(out.data() + 16, &value, sizeof value);
+  put_u64(out.data() + 8, seq);
+  put_u64(out.data() + 16, payload.size());
   put_u32(out.data() + 24, util::crc32(payload.data(), payload.size()));
   put_u32(out.data() + 28, util::crc32(out.data(), 28));
   // An empty payload's data() may be null, which memcpy must not see.
@@ -168,10 +111,8 @@ std::vector<std::uint8_t> encode_journal_batch_record(
   put_u32(payload.data(), static_cast<std::uint32_t>(items.size()));
   std::size_t pos = 4;
   for (const JournalRecord& item : items) {
-    std::uint64_t value = item.seq;
-    std::memcpy(payload.data() + pos, &value, sizeof value);
-    value = item.payload.size();
-    std::memcpy(payload.data() + pos + 8, &value, sizeof value);
+    put_u64(payload.data() + pos, item.seq);
+    put_u64(payload.data() + pos + 8, item.payload.size());
     if (!item.payload.empty())
       std::memcpy(payload.data() + pos + 16, item.payload.data(),
                   item.payload.size());
@@ -322,72 +263,10 @@ JournalScan scan_journal_file(const std::vector<std::uint8_t>& bytes,
 
 namespace {
 
-/// Gives run_spec_fields its encode meaning: append each field.
-struct SpecWriter {
-  void i32(std::int32_t value) { out.i32(value); }
-  void i64(std::int64_t value) { out.i64(value); }
-  void u64(std::uint64_t value) { out.u64(value); }
-  void f64(double value) { out.f64(value); }
-  void str(const std::string& value) { out.str(value); }
-  void flag(bool value) { out.u8(value ? 1 : 0); }
-  /// An enum as one byte.
-  template <class Enum>
-  void code(Enum value, Enum /*last*/, const char* /*what*/) {
-    out.u8(static_cast<std::uint8_t>(value));
-  }
-  /// A u32 count, then each item.
-  template <class T, class Each>
-  void list(const std::vector<T>& items, std::size_t /*min_item_bytes*/,
-            std::uint32_t /*cap*/, Each each) {
-    out.u32(static_cast<std::uint32_t>(items.size()));
-    for (const T& item : items) each(item);
-  }
-
-  io::ByteWriter out;
-};
-
-/// Gives run_spec_fields its decode meaning: read each field back over the
-/// spec, rejecting out-of-range enums and implausible counts.  The reader
-/// is sticky-error, so a truncated payload zero-fills the rest and the
-/// caller checks once at the end.
-struct SpecReader {
-  explicit SpecReader(const std::vector<std::uint8_t>& payload)
-      : in(payload) {}
-
-  void i32(std::int32_t& value) { value = in.i32(); }
-  void i64(std::int64_t& value) { value = in.i64(); }
-  template <class T>
-  void u64(T& value) {
-    value = static_cast<T>(in.u64());
-  }
-  void f64(double& value) { value = in.f64(); }
-  void str(std::string& value) { value = in.str(); }
-  void flag(bool& value) { value = in.u8() != 0; }
-  /// One byte, at most `last`.
-  template <class Enum>
-  void code(Enum& value, Enum last, const char* what) {
-    const std::uint8_t raw = in.u8();
-    if (in.ok() && raw > static_cast<std::uint8_t>(last))
-      in.fail(std::string("unknown ") + what + " " + std::to_string(raw));
-    value = static_cast<Enum>(raw);
-  }
-  /// A u32 count of at most `cap` items of at least `min_item_bytes`
-  /// each, then each item.
-  template <class T, class Each>
-  void list(std::vector<T>& items, std::size_t min_item_bytes,
-            std::uint32_t cap, Each each) {
-    items.clear();
-    const std::uint32_t n = in.count(min_item_bytes, cap);
-    for (std::uint32_t i = 0; in.ok() && i < n; ++i) each(items.emplace_back());
-  }
-
-  io::ByteReader in;
-};
-
 /// Every persisted RunSpec field, once, in wire order and at its wire
-/// width.  SpecWriter encodes the list and SpecReader decodes it, so the
-/// two directions cannot disagree.  A change here changes the payload:
-/// bump kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
+/// width.  io::FieldWriter encodes the list and io::FieldReader decodes
+/// it, so the two directions cannot disagree.  A change here changes the
+/// payload: bump kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
 template <class Io, class Spec>
 void run_spec_fields(Io& io, Spec& spec) {
   const auto each_f64 = [&io](auto& value) { io.f64(value); };
@@ -506,7 +385,7 @@ void run_spec_fields(Io& io, Spec& spec) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
-  SpecWriter io;
+  io::FieldWriter io;
   io.out.u32(kRunSpecPayloadVersion);
   run_spec_fields(io, spec);
   return io.out.take();
@@ -514,7 +393,7 @@ std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec) {
 
 util::Expected<RunSpec> decode_run_spec(
     const std::vector<std::uint8_t>& payload) {
-  SpecReader io(payload);
+  io::FieldReader io(payload);
   const std::uint32_t version = io.in.u32();
   if (io.in.ok() && version != kRunSpecPayloadVersion)
     return util::Status::unimplemented("run-spec payload version " +
@@ -531,35 +410,16 @@ util::Expected<RunSpec> decode_run_spec(
 // Journal
 // ---------------------------------------------------------------------------
 
-Journal::Journal(JournalConfig config) : config_(std::move(config)) {}
+Journal::Journal(JournalConfig config)
+    : config_(std::move(config)), files_{config_.dir, "wal-", ".pragma-wal"} {}
 
 Journal::~Journal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-std::string Journal::path_for(std::uint64_t generation) const {
-  char name[64];
-  std::snprintf(name, sizeof name, "%s%08llu%s", kWalPrefix,
-                static_cast<unsigned long long>(generation), kWalSuffix);
-  return (fs::path(config_.dir) / name).string();
-}
-
 std::string Journal::active_path() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return path_for(active_generation_);
-}
-
-std::vector<std::uint64_t> Journal::generations() const {
-  std::vector<std::uint64_t> result;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::uint64_t generation =
-        generation_of(entry.path().filename().string());
-    if (generation > 0) result.push_back(generation);
-  }
-  std::sort(result.begin(), result.end());
-  return result;
+  return files_.path_for(active_generation_);
 }
 
 util::Expected<JournalRecovery> Journal::open() {
@@ -582,32 +442,15 @@ util::Expected<JournalRecovery> Journal::open() {
   std::map<std::uint64_t, std::vector<std::uint8_t>> pending;
   std::set<std::uint64_t> dead;
   std::uint64_t max_seq = 0;
-  const std::vector<std::uint64_t> existing = generations();
-  for (const std::uint64_t generation : existing) {
-    const std::string path = path_for(generation);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      ++recovery.torn_files;
-      continue;
-    }
-    std::vector<std::uint8_t> bytes;
-    {
-      std::error_code size_ec;
-      const std::uintmax_t size = fs::file_size(path, size_ec);
-      if (size_ec) {
-        ++recovery.torn_files;
-        continue;
-      }
-      bytes.resize(static_cast<std::size_t>(size));
-    }
-    if (!bytes.empty() &&
-        !in.read(reinterpret_cast<char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()))) {
+  for (const std::uint64_t generation : files_.list()) {
+    const util::Expected<std::vector<std::uint8_t>> bytes =
+        files_.read(generation);
+    if (!bytes) {
       ++recovery.torn_files;
       continue;
     }
     const JournalScan scan =
-        scan_journal_file(bytes, config_.max_payload_bytes);
+        scan_journal_file(bytes.value(), config_.max_payload_bytes);
     if (!scan.tail.is_ok()) {
       ++recovery.torn_files;
       util::log_warn("journal generation ", generation,
@@ -693,8 +536,8 @@ util::Expected<JournalRecovery> Journal::open() {
 util::Status Journal::write_frame(const std::vector<std::uint8_t>& frame,
                                   std::uint64_t* watermark) {
   if (util::Status status =
-          write_all(fd_, frame.data(), frame.size(),
-                    path_for(active_generation_));
+          io::write_all(fd_, frame.data(), frame.size(),
+                        files_.path_for(active_generation_));
       !status.is_ok())
     return status;
   written_bytes_ += frame.size();
@@ -905,41 +748,17 @@ util::Status Journal::compact_locked() {
     image.insert(image.end(), frame.begin(), frame.end());
   }
 
-  const std::vector<std::uint64_t> old = generations();
+  const std::vector<std::uint64_t> old = files_.list();
   const std::uint64_t generation = old.empty() ? 1 : old.back() + 1;
-  const std::string final_path = path_for(generation);
-  const std::string tmp_path = final_path + kTmpSuffix;
-
-  int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0)
-    return util::Status::internal("cannot open " + tmp_path + ": " +
-                                  std::strerror(errno));
-  if (util::Status status =
-          write_all(fd, image.data(), image.size(), tmp_path);
-      !status.is_ok()) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
+  if (util::Status status = files_.write_tmp(generation, image);
+      !status.is_ok())
     return status;
-  }
-  if (util::Status status = io::fsync_fd(fd, tmp_path); !status.is_ok()) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());
-    return status;
-  }
-  ::close(fd);
 
   if (config_.testing_crash_compact == 1)
     return util::Status::internal(
         "testing: crashed after compaction tmp write, before rename");
 
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    const util::Status status = util::Status::internal(
-        "rename to " + final_path + " failed: " + std::strerror(errno));
-    ::unlink(tmp_path.c_str());
-    return status;
-  }
-  if (util::Status status = io::fsync_dir(config_.dir); !status.is_ok())
+  if (util::Status status = files_.publish(generation); !status.is_ok())
     return status;
 
   if (config_.testing_crash_compact == 2)
@@ -953,10 +772,10 @@ util::Status Journal::compact_locked() {
   // the append watermark.
   {
     std::lock_guard<std::mutex> commit_lock(commit_mu_);
-    const int new_fd =
-        ::open(final_path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+    const std::string path = files_.path_for(generation);
+    const int new_fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
     if (new_fd < 0)
-      return util::Status::internal("cannot reopen " + final_path + ": " +
+      return util::Status::internal("cannot reopen " + path + ": " +
                                     std::strerror(errno));
     if (fd_ >= 0) ::close(fd_);
     fd_ = new_fd;
@@ -969,8 +788,8 @@ util::Status Journal::compact_locked() {
   ++stats_.compactions;
   compactions_counter().add();
 
-  for (const std::uint64_t g : old)
-    ::unlink(path_for(g).c_str());  // best-effort; overlap dedupes by seq
+  // Best-effort; overlapping generations dedupe by seq at recovery.
+  for (const std::uint64_t g : old) ::unlink(files_.path_for(g).c_str());
   return util::Status::ok();
 }
 

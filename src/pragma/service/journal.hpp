@@ -15,8 +15,8 @@
 // forced on recovered specs with persistence enabled) fence the replay to
 // effectively-once.
 //
-// On-disk layout: a directory of generation files written with the same
-// tmp/fsync/rename discipline as io::CheckpointStore:
+// On-disk layout: an io::GenerationDir of generation files, written with
+// the same tmp/fsync/rename publish as io::CheckpointStore:
 //
 //   wal-00000001.pragma-wal
 //   wal-00000002.pragma-wal     <- active generation, append-only
@@ -65,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "pragma/io/checkpoint.hpp"
 #include "pragma/service/run_spec.hpp"
 #include "pragma/util/status.hpp"
 
@@ -261,8 +262,6 @@ class Journal {
     std::vector<std::uint8_t> payload;
   };
 
-  [[nodiscard]] std::string path_for(std::uint64_t generation) const;
-  [[nodiscard]] std::vector<std::uint64_t> generations() const;
   /// Append raw framed bytes to the active fd.  Requires mu_.  On
   /// success *watermark receives the monotonic append watermark covering
   /// this write (a cross-generation byte counter, never reset, so a
@@ -280,6 +279,7 @@ class Journal {
   util::Status compact_locked();
 
   JournalConfig config_;
+  io::GenerationDir files_;
 
   mutable std::mutex mu_;  ///< file state + live set
   int fd_ = -1;  ///< written under mu_; fsynced under commit_mu_;

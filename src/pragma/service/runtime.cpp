@@ -121,7 +121,7 @@ std::vector<RunOutcome> Runtime::run_burst(std::vector<RunSpec> specs) {
 
   DistributedService service(distributed_, defaults_.seed);
   for (std::size_t w = 0; w < distributed_.workers; ++w)
-    service.add_worker("w" + std::to_string(w));
+    service.add_worker(std::string("w").append(std::to_string(w)));
   // Same durability contract as the scheduler path: the pending records
   // are on disk (one sealed batch frame, one fsync) before any
   // coordinator lease enqueue returns.  append_batch is all-or-nothing:

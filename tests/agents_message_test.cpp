@@ -68,12 +68,13 @@ TEST_F(MessageCenterTest, PollPortQueuesUntilDrained) {
 TEST_F(MessageCenterTest, FifoPerPortUnderInterleaving) {
   center_.register_port("mailbox");
   for (int i = 0; i < 20; ++i)
-    center_.send(make("x", "mailbox", "m" + std::to_string(i)));
+    center_.send(
+        make("x", "mailbox", std::string("m").append(std::to_string(i))));
   simulator_.run();
   const auto messages = center_.drain("mailbox");
   ASSERT_EQ(messages.size(), 20u);
   for (int i = 0; i < 20; ++i)
-    EXPECT_EQ(messages[i].type, "m" + std::to_string(i));
+    EXPECT_EQ(messages[i].type, std::string("m").append(std::to_string(i)));
 }
 
 TEST_F(MessageCenterTest, PublishReachesAllSubscribers) {
