@@ -89,7 +89,6 @@ double percentile(std::vector<double> values, double q) {
 ModeResult run_mode(bool predictive, const BenchConfig& config,
                     const std::string& root) {
   service::DistributedConfig plane;
-  plane.enabled = true;
   plane.queue_capacity = 256;
   plane.heartbeat.period_s = 0.5;
   plane.dispatch_period_s = 0.25;

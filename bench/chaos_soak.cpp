@@ -75,6 +75,7 @@
 
 #include "bench_common.hpp"
 #include "pragma/core/managed_run.hpp"
+#include "pragma/core/run_snapshot.hpp"
 #include "pragma/io/checkpoint.hpp"
 #include "pragma/res/accountant.hpp"
 #include "pragma/service/journal.hpp"
@@ -146,31 +147,11 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Bit-exact comparison of the table-5-style metrics and per-regrid
-/// records two runs report.
+/// Bit-exact comparison of every persisted report field and per-regrid
+/// record (the per-process lifecycle fields are left out).
 bool reports_bit_identical(const core::ManagedRunReport& a,
                            const core::ManagedRunReport& b) {
-  if (!same_bits(a.total_time_s, b.total_time_s)) return false;
-  if (!same_bits(a.cells_advanced, b.cells_advanced)) return false;
-  if (a.regrids != b.regrids || a.repartitions != b.repartitions ||
-      a.agent_events != b.agent_events ||
-      a.adm_decisions != b.adm_decisions ||
-      a.event_repartitions != b.event_repartitions ||
-      a.partitioner_switches != b.partitioner_switches)
-    return false;
-  if (a.records.size() != b.records.size()) return false;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const core::ManagedStepRecord& ra = a.records[i];
-    const core::ManagedStepRecord& rb = b.records[i];
-    if (ra.step != rb.step || ra.octant != rb.octant ||
-        ra.partitioner != rb.partitioner ||
-        !same_bits(ra.sim_time_s, rb.sim_time_s) ||
-        !same_bits(ra.step_time_s, rb.step_time_s) ||
-        !same_bits(ra.imbalance, rb.imbalance) ||
-        ra.live_nodes != rb.live_nodes)
-      return false;
-  }
-  return true;
+  return core::encode_report(a) == core::encode_report(b);
 }
 
 core::ManagedRunConfig durable_config(const SoakConfig& soak,
@@ -345,7 +326,6 @@ int main(int argc, char** argv) {
 
   std::printf("\nworker churn: 3 workers, kill w0 mid-burst, join w3 ...\n");
   service::DistributedConfig plane;
-  plane.enabled = true;
   plane.heartbeat.period_s = 0.5;
   plane.heartbeat.suspect_missed = 3;
   plane.heartbeat.confirm_missed = 6;

@@ -26,7 +26,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -34,6 +33,7 @@
 
 #include "bench_common.hpp"
 #include "pragma/core/managed_run.hpp"
+#include "pragma/core/run_snapshot.hpp"
 #include "pragma/service/worker.hpp"
 #include "pragma/util/cli.hpp"
 
@@ -73,7 +73,6 @@ service::RunSpec burst_spec(const BenchConfig& config, int index,
 /// few simulated seconds.
 service::DistributedConfig control_plane() {
   service::DistributedConfig config;
-  config.enabled = true;
   config.heartbeat.period_s = 0.5;
   config.heartbeat.suspect_missed = 3;
   config.heartbeat.confirm_missed = 6;
@@ -83,35 +82,12 @@ service::DistributedConfig control_plane() {
   return config;
 }
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-/// The PR-3 bit-identity contract, minus the fields that describe this
-/// process's own lifecycle (halted/resumed/checkpoint counters).
+/// The bit-identity contract: every persisted report field, minus the
+/// ones that describe this process's own lifecycle (halted/resumed/
+/// checkpoint counters).
 bool reports_bit_identical(const core::ManagedRunReport& a,
                            const core::ManagedRunReport& b) {
-  if (!same_bits(a.total_time_s, b.total_time_s)) return false;
-  if (!same_bits(a.cells_advanced, b.cells_advanced)) return false;
-  if (a.regrids != b.regrids || a.repartitions != b.repartitions ||
-      a.agent_events != b.agent_events ||
-      a.adm_decisions != b.adm_decisions ||
-      a.event_repartitions != b.event_repartitions ||
-      a.partitioner_switches != b.partitioner_switches)
-    return false;
-  if (a.records.size() != b.records.size()) return false;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const core::ManagedStepRecord& ra = a.records[i];
-    const core::ManagedStepRecord& rb = b.records[i];
-    if (ra.step != rb.step || ra.octant != rb.octant ||
-        ra.partitioner != rb.partitioner ||
-        !same_bits(ra.sim_time_s, rb.sim_time_s) ||
-        !same_bits(ra.step_time_s, rb.step_time_s) ||
-        !same_bits(ra.imbalance, rb.imbalance) ||
-        ra.live_nodes != rb.live_nodes)
-      return false;
-  }
-  return true;
+  return core::encode_report(a) == core::encode_report(b);
 }
 
 struct SweepPoint {

@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
   // dead after 3 s.  The reliable-channel parameters parsed above drive
   // every coordinator directive (leases, revokes, fences).
   service::DistributedConfig plane;
-  plane.enabled = true;
   plane.heartbeat.period_s = 0.5;
   plane.heartbeat.suspect_missed = 3;
   plane.heartbeat.confirm_missed = 6;

@@ -132,6 +132,12 @@ std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snapshot) {
   return io.out.take();
 }
 
+std::vector<std::uint8_t> encode_report(const ManagedRunReport& report) {
+  io::FieldWriter io;
+  report_fields(io, report);
+  return io.out.take();
+}
+
 util::Expected<RunSnapshot> decode_run_snapshot(
     const std::vector<std::uint8_t>& payload) {
   io::FieldReader io(payload);

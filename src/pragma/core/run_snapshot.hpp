@@ -50,6 +50,12 @@ struct RunSnapshot {
 [[nodiscard]] std::vector<std::uint8_t> encode_run_snapshot(
     const RunSnapshot& snapshot);
 
+/// Every persisted field of a report, encoded as in a checkpoint: two
+/// reports agree on all of them exactly when their encodings are equal.
+/// The four per-process fields are left out.
+[[nodiscard]] std::vector<std::uint8_t> encode_report(
+    const ManagedRunReport& report);
+
 /// Decode an untrusted payload.  Every count is bounds-checked before
 /// allocation; trailing garbage is rejected.
 [[nodiscard]] util::Expected<RunSnapshot> decode_run_snapshot(

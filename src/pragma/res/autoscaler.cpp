@@ -41,13 +41,6 @@ void PredictiveAutoscaler::observe(double now_s, double demand) {
   demand_gauge().set(current_);
 }
 
-void PredictiveAutoscaler::observe_tenant(const std::string& tenant,
-                                          double now_s, double demand) {
-  std::unique_ptr<monitor::SeriesForecaster>& series = tenants_[tenant];
-  if (!series) series = std::make_unique<monitor::SeriesForecaster>();
-  series->observe(now_s, std::max(0.0, demand));
-}
-
 double PredictiveAutoscaler::current_demand() const { return current_; }
 
 double PredictiveAutoscaler::forecast_demand() const {
@@ -71,25 +64,6 @@ std::size_t PredictiveAutoscaler::desired_workers() const {
   return clamped;
 }
 
-std::map<std::string, double> PredictiveAutoscaler::tenant_shares() const {
-  std::map<std::string, double> shares;
-  if (tenants_.empty()) return shares;
-  double sum = 0.0;
-  for (const auto& [tenant, series] : tenants_) {
-    const double forecast =
-        std::max(series->predict_ahead(lead_steps()), 0.0);
-    shares[tenant] = forecast;
-    sum += forecast;
-  }
-  if (sum <= 0.0) {
-    const double uniform = 1.0 / static_cast<double>(shares.size());
-    for (auto& [tenant, share] : shares) share = uniform;
-    return shares;
-  }
-  for (auto& [tenant, share] : shares) share /= sum;
-  return shares;
-}
-
 bool PredictiveAutoscaler::scale_down_due(double now_s,
                                           std::size_t alive) const {
   if (desired_workers() >= alive) {
@@ -103,9 +77,6 @@ bool PredictiveAutoscaler::scale_down_due(double now_s,
   return now_s - below_since_s_ >= config_.scale_down_after_s;
 }
 
-void PredictiveAutoscaler::note_scaled(double now_s) {
-  last_scale_s_ = now_s;
-  below_since_s_ = -1.0;
-}
+void PredictiveAutoscaler::note_scaled() { below_since_s_ = -1.0; }
 
 }  // namespace pragma::res

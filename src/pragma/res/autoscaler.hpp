@@ -1,12 +1,12 @@
 // Predictive autoscaling of the worker pool (the tentpole's third leg).
 //
 // The paper's thesis — predict resource behavior, adapt proactively —
-// applied to the service layer itself: demand series (open runs, queue
-// depth, per-tenant usage) feed the NWS forecaster ensemble through
-// monitor::SeriesForecaster, and the desired worker count is computed
-// from the *forecast* demand a provisioning-delay ahead, not just the
-// current one.  A reactive-only mode (predictive = false) exists so the
-// autoscale_slo bench can measure exactly what the lookahead buys.
+// applied to the service layer itself: the demand series (open runs)
+// feeds the NWS forecaster ensemble through monitor::SeriesForecaster,
+// and the desired worker count is computed from the *forecast* demand a
+// provisioning-delay ahead, not just the current one.  A reactive-only
+// mode (predictive = false) exists so the autoscale_slo bench can measure
+// exactly what the lookahead buys.
 //
 // The scaler itself is pure policy: observe() ingests one demand sample,
 // desired_workers() answers, and the DistributedService (worker.cpp) does
@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <string>
 
 #include "pragma/monitor/forecaster.hpp"
 
@@ -51,7 +48,7 @@ struct AutoscaleConfig {
   std::size_t lead_steps = 0;
 };
 
-/// Forecast-driven pool sizing + per-tenant share prediction.
+/// Forecast-driven pool sizing.
 class PredictiveAutoscaler {
  public:
   explicit PredictiveAutoscaler(AutoscaleConfig config);
@@ -59,9 +56,6 @@ class PredictiveAutoscaler {
   /// Ingest one demand sample (open runs across all tenants) at simulated
   /// time `now_s`.
   void observe(double now_s, double demand);
-  /// Ingest one tenant's share of the demand at `now_s` (optional; feeds
-  /// tenant_shares()).
-  void observe_tenant(const std::string& tenant, double now_s, double demand);
 
   /// Workers the pool should have right now, clamped to
   /// [min_workers, max_workers].  Predictive mode sizes on
@@ -75,17 +69,11 @@ class PredictiveAutoscaler {
   [[nodiscard]] double current_demand() const;
   [[nodiscard]] double forecast_demand() const;
 
-  /// Predicted per-tenant fair shares: each tenant's forecast demand,
-  /// normalized to sum to 1 (empty map before any tenant observation;
-  /// uniform when every forecast is 0).  Feed Scheduler::set_tenant_weight
-  /// to shift slots toward tenants whose load is about to rise.
-  [[nodiscard]] std::map<std::string, double> tenant_shares() const;
-
   /// True once demand has been at or below the scale-down watermark
   /// (desired < alive) continuously for scale_down_after_s.
   [[nodiscard]] bool scale_down_due(double now_s, std::size_t alive) const;
   /// Note a scale event (up or down) — resets the scale-down clock.
-  void note_scaled(double now_s);
+  void note_scaled();
 
   [[nodiscard]] const AutoscaleConfig& config() const { return config_; }
   [[nodiscard]] std::size_t lead_steps() const;
@@ -93,9 +81,7 @@ class PredictiveAutoscaler {
  private:
   AutoscaleConfig config_;
   monitor::SeriesForecaster demand_;
-  std::map<std::string, std::unique_ptr<monitor::SeriesForecaster>> tenants_;
   double current_ = 0.0;
-  double last_scale_s_ = 0.0;
   mutable double below_since_s_ = -1.0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "pragma/service/scheduler.hpp"
+
 namespace pragma::service {
 
 const char* to_string(RunState state) {
@@ -28,8 +30,7 @@ bool RunHandle::cancel() {
   if (!valid() || owner_ == nullptr) return false;
   {
     // Terminal tickets resolve here without touching the owner, so a
-    // handle outliving its backend (e.g. a finished distributed burst)
-    // stays safe to poke.
+    // handle outliving its scheduler stays safe to poke.
     std::lock_guard<std::mutex> lock(ticket_->mu);
     if (is_terminal(ticket_->state)) return false;
   }
@@ -142,18 +143,6 @@ ShedInfo shed_info(const util::Status& status) {
   info.reason = parse_reason(status.message());
   info.retry_after_ms = parse_bracket_int(status.message(), kRetryToken, -1);
   return info;
-}
-
-// ---------------------------------------------------------------------------
-// Admission
-// ---------------------------------------------------------------------------
-
-std::vector<util::Expected<RunHandle>> Admission::submit_batch(
-    std::vector<RunSpec> specs) {
-  std::vector<util::Expected<RunHandle>> results;
-  results.reserve(specs.size());
-  for (RunSpec& spec : specs) results.push_back(submit(std::move(spec)));
-  return results;
 }
 
 }  // namespace pragma::service

@@ -1,11 +1,7 @@
-// The one submission surface every backend implements.
-//
-// Before this layer each admission backend grew its own front door:
-// Scheduler::submit returned Expected<RunHandle>, Coordinator::submit
-// returned Expected<uint64_t>, and batch submission was an ad-hoc loop in
-// every caller.  `Admission` unifies them: submit one spec or a batch,
-// get RunHandles back, regardless of whether the runs execute on the
-// in-process thread pool or the distributed coordinator/worker plane.
+// What both admission backends hand back: the in-process Scheduler
+// (reached through Runtime) and the distributed Coordinator (reached
+// through DistributedService) each return a RunHandle per admitted run,
+// so callers wait on runs the same way whichever plane executes them.
 //
 // This header also owns the *structured* shed vocabulary: every
 // admission-time rejection is built through shed_status(), which tags the
@@ -22,7 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "pragma/service/run_spec.hpp"
 #include "pragma/util/status.hpp"
@@ -54,26 +49,17 @@ struct RunOutcome {
   res::ResourceUsage usage;
 };
 
+class Scheduler;
+
 namespace detail {
-
-struct Ticket;
-
-/// The backend half of a RunHandle: whoever issued the ticket services
-/// its cancel requests.  Implemented by Scheduler and Coordinator.
-class TicketOwner {
- public:
-  virtual ~TicketOwner() = default;
-  virtual bool cancel_ticket(const std::shared_ptr<Ticket>& ticket) = 0;
-};
 
 /// Shared state of one submitted run.  Lock ordering: a thread holding a
 /// backend lock (Scheduler::mu_) may take Ticket::mu, never the reverse.
 struct Ticket {
   RunSpec spec;
-  std::uint64_t sequence = 0;
   /// Backend-assigned run id surfaced through RunHandle::id() (the
-  /// scheduler uses its admission sequence, the coordinator its DistRun
-  /// id).
+  /// scheduler uses its admission sequence, which is also its FIFO
+  /// tie-break; the coordinator its DistRun id).
   std::uint64_t run_id = 0;
   /// Journal sequence of this run's pending record (0 = not journaled);
   /// the terminal-state transition appends the matching tombstone.
@@ -119,11 +105,12 @@ class RunHandle {
  private:
   friend class Scheduler;
   friend class Coordinator;
-  RunHandle(std::shared_ptr<detail::Ticket> ticket, detail::TicketOwner* owner)
+  /// `owner` services cancel(); null (distributed handles) = no cancel.
+  RunHandle(std::shared_ptr<detail::Ticket> ticket, Scheduler* owner)
       : ticket_(std::move(ticket)), owner_(owner) {}
 
   std::shared_ptr<detail::Ticket> ticket_;
-  detail::TicketOwner* owner_ = nullptr;
+  Scheduler* owner_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -167,30 +154,5 @@ struct ShedInfo {
 /// Decode the reason tag and retry hint of a status.  Untagged statuses
 /// come back with reason kNone and whatever hint their message carries.
 [[nodiscard]] ShedInfo shed_info(const util::Status& status);
-
-// ---------------------------------------------------------------------------
-// The common admission interface
-// ---------------------------------------------------------------------------
-
-/// One submit API for every backend.  Scheduler (in-process pool) and
-/// Coordinator (distributed control plane) both implement it, so
-/// Runtime::submit / Runtime::submit_batch are backend-agnostic.
-class Admission {
- public:
-  virtual ~Admission() = default;
-
-  /// Admit one run.  Sheds with a ShedInfo-tagged status under
-  /// backpressure (see the ladder table in scheduler.hpp).
-  [[nodiscard]] virtual util::Expected<RunHandle> submit(RunSpec spec) = 0;
-
-  /// Admit a batch, returning one result per spec in order.  Partial
-  /// admission is normal: a shed item's slot carries its own status while
-  /// the rest proceed.  The default implementation is a loop over
-  /// submit(); backends override it to amortize (the scheduler journals a
-  /// whole batch with one WAL append + one fsync and coalesces identical
-  /// specs onto one execution).
-  [[nodiscard]] virtual std::vector<util::Expected<RunHandle>> submit_batch(
-      std::vector<RunSpec> specs);
-};
 
 }  // namespace pragma::service

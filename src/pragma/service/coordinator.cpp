@@ -120,7 +120,6 @@ util::Expected<RunHandle> Coordinator::submit(RunSpec spec) {
 
   auto ticket = std::make_shared<detail::Ticket>();
   ticket->spec = run.spec;  // post-persist-forcing copy: what executes
-  ticket->sequence = id;
   ticket->run_id = id;
   ticket->submitted_at = std::chrono::steady_clock::now();
   tickets_.emplace(id, ticket);
@@ -130,13 +129,8 @@ util::Expected<RunHandle> Coordinator::submit(RunSpec spec) {
   ++stats_.submitted;
   obs::metrics().counter("service.dist.submitted").add();
   schedule_sweep_now();
-  return RunHandle(std::move(ticket), this);
-}
-
-bool Coordinator::cancel_ticket(
-    const std::shared_ptr<detail::Ticket>& ticket) {
-  (void)ticket;
-  return false;
+  // No owner: a lease in flight cannot be revoked through the handle.
+  return RunHandle(std::move(ticket), nullptr);
 }
 
 void Coordinator::resolve_ticket(std::uint64_t id, const RunOutcome& outcome) {
@@ -179,12 +173,6 @@ bool Coordinator::all_done() const {
   return std::all_of(runs_.begin(), runs_.end(), [](const auto& entry) {
     return is_terminal(entry.second.state);
   });
-}
-
-std::size_t Coordinator::workers_alive() const {
-  return static_cast<std::size_t>(
-      std::count_if(workers_.begin(), workers_.end(),
-                    [](const auto& entry) { return !entry.second.dead; }));
 }
 
 const RunSpec* Coordinator::spec_for(std::uint64_t id) const {

@@ -27,9 +27,9 @@
 //     admitted runs stay queued (queued-not-lost) and only submissions
 //     beyond the admission bound are shed with Status::unavailable.
 //
-// The whole path sits behind DistributedConfig::enabled (see
-// Runtime::Builder::distributed); with the knob off the single-process
-// Scheduler path is untouched and byte-identical.
+// DistributedService (worker.hpp) deploys a coordinator and its workers;
+// it is the one entry point to this plane.  The single-process Scheduler
+// behind Runtime shares no state with it.
 #pragma once
 
 #include <cstdint>
@@ -66,14 +66,9 @@ inline const std::string kCoordinatorPort = "dist.coord";
 inline const std::string kWorkerPortPrefix = "dist.worker.";
 }  // namespace dist
 
-/// The distributed-service knob set.  `enabled` is the ServiceConfig
-/// switch: with it off nothing here is constructed and the in-process
-/// Scheduler behaves byte-identically to before this layer existed.
+/// The distributed-service knob set (DistributedService adds its workers
+/// explicitly).
 struct DistributedConfig {
-  bool enabled = false;
-  /// Workers a Runtime-managed service spawns (harness-level deployments
-  /// add workers explicitly and may ignore this).
-  std::size_t workers = 4;
   /// Admission bound on *queued* (not yet leased) runs; submissions
   /// beyond it are shed with Status::unavailable.
   std::size_t queue_capacity = 64;
@@ -181,20 +176,19 @@ struct CoordinatorStats {
 
 /// The catalog/coordinator.  Single-threaded: every action happens inside
 /// an event of the owning simulator, so decisions are deterministic.  It
-/// implements the same Admission interface as the in-process Scheduler,
-/// so Runtime::submit/submit_batch are backend-agnostic.  Note the
-/// execution model difference: a distributed RunHandle resolves only
-/// while the owning simulator runs (RunHandle::wait() from the sim
+/// hands out the same RunHandles as the in-process Scheduler, with two
+/// differences: a distributed RunHandle cannot cancel, and it resolves
+/// only while the owning simulator runs (RunHandle::wait() from the sim
 /// thread before pumping events would never return — use all_done() /
 /// run_until_done loops, then read the handles).
-class Coordinator : public Admission, public detail::TicketOwner {
+class Coordinator {
  public:
   /// Registers the coordinator port, makes it a reliable endpoint, starts
   /// the heartbeat detector and the periodic dispatch sweep.  `simulator`,
   /// `center`, and `channel` must outlive the coordinator.
   Coordinator(sim::Simulator& simulator, agents::MessageCenter& center,
               agents::ReliableChannel& channel, DistributedConfig config = {});
-  ~Coordinator() override;
+  ~Coordinator();
 
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
@@ -204,7 +198,7 @@ class Coordinator : public Admission, public detail::TicketOwner {
   /// Managed runs without durable persistence get the checkpoint store
   /// forced on (failover needs generations to resume from).  The
   /// handle's id() is the DistRun id (find()/runs() key).
-  [[nodiscard]] util::Expected<RunHandle> submit(RunSpec spec) override;
+  [[nodiscard]] util::Expected<RunHandle> submit(RunSpec spec);
 
   /// Resolve every non-terminal handle with `status` (state kFailed, or
   /// kCancelled when `status` is ok).  Call before tearing down the
@@ -219,7 +213,6 @@ class Coordinator : public Admission, public detail::TicketOwner {
   }
   [[nodiscard]] bool all_done() const;
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  [[nodiscard]] std::size_t workers_alive() const;
   [[nodiscard]] const CoordinatorStats& stats() const { return stats_; }
   [[nodiscard]] const DistributedConfig& config() const { return config_; }
   [[nodiscard]] agents::HeartbeatDetector& detector() { return detector_; }
@@ -242,9 +235,6 @@ class Coordinator : public Admission, public detail::TicketOwner {
     double registered_s = 0.0;
   };
 
-  /// Distributed cancellation is not supported (a lease in flight cannot
-  /// be revoked through the handle yet): always false.
-  bool cancel_ticket(const std::shared_ptr<detail::Ticket>& ticket) override;
   /// Publish a terminal run's outcome to its ticket and wake waiters.
   void resolve_ticket(std::uint64_t id, const RunOutcome& outcome);
 

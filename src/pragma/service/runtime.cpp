@@ -31,8 +31,7 @@ std::unique_ptr<Journal> Runtime::make_journal(JournalConfig config,
 }
 
 Runtime::Runtime(Options options)
-    : distributed_(std::move(options.distributed)),
-      journal_(make_journal(std::move(options.journal), &recovery_)),
+    : journal_(make_journal(std::move(options.journal), &recovery_)),
       scheduler_(with_journal(options.scheduler, journal_.get()),
                  options.pool) {
   if (options.grid) {
@@ -72,10 +71,18 @@ void Runtime::wire_cache(RunSpec& spec) {
                        spec.kind == WorkloadKind::kSystemSensitive;
   if (replays && spec.trace && spec.workgrid_cache == nullptr) {
     std::lock_guard<std::mutex> lock(caches_mu_);
-    std::unique_ptr<partition::WorkGridCache>& cache =
-        caches_[spec.trace.get()];
-    if (!cache) cache = std::make_unique<partition::WorkGridCache>();
-    spec.workgrid_cache = cache.get();
+    // A freed trace's address may be reused by the next one, so its
+    // grids must go before the lookup.  No run still uses them: every
+    // queued or running spec holds its trace.
+    std::erase_if(caches_, [](const auto& entry) {
+      return entry.second.trace.expired();
+    });
+    TraceCache& entry = caches_[spec.trace.get()];
+    if (!entry.cache) {
+      entry.trace = spec.trace;
+      entry.cache = std::make_unique<partition::WorkGridCache>();
+    }
+    spec.workgrid_cache = entry.cache.get();
   }
 }
 
@@ -99,76 +106,6 @@ RunOutcome Runtime::run(RunSpec spec) {
     return outcome;
   }
   return handle.value().wait();
-}
-
-std::vector<RunOutcome> Runtime::run_burst(std::vector<RunSpec> specs) {
-  std::vector<RunOutcome> outcomes(specs.size());
-  if (!distributed_.enabled) {
-    // Scheduler path: one batched admission (one journal frame, one
-    // fsync), then join in order.
-    std::vector<util::Expected<RunHandle>> handles =
-        submit_batch(std::move(specs));
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-      if (handles[i]) {
-        outcomes[i] = handles[i].value().wait();
-      } else {
-        outcomes[i].state = RunState::kFailed;
-        outcomes[i].status = handles[i].status();
-      }
-    }
-    return outcomes;
-  }
-
-  DistributedService service(distributed_, defaults_.seed);
-  for (std::size_t w = 0; w < distributed_.workers; ++w)
-    service.add_worker(std::string("w").append(std::to_string(w)));
-  // Same durability contract as the scheduler path: the pending records
-  // are on disk (one sealed batch frame, one fsync) before any
-  // coordinator lease enqueue returns.  append_batch is all-or-nothing:
-  // a saturated journal sheds the whole burst rather than silently
-  // running some specs without durability.
-  std::vector<std::uint64_t> journal_seqs;
-  if (journal_) {
-    std::vector<const RunSpec*> pointers;
-    pointers.reserve(specs.size());
-    for (const RunSpec& spec : specs) pointers.push_back(&spec);
-    util::Expected<std::vector<std::uint64_t>> seqs =
-        journal_->append_batch(pointers);
-    if (!seqs) {
-      for (RunOutcome& outcome : outcomes) {
-        outcome.state = RunState::kFailed;
-        outcome.status = seqs.status();
-      }
-      return outcomes;
-    }
-    journal_seqs = std::move(seqs).value();
-  }
-  std::vector<util::Expected<RunHandle>> handles =
-      service.submit_batch(std::move(specs));
-  const util::Status status = service.run_until_done();
-  // Tickets of runs that never reached a terminal state (run_until_done
-  // timed out) resolve as kFailed carrying the reason; with a clean
-  // finish this is a no-op because on_result already resolved them all.
-  service.coordinator().resolve_pending(
-      status.is_ok()
-          ? util::Status::internal("run never reached a terminal state")
-          : status);
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    if (handles[i]) {
-      outcomes[i] = handles[i].value().wait();
-    } else {
-      outcomes[i].state = RunState::kFailed;
-      outcomes[i].status = handles[i].status();
-    }
-  }
-  // Every journaled spec has been resolved one way or the other and its
-  // outcome reported to the caller; a kill before this point leaves the
-  // pending records for the next process to recover.
-  if (journal_) {
-    for (const std::uint64_t seq : journal_seqs)
-      if (seq != 0) journal_->tombstone(seq);
-  }
-  return outcomes;
 }
 
 const grid::Cluster& Runtime::cluster() {

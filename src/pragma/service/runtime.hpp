@@ -24,7 +24,6 @@
 #include "pragma/service/journal.hpp"
 #include "pragma/service/run_spec.hpp"
 #include "pragma/service/scheduler.hpp"
-#include "pragma/service/worker.hpp"
 
 namespace pragma::service {
 
@@ -42,7 +41,6 @@ class Runtime {
     std::optional<GridSpec> grid;
     std::optional<obs::ObsConfig> obs;
     SchedulerConfig scheduler;
-    DistributedConfig distributed;
     JournalConfig journal;
     util::ThreadPool* pool = nullptr;
   };
@@ -75,19 +73,6 @@ class Runtime {
       options_.pool = pool;
       return *this;
     }
-    /// Run bursts over the elastic coordinator/worker control plane
-    /// instead of the in-process scheduler.  Off by default; when
-    /// `config.enabled` is false the scheduler path is untouched and
-    /// byte-identical to a runtime built without this call.
-    Builder& distributed(DistributedConfig config) {
-      // Keep accountant()/autoscale() settings regardless of call order.
-      if (config.accountant == nullptr)
-        config.accountant = options_.distributed.accountant;
-      if (!config.autoscale.enabled)
-        config.autoscale = options_.distributed.autoscale;
-      options_.distributed = std::move(config);
-      return *this;
-    }
     /// Crash-durable admission journal.  With `config.enabled` every
     /// admitted spec is durably appended before submit() returns, and
     /// build() replays the journal: pending runs from a killed process
@@ -105,18 +90,11 @@ class Runtime {
       return *this;
     }
     /// Per-run resource accounting and budget enforcement (off by
-    /// default).  The accountant is shared by the scheduler path and the
-    /// distributed path; it is not owned and must outlive the runtime.
-    /// Null (the default) is the byte-identical pre-accounting path.
+    /// default).  Not owned; must outlive the runtime.  Null (the
+    /// default) is the byte-identical pre-accounting path.  The
+    /// distributed plane takes its own (DistributedConfig::accountant).
     Builder& accountant(res::ResourceAccountant* accountant) {
       options_.scheduler.accountant = accountant;
-      options_.distributed.accountant = accountant;
-      return *this;
-    }
-    /// Predictive worker-pool autoscaling for distributed bursts (off by
-    /// default; requires distributed({.enabled = true})).
-    Builder& autoscale(res::AutoscaleConfig config) {
-      options_.distributed.autoscale = config;
       return *this;
     }
     [[nodiscard]] Runtime build() { return Runtime(std::move(options_)); }
@@ -146,16 +124,6 @@ class Runtime {
   /// Submit and join: the synchronous convenience path.  Admission
   /// rejection comes back as a kFailed outcome carrying the status.
   RunOutcome run(RunSpec spec);
-
-  /// Execute a batch of runs and return their outcomes in order.  Built
-  /// on submit_batch: with distributed mode off (the default) the burst
-  /// goes through the scheduler's batched admission, then joins in
-  /// order.  With Builder::distributed({.enabled = true, ...}) the burst
-  /// is deployed on a fresh DistributedService: a coordinator plus
-  /// `distributed.workers` workers on one deterministic control network.
-  /// Admission shedding surfaces as kFailed outcomes carrying the shed
-  /// status either way.
-  [[nodiscard]] std::vector<RunOutcome> run_burst(std::vector<RunSpec> specs);
 
   /// Block until every admitted run has finished.
   void drain() { scheduler_.drain(); }
@@ -192,15 +160,19 @@ class Runtime {
   /// rasterization coalesces (shared by submit and submit_batch).
   void wire_cache(RunSpec& spec);
 
+  /// A work-grid cache and the trace it rasterizes.  The weak_ptr tells a
+  /// freed trace from a new one allocated at the same address.
+  struct TraceCache {
+    std::weak_ptr<const amr::AdaptationTrace> trace;
+    std::unique_ptr<partition::WorkGridCache> cache;
+  };
+
   RunSpec defaults_;
-  DistributedConfig distributed_;
   std::optional<grid::Cluster> cluster_;
   // Declared before scheduler_ so caches outlive in-flight runs during
   // destruction (members destroy in reverse order).
   std::mutex caches_mu_;
-  std::map<const amr::AdaptationTrace*,
-           std::unique_ptr<partition::WorkGridCache>>
-      caches_;
+  std::map<const amr::AdaptationTrace*, TraceCache> caches_;
   // Journal before scheduler_: the scheduler holds a raw pointer and
   // tombstones terminal runs during its own destruction.
   JournalRecovery recovery_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "pragma/obs/metrics.hpp"
@@ -258,8 +257,7 @@ void Scheduler::stage_locked(std::vector<Admitted>& admitted,
       results[index] = shutting_down_status();
       continue;
     }
-    ticket->sequence = next_sequence_++;
-    ticket->run_id = ticket->sequence;
+    ticket->run_id = next_sequence_++;
     ticket->submitted_at = std::chrono::steady_clock::now();
     queue_.push_back(ticket);
     ++stats_.submitted;
@@ -372,11 +370,6 @@ std::vector<util::Expected<RunHandle>> Scheduler::submit_specs(
   return results;
 }
 
-void Scheduler::set_tenant_weight(const std::string& tenant, double weight) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tenants_[tenant].weight = std::max(weight, 1e-9);
-}
-
 void Scheduler::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [&] { return queue_.empty() && running_ == 0; });
@@ -396,15 +389,13 @@ std::size_t Scheduler::queue_depth() const {
 }
 
 Scheduler::TicketPtr Scheduler::pick_next() {
-  // Pass 1: the tenant owed the most service — smallest dispatched/weight,
+  // Pass 1: the tenant owed the most service — fewest dispatched runs,
   // ties to the lexicographically smaller name so ordering is
   // deterministic regardless of submission interleaving.
   const std::string* best_tenant = nullptr;
-  double best_share = std::numeric_limits<double>::infinity();
+  std::uint64_t best_share = 0;
   for (const TicketPtr& ticket : queue_) {
-    const Tenant& tenant = tenants_[ticket->spec.tenant];
-    const double share =
-        static_cast<double>(tenant.dispatched) / tenant.weight;
+    const std::uint64_t share = dispatched_[ticket->spec.tenant];
     if (best_tenant == nullptr || share < best_share ||
         (share == best_share && ticket->spec.tenant < *best_tenant)) {
       best_share = share;
@@ -418,7 +409,7 @@ Scheduler::TicketPtr Scheduler::pick_next() {
     if (best == queue_.end() ||
         (*it)->spec.priority > (*best)->spec.priority ||
         ((*it)->spec.priority == (*best)->spec.priority &&
-         (*it)->sequence < (*best)->sequence))
+         (*it)->run_id < (*best)->run_id))
       best = it;
   }
   TicketPtr picked = *best;
@@ -437,7 +428,7 @@ void Scheduler::maybe_dispatch() {
     // Pre-dispatch: the executor (and any waiter, via the terminal-state
     // handshake) observes this write through the pool's queue ordering.
     ticket->outcome.queue_s = queued_s;
-    tenants_[ticket->spec.tenant].dispatched++;
+    dispatched_[ticket->spec.tenant]++;
     inflight_.push_back(ticket);
     pool_->submit([this, ticket] { execute(ticket); });
   }

@@ -5,10 +5,10 @@
 // grid applications at once.  This scheduler is that layer.  Admission is
 // a bounded queue with backpressure — when it is full, submit() sheds the
 // run with util::Status::unavailable instead of queueing unboundedly.
-// Dispatch is fair-share across tenants (each tenant's dispatched count,
-// normalized by its weight, is balanced) with per-run priority inside a
-// tenant and FIFO tie-breaking, so one chatty tenant cannot starve the
-// rest and ordering stays deterministic.
+// Dispatch is fair-share across tenants (each tenant's dispatched count is
+// balanced) with per-run priority inside a tenant and FIFO tie-breaking,
+// so one chatty tenant cannot starve the rest and ordering stays
+// deterministic.
 //
 // Admission, staging, the per-tenant token buckets and the fair-share
 // state all live under the scheduler's one mutex; only the journal append
@@ -132,14 +132,14 @@ struct SchedulerStats {
   double queue_p99_s = 0.0;
 };
 
-class Scheduler : public Admission, public detail::TicketOwner {
+class Scheduler {
  public:
   /// `pool` must outlive the scheduler; null uses util::shared_pool().
   explicit Scheduler(SchedulerConfig config = {},
                      util::ThreadPool* pool = nullptr);
   /// Cancels queued runs, requests cancellation of running ones, and
   /// waits for everything in flight to finish.
-  ~Scheduler() override;
+  ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
@@ -149,13 +149,13 @@ class Scheduler : public Admission, public detail::TicketOwner {
   /// the status carries a ShedInfo reason tag and a retry-after hint —
   /// see shed_info() in admission.hpp).  When a journal is configured,
   /// the pending record is durable before this returns.
-  [[nodiscard]] util::Expected<RunHandle> submit(RunSpec spec) override;
+  [[nodiscard]] util::Expected<RunHandle> submit(RunSpec spec);
 
   /// Admit a batch: one WAL append + one fsync for every admitted spec,
   /// per-item shed statuses, identical specs coalesced onto one
   /// execution.  Results are positional: results[i] belongs to specs[i].
   [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_batch(
-      std::vector<RunSpec> specs) override;
+      std::vector<RunSpec> specs);
 
   /// Resubmit a journal-recovered run under its original journal
   /// sequence: skips the rate limiter (the run was already admitted once)
@@ -163,9 +163,6 @@ class Scheduler : public Admission, public detail::TicketOwner {
   /// rerun's terminal tombstone.
   [[nodiscard]] util::Expected<RunHandle> resubmit_recovered(
       RunSpec spec, std::uint64_t journal_seq);
-
-  /// Fair-share weight of a tenant (default 1.0; larger = more slots).
-  void set_tenant_weight(const std::string& tenant, double weight);
 
   /// Block until the queue is empty and no run is in flight.
   void drain();
@@ -175,16 +172,13 @@ class Scheduler : public Admission, public detail::TicketOwner {
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
  private:
+  friend class RunHandle;  // cancel() reaches cancel_ticket
   using TicketPtr = std::shared_ptr<detail::Ticket>;
 
   struct TokenBucket {
     double tokens = 0.0;
     bool primed = false;
     std::chrono::steady_clock::time_point last_refill;
-  };
-  struct Tenant {
-    double weight = 1.0;
-    std::uint64_t dispatched = 0;
   };
 
   [[nodiscard]] std::size_t workers() const;
@@ -217,7 +211,7 @@ class Scheduler : public Admission, public detail::TicketOwner {
   /// Pool-thread body: execute one run and publish its outcome.
   void execute(const TicketPtr& ticket);
   void finish(const TicketPtr& ticket, RunOutcome outcome);
-  bool cancel_ticket(const TicketPtr& ticket) override;
+  bool cancel_ticket(const TicketPtr& ticket);
 
   SchedulerConfig config_;
   util::ThreadPool* pool_;
@@ -233,7 +227,8 @@ class Scheduler : public Admission, public detail::TicketOwner {
   std::deque<TicketPtr> queue_;
   std::vector<TicketPtr> inflight_;
   std::map<std::string, TokenBucket> buckets_;
-  std::map<std::string, Tenant> tenants_;
+  /// Runs dispatched per tenant: the fair-share balance.
+  std::map<std::string, std::uint64_t> dispatched_;
   /// Every counter except the queue percentiles, which stats() derives
   /// from queue_latencies_s_.
   SchedulerStats stats_;

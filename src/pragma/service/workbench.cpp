@@ -12,35 +12,6 @@
 
 namespace pragma::service {
 
-namespace {
-
-/// The wait before one retry round: the shed hint when present,
-/// otherwise the exponential schedule; always capped.
-int retry_wait_ms(int hint_ms, int next_wait_ms, int cap_ms) {
-  return std::min(hint_ms > 0 ? hint_ms : next_wait_ms, cap_ms);
-}
-
-}  // namespace
-
-util::Expected<RunHandle> submit_with_retry(Runtime& runtime, RunSpec spec,
-                                            RetryBackoff backoff) {
-  const int cap_ms = std::max(backoff.cap_ms, 1);
-  int next_wait_ms = std::max(backoff.base_ms, 1);
-  util::Expected<RunHandle> handle = runtime.submit(spec);
-  for (int attempt = 1; !handle && attempt < backoff.max_attempts;
-       ++attempt) {
-    if (!ShedInfo::retryable(handle.status()))
-      break;  // not backpressure — retrying cannot help
-    const ShedInfo info = shed_info(handle.status());
-    const int wait_ms = retry_wait_ms(info.retry_after_ms, next_wait_ms,
-                                      cap_ms);
-    std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
-    next_wait_ms = std::min(next_wait_ms * 2, cap_ms);
-    handle = runtime.submit(spec);
-  }
-  return handle;
-}
-
 std::vector<util::Expected<RunHandle>> submit_batch_with_retry(
     Runtime& runtime, std::vector<RunSpec> specs, RetryBackoff backoff) {
   const int cap_ms = std::max(backoff.cap_ms, 1);
@@ -58,7 +29,9 @@ std::vector<util::Expected<RunHandle>> submit_batch_with_retry(
       hint_ms = std::max(hint_ms, shed_info(results[i].status()).retry_after_ms);
     }
     if (shed.empty()) break;
-    const int wait_ms = retry_wait_ms(hint_ms, next_wait_ms, cap_ms);
+    // The shed hint when present, otherwise the exponential schedule;
+    // always capped.
+    const int wait_ms = std::min(hint_ms > 0 ? hint_ms : next_wait_ms, cap_ms);
     std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
     next_wait_ms = std::min(next_wait_ms * 2, cap_ms);
     std::vector<RunSpec> again;

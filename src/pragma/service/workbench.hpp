@@ -35,18 +35,10 @@ struct RetryBackoff {
   int max_attempts = 8;
 };
 
-/// Submit with retry: when admission sheds the run with a retryable
-/// status (ShedInfo::retryable — tagged sheds by reason, untagged by the
-/// backpressure codes kUnavailable/kResourceExhausted), wait the hinted
-/// — or exponentially backed-off — interval and resubmit, up to
-/// backoff.max_attempts total attempts.  Any other failure, or
-/// exhausting the attempts, returns the last status unchanged.
-[[nodiscard]] util::Expected<RunHandle> submit_with_retry(
-    Runtime& runtime, RunSpec spec, RetryBackoff backoff = {});
-
 /// Batched submit with retry: submit the whole batch, then on each
 /// backoff round resubmit ONLY the slots that came back as retryable
-/// sheds (rate limit, queue full, journal saturation, ...).  Slots that
+/// sheds (ShedInfo::retryable — tagged sheds by reason, untagged by the
+/// backpressure codes kUnavailable/kResourceExhausted).  Slots that
 /// were admitted, or that failed non-retryably, are never resubmitted.
 /// The wait for a round is the largest retry_after_ms hint among the
 /// shed slots, falling back to the exponential schedule.  Results stay

@@ -358,11 +358,6 @@ util::Expected<RunHandle> DistributedService::submit_run(RunSpec spec) {
   return coordinator_->submit(std::move(spec));
 }
 
-std::vector<util::Expected<RunHandle>> DistributedService::submit_batch(
-    std::vector<RunSpec> specs) {
-  return coordinator_->submit_batch(std::move(specs));
-}
-
 util::Status DistributedService::run_until_done(double max_sim_s) {
   while (!coordinator_->all_done()) {
     if (simulator_.now() >= max_sim_s)
@@ -404,19 +399,13 @@ std::size_t DistributedService::alive_workers() const {
 }
 
 void DistributedService::autoscale_tick() {
-  // Demand = non-terminal runs, total and per tenant; feeding the series
-  // every tick (including zeros) keeps the forecaster's trend honest.
+  // Demand = non-terminal runs; feeding the series every tick (including
+  // zeros) keeps the forecaster's trend honest.
   const double now = simulator_.now();
   double demand = 0.0;
-  std::map<std::string, double> per_tenant;
-  for (const auto& [id, run] : coordinator_->runs()) {
-    if (is_terminal(run.state)) continue;
-    demand += 1.0;
-    per_tenant[run.spec.tenant] += 1.0;
-  }
+  for (const auto& [id, run] : coordinator_->runs())
+    if (!is_terminal(run.state)) demand += 1.0;
   autoscaler_->observe(now, demand);
-  for (const auto& [tenant, count] : per_tenant)
-    autoscaler_->observe_tenant(tenant, now, count);
 
   const std::size_t alive = alive_workers();
   const std::size_t desired = autoscaler_->desired_workers();
@@ -438,7 +427,7 @@ void DistributedService::autoscale_tick() {
       ++scale_ups_;
       obs::metrics().counter("res.autoscale.scale_ups").add();
     }
-    autoscaler_->note_scaled(now);
+    autoscaler_->note_scaled();
     PRAGMA_FLIGHT(now, "dist.autoscale", "scale up: +", add, " (alive ",
                   alive, ", desired ", desired, ")");
   } else if (desired < alive &&
@@ -453,7 +442,7 @@ void DistributedService::autoscale_tick() {
       auto_ports_.erase(candidate.port());
       ++scale_downs_;
       obs::metrics().counter("res.autoscale.scale_downs").add();
-      autoscaler_->note_scaled(now);
+      autoscaler_->note_scaled();
       PRAGMA_FLIGHT(now, "dist.autoscale", "scale down: retired ",
                     candidate.port());
       break;

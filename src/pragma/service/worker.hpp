@@ -128,11 +128,11 @@ struct ChurnEvent {
 ///
 /// With DistributedConfig::autoscale.enabled the service also runs a
 /// res::PredictiveAutoscaler: a periodic tick feeds the count of
-/// non-terminal runs (total and per tenant) into the forecaster, joins
-/// "auto<N>" workers ahead of predicted demand (each join lands after
-/// the modeled spin-up delay), and retires idle auto-joined workers once
-/// demand stays below capacity for the cool-down window.  Disabled (the
-/// default) schedules no event at all — byte-identical to the fixed pool.
+/// non-terminal runs into the forecaster, joins "auto<N>" workers ahead
+/// of predicted demand (each join lands after the modeled spin-up
+/// delay), and retires idle auto-joined workers once demand stays below
+/// capacity for the cool-down window.  Disabled (the default) schedules
+/// no event at all — byte-identical to the fixed pool.
 class DistributedService {
  public:
   explicit DistributedService(DistributedConfig config = {},
@@ -152,13 +152,10 @@ class DistributedService {
   void schedule_partition(double from_s, double until_s,
                           std::vector<std::string> workers);
 
-  /// Admit a run through the coordinator's Admission surface.  The
-  /// handle resolves while run_until_done pumps the simulator; wait() on
-  /// it only after the burst finishes (single-threaded simulation).
+  /// Admit a run through the coordinator.  The handle resolves while
+  /// run_until_done pumps the simulator; wait() on it only after the
+  /// burst finishes (single-threaded simulation).
   [[nodiscard]] util::Expected<RunHandle> submit_run(RunSpec spec);
-  /// Batched admission (forwards to Coordinator::submit_batch).
-  [[nodiscard]] std::vector<util::Expected<RunHandle>> submit_batch(
-      std::vector<RunSpec> specs);
 
   /// Drive the simulation until every submitted run is terminal (ok) or
   /// `max_sim_s` passes first (unavailable).

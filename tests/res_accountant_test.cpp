@@ -149,7 +149,7 @@ TEST(ResourceAccountant, CloseFoldsIntoTenantAggregateExactlyOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// PredictiveAutoscaler: pool sizing, lookahead, cooldown, tenant shares
+// PredictiveAutoscaler: pool sizing, lookahead, cooldown
 // ---------------------------------------------------------------------------
 
 AutoscaleConfig scaler_config(bool predictive) {
@@ -216,7 +216,7 @@ TEST(PredictiveAutoscaler, ScaleDownWaitsOutTheCooldownWindow) {
   EXPECT_FALSE(scaler.scale_down_due(5.0, 4));   // inside the window
   EXPECT_TRUE(scaler.scale_down_due(10.0, 4));   // window elapsed
 
-  scaler.note_scaled(10.0);  // a scale event resets the clock
+  scaler.note_scaled();  // a scale event resets the clock
   EXPECT_FALSE(scaler.scale_down_due(10.5, 3));
   EXPECT_FALSE(scaler.scale_down_due(15.0, 3));
   EXPECT_TRUE(scaler.scale_down_due(20.5, 3));
@@ -224,20 +224,6 @@ TEST(PredictiveAutoscaler, ScaleDownWaitsOutTheCooldownWindow) {
   // Demand recovering above the watermark disarms the clock entirely.
   scaler.observe(21.0, 100.0);
   EXPECT_FALSE(scaler.scale_down_due(21.0, 3));
-}
-
-TEST(PredictiveAutoscaler, TenantSharesNormalizeAndFollowTheRisingTenant) {
-  PredictiveAutoscaler scaler(scaler_config(/*predictive=*/true));
-  EXPECT_TRUE(scaler.tenant_shares().empty());
-
-  for (int i = 0; i < 12; ++i) {
-    scaler.observe_tenant("rising", 0.5 * i, static_cast<double>(i + 1));
-    scaler.observe_tenant("flat", 0.5 * i, 2.0);
-  }
-  const std::map<std::string, double> shares = scaler.tenant_shares();
-  ASSERT_EQ(shares.size(), 2u);
-  EXPECT_NEAR(shares.at("rising") + shares.at("flat"), 1.0, 1e-9);
-  EXPECT_GT(shares.at("rising"), shares.at("flat"));
 }
 
 }  // namespace

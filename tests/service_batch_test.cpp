@@ -26,6 +26,7 @@
 #include "pragma/service/journal.hpp"
 #include "pragma/service/runtime.hpp"
 #include "pragma/service/workbench.hpp"
+#include "pragma/service/worker.hpp"
 #include "pragma/util/thread_pool.hpp"
 
 namespace pragma::service {
@@ -156,18 +157,6 @@ TEST(BatchIdentityTest, BatchOutcomesMatchSingleSubmitLoop) {
   EXPECT_EQ(stats.batch_specs, specs.size());
   EXPECT_EQ(stats.submitted, specs.size());
   EXPECT_EQ(stats.coalesced, 0u);  // distinct seeds: nothing to coalesce
-}
-
-TEST(BatchIdentityTest, RunBurstStillReturnsOrderedOutcomes) {
-  auto runtime = Runtime::Builder{}.workers(2).build();
-  std::vector<RunSpec> specs;
-  for (int i = 0; i < 3; ++i)
-    specs.push_back(small_managed_spec("burst" + std::to_string(i),
-                                       static_cast<std::uint64_t>(50 + i)));
-  const std::vector<RunOutcome> outcomes = runtime.run_burst(specs);
-  ASSERT_EQ(outcomes.size(), 3u);
-  for (const RunOutcome& outcome : outcomes)
-    EXPECT_EQ(outcome.state, RunState::kCompleted);
 }
 
 // ---------------------------------------------------------------------------
@@ -518,19 +507,18 @@ TEST(ConcurrentAdmissionTest, SixteenThreadsSubmitWithoutRacesOrLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// The unified Admission surface over the distributed backend
+// RunHandles from the distributed backend
 // ---------------------------------------------------------------------------
 
 TEST(DistributedAdmissionTest, BatchOfHandlesResolvesThroughTheCoordinator) {
   DistributedConfig config;
-  config.enabled = true;
   config.dispatch_period_s = 0.25;
   DistributedService service(config, /*seed=*/44);
   service.add_worker("w0");
   service.add_worker("w1");
 
   std::atomic<int> executions{0};
-  std::vector<RunSpec> specs;
+  std::vector<util::Expected<RunHandle>> handles;
   for (int i = 0; i < 3; ++i) {
     RunSpec spec;
     spec.name = "d" + std::to_string(i);
@@ -539,11 +527,8 @@ TEST(DistributedAdmissionTest, BatchOfHandlesResolvesThroughTheCoordinator) {
       executions.fetch_add(1);
       return util::Status::ok();
     };
-    specs.push_back(std::move(spec));
+    handles.push_back(service.submit_run(std::move(spec)));
   }
-  std::vector<util::Expected<RunHandle>> handles =
-      service.submit_batch(std::move(specs));
-  ASSERT_EQ(handles.size(), 3u);
   for (const auto& handle : handles) ASSERT_TRUE(handle.has_value());
 
   ASSERT_TRUE(service.run_until_done().is_ok());
@@ -556,7 +541,6 @@ TEST(DistributedAdmissionTest, BatchOfHandlesResolvesThroughTheCoordinator) {
 
 TEST(DistributedAdmissionTest, QueueFullShedNowCarriesTheRetryHint) {
   DistributedConfig config;
-  config.enabled = true;
   config.queue_capacity = 1;
   DistributedService service(config, /*seed=*/44);
   // No workers: admitted runs sit queued, so the second submit overflows.

@@ -2,8 +2,8 @@
 // lease dispatch over the reliable channel, heartbeat-driven liveness
 // (suspect -> un-suspect -> confirm, no oracle), work stealing, failover
 // from durable checkpoints with byte-identical final artifacts, graceful
-// degradation under partition, and the ServiceConfig knob that keeps the
-// single-process Scheduler path untouched when off.
+// degradation under partition, and agreement with the single-process
+// Scheduler path.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,6 +16,7 @@
 
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/core/managed_run.hpp"
+#include "pragma/core/run_snapshot.hpp"
 #include "pragma/res/accountant.hpp"
 #include "pragma/service/runtime.hpp"
 #include "pragma/service/worker.hpp"
@@ -55,7 +56,6 @@ RunSpec managed_spec(const std::string& dir, int steps = 18,
 /// simulated (and real) seconds.
 DistributedConfig fast_config() {
   DistributedConfig config;
-  config.enabled = true;
   config.heartbeat.topic = "dist.heartbeats";
   config.heartbeat.period_s = 0.5;
   config.heartbeat.suspect_missed = 3;  // suspected after 1.5 s silence
@@ -70,31 +70,13 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// The PR-3 bit-identity contract, minus fields describing *this
-/// process's* lifecycle (halted/resumed/checkpoints_persisted).
+/// The bit-identity contract: every persisted report field, minus the
+/// ones describing *this process's* lifecycle (halted/resumed/
+/// checkpoints_persisted).
 void expect_reports_bit_identical(const core::ManagedRunReport& a,
                                   const core::ManagedRunReport& b) {
-  EXPECT_TRUE(same_bits(a.total_time_s, b.total_time_s))
-      << a.total_time_s << " vs " << b.total_time_s;
-  EXPECT_EQ(a.regrids, b.regrids);
-  EXPECT_EQ(a.repartitions, b.repartitions);
-  EXPECT_EQ(a.agent_events, b.agent_events);
-  EXPECT_EQ(a.adm_decisions, b.adm_decisions);
-  EXPECT_EQ(a.event_repartitions, b.event_repartitions);
-  EXPECT_EQ(a.partitioner_switches, b.partitioner_switches);
-  EXPECT_TRUE(same_bits(a.cells_advanced, b.cells_advanced));
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const core::ManagedStepRecord& ra = a.records[i];
-    const core::ManagedStepRecord& rb = b.records[i];
-    EXPECT_EQ(ra.step, rb.step) << "record " << i;
-    EXPECT_EQ(ra.octant, rb.octant) << "record " << i;
-    EXPECT_EQ(ra.partitioner, rb.partitioner) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.sim_time_s, rb.sim_time_s)) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.step_time_s, rb.step_time_s)) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.imbalance, rb.imbalance)) << "record " << i;
-    EXPECT_EQ(ra.live_nodes, rb.live_nodes) << "record " << i;
-  }
+  EXPECT_TRUE(core::encode_report(a) == core::encode_report(b))
+      << "total_time_s " << a.total_time_s << " vs " << b.total_time_s;
 }
 
 /// Uninterrupted single-process reference for a spec (distinct dir so the
@@ -293,10 +275,11 @@ TEST(Distributed, PartitionDegradesGracefully) {
       << "and fenced back in after the heal";
 }
 
-// The ServiceConfig knob: distributed off == the scheduler path,
-// distributed on == the same bytes over the control plane.
-TEST(Distributed, KnobOffMatchesSchedulerPathByteIdentical) {
-  const std::string root = test_dir("knob");
+// The two backends compute the same bytes: the in-process scheduler
+// (through Runtime) and the sliced, leased control plane (through
+// DistributedService).
+TEST(Distributed, SchedulerAndDistributedPlaneAgreeByteIdentical) {
+  const std::string root = test_dir("agree");
   auto specs_for = [&](const std::string& tag) {
     std::vector<RunSpec> specs;
     specs.push_back(managed_spec(root + "/" + tag + "-0", 14, 40));
@@ -304,24 +287,31 @@ TEST(Distributed, KnobOffMatchesSchedulerPathByteIdentical) {
     return specs;
   };
 
-  Runtime off = Runtime::Builder{}.build();  // never calls distributed()
-  const std::vector<RunOutcome> scheduler_path =
-      off.run_burst(specs_for("sched"));
+  Runtime runtime = Runtime::Builder{}.build();
+  std::vector<RunOutcome> scheduler_path;
+  for (RunSpec& spec : specs_for("sched"))
+    scheduler_path.push_back(runtime.run(std::move(spec)));
 
-  DistributedConfig config = fast_config();
-  config.workers = 2;
-  Runtime on = Runtime::Builder{}.distributed(config).build();
-  const std::vector<RunOutcome> distributed_path =
-      on.run_burst(specs_for("dist"));
+  DistributedService service(fast_config(), /*seed=*/40);
+  service.add_worker("w0");
+  service.add_worker("w1");
+  std::vector<RunHandle> handles;
+  for (RunSpec& spec : specs_for("dist")) {
+    util::Expected<RunHandle> handle = service.submit_run(std::move(spec));
+    ASSERT_TRUE(handle) << handle.status().to_string();
+    handles.push_back(std::move(handle).value());
+  }
+  ASSERT_TRUE(service.run_until_done(300.0).is_ok());
 
-  ASSERT_EQ(scheduler_path.size(), distributed_path.size());
+  ASSERT_EQ(scheduler_path.size(), handles.size());
   for (std::size_t i = 0; i < scheduler_path.size(); ++i) {
     ASSERT_EQ(scheduler_path[i].state, RunState::kCompleted)
         << scheduler_path[i].status.to_string();
-    ASSERT_EQ(distributed_path[i].state, RunState::kCompleted)
-        << distributed_path[i].status.to_string();
+    const RunOutcome& distributed = handles[i].wait();
+    ASSERT_EQ(distributed.state, RunState::kCompleted)
+        << distributed.status.to_string();
     expect_reports_bit_identical(scheduler_path[i].managed,
-                                 distributed_path[i].managed);
+                                 distributed.managed);
   }
   fs::remove_all(root);
 }
@@ -388,7 +378,7 @@ TEST(Distributed, ConcurrentChurningServicesAreDeterministic) {
 /// simulated completion instants, no scale events.
 TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
   const std::string root = test_dir("autoscale_gate");
-  auto run_burst = [&](const DistributedConfig& config, const char* tag,
+  auto run_plane = [&](const DistributedConfig& config, const char* tag,
                        std::vector<core::ManagedRunReport>* reports,
                        std::vector<double>* completed_at) {
     DistributedService service(config, /*seed=*/40);
@@ -418,7 +408,7 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
 
   std::vector<core::ManagedRunReport> legacy_reports;
   std::vector<double> legacy_completed;
-  run_burst(fast_config(), "legacy", &legacy_reports, &legacy_completed);
+  run_plane(fast_config(), "legacy", &legacy_reports, &legacy_completed);
 
   // Every autoscale knob populated, master switch off; accountant
   // attached, no spec carries a budget.
@@ -434,7 +424,7 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
 
   std::vector<core::ManagedRunReport> gated_reports;
   std::vector<double> gated_completed;
-  run_burst(gated, "gated", &gated_reports, &gated_completed);
+  run_plane(gated, "gated", &gated_reports, &gated_completed);
 
   ASSERT_EQ(gated_reports.size(), legacy_reports.size());
   for (std::size_t i = 0; i < legacy_reports.size(); ++i) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -241,6 +243,61 @@ TEST(RuntimeFacade, ConcurrentReplaysShareOneCacheAndStayDeterministic) {
     ASSERT_EQ(outcome.state, RunState::kCompleted);
     EXPECT_EQ(fingerprint(outcome.replay), serial[i]);
   }
+}
+
+// The runtime keys each per-trace work-grid cache by the trace object.  A
+// trace freed and reallocated at the same address must get its own grids,
+// not the dead trace's.
+TEST(RuntimeFacade, TraceAtAFreedTracesAddressGetsItsOwnGrids) {
+  // Both traces live in one static slot, so the second lands at the
+  // first one's address.  The deleter only runs the destructor: a
+  // make_shared block would stay allocated while any weak_ptr observes
+  // it, and the address could not be reused.
+  alignas(amr::AdaptationTrace) static unsigned char
+      slot[sizeof(amr::AdaptationTrace)];
+  auto make_trace = [](std::uint64_t seed) {
+    amr::Rm3dConfig app;
+    app.coarse_steps = 64;
+    app.seed = seed;
+    return amr::Rm3dEmulator(app).run();
+  };
+  auto in_slot = [](amr::AdaptationTrace trace, std::promise<void>* freed) {
+    return std::shared_ptr<const amr::AdaptationTrace>(
+        new (slot) amr::AdaptationTrace(std::move(trace)),
+        [freed](const amr::AdaptationTrace* dead) {
+          dead->~AdaptationTrace();
+          if (freed != nullptr) freed->set_value();
+        });
+  };
+  amr::AdaptationTrace first_trace = make_trace(7);
+  amr::AdaptationTrace second_trace = make_trace(8);
+
+  util::ThreadPool pool(1);
+  auto runtime = Runtime::Builder{}.pool(&pool).build();
+  RunSpec spec = runtime.spec();
+  spec.kind = WorkloadKind::kTraceReplay;
+  spec.strategy = "G-MISP+SP";
+  spec.modeled_partition_s_per_cell = 50e-9;
+
+  std::promise<void> first_freed;
+  spec.trace = in_slot(std::move(first_trace), &first_freed);
+  ASSERT_EQ(runtime.run(spec).state, RunState::kCompleted);
+  // Drop the first trace; the pool thread may release the run's copy
+  // last, so wait for the destructor before reusing the slot.
+  spec.trace.reset();
+  first_freed.get_future().wait();
+
+  spec.trace = in_slot(std::move(second_trace), nullptr);
+  const RunOutcome outcome = runtime.run(spec);
+  ASSERT_EQ(outcome.state, RunState::kCompleted);
+
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(16);
+  core::TraceRunConfig config;
+  config.nprocs = 16;
+  config.modeled_partition_s_per_cell = 50e-9;
+  const core::TraceRunner runner(*spec.trace, cluster, config);
+  EXPECT_EQ(fingerprint(outcome.replay),
+            fingerprint(runner.run_static("G-MISP+SP")));
 }
 
 TEST(RuntimeFacade, SystemSensitiveRunsThroughTheScheduler) {

@@ -221,40 +221,6 @@ TEST(SchedulerFairShare, PriorityOrdersRunsWithinOneTenant) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(SchedulerFairShare, WeightsShiftTheShare) {
-  util::ThreadPool pool(1);
-  Scheduler scheduler({/*workers=*/1, /*queue_capacity=*/16}, &pool);
-  scheduler.set_tenant_weight("heavy", 2.0);
-
-  std::vector<std::string> order;
-  std::mutex order_mu;
-  std::promise<void> gate;
-  std::shared_future<void> release = gate.get_future().share();
-  ASSERT_TRUE(
-      scheduler.submit(blocking_spec("blocker", release, &order, &order_mu))
-          .has_value());
-
-  for (const char* name : {"h1", "h2", "h3", "h4"}) {
-    RunSpec spec = blocking_spec(name, release, &order, &order_mu);
-    spec.tenant = "heavy";
-    ASSERT_TRUE(scheduler.submit(std::move(spec)).has_value());
-  }
-  for (const char* name : {"l1", "l2"}) {
-    RunSpec spec = blocking_spec(name, release, &order, &order_mu);
-    spec.tenant = "light";
-    ASSERT_TRUE(scheduler.submit(std::move(spec)).has_value());
-  }
-
-  gate.set_value();
-  scheduler.drain();
-  // heavy (weight 2) gets two dispatches for every one of light's:
-  // shares go h:0 l:0 -> h1; h:.5 l:0 -> l1; h:.5 l:1 -> h2, h3 (1.5);
-  // l:1 < 1.5 -> l2; then the heavy backlog.
-  const std::vector<std::string> expected{"blocker", "h1", "l1",
-                                          "h2", "h3", "l2", "h4"};
-  EXPECT_EQ(order, expected);
-}
-
 TEST(SchedulerCancel, QueuedRunIsWithdrawnImmediately) {
   util::ThreadPool pool(1);
   Scheduler scheduler({/*workers=*/1, /*queue_capacity=*/8}, &pool);
