@@ -400,12 +400,21 @@ bool ManagedRun::try_restore() {
                       trace_.snapshots().back().hierarchy);
     emulator_.set_max_box_cells(snapshot.max_box_cells);
     select_indices_ = snapshot.select_indices;
-    for (const std::uint32_t index : select_indices_)
-      (void)meta_->select(trace_, index);
+    std::map<std::uint32_t, octant::OctantState> states;
+    for (const std::uint32_t index : select_indices_) {
+      auto state = states.find(index);
+      if (state == states.end())
+        state = states
+                    .emplace(index, meta_->classifier().classify(trace_, index))
+                    .first;
+      (void)meta_->select(state->second, index);
+    }
 
     owners_.owner.assign(snapshot.owners.begin(), snapshot.owners.end());
     owners_.nprocs = snapshot.owners_nprocs;
     canonical_ = std::move(canonical);
+    regrid_state_.reset();
+    native_.reset();
     mapped_ = model_.map(*canonical_, owners_);
     has_assignment_ = true;
 
@@ -488,26 +497,32 @@ void ManagedRun::repartition(bool count_as_regrid) {
           static_cast<std::int64_t>(std::get<double>(*bound)));
   }
 
+  // The emulator's hierarchy changes only at a regrid, so an event
+  // repartition keeps the canonical grid rasterized at the last one, with
+  // its snapshot's classification and native grid.
+  if (count_as_regrid || !canonical_.has_value()) {
+    canonical_.emplace(emulator_.hierarchy(), 2,
+                       partition::CurveKind::kHilbert);
+    regrid_state_.reset();
+    native_.reset();
+  }
+
   const std::vector<double> targets = current_targets();
   const std::size_t select_index = trace_.size() - 1;
+  if (!regrid_state_)
+    regrid_state_ = meta_->classifier().classify(trace_, select_index);
   const partition::Partitioner& partitioner =
-      meta_->select(trace_, select_index);
+      meta_->select(*regrid_state_, select_index);
   if (config_.persist.enabled)
     select_indices_.push_back(static_cast<std::uint32_t>(select_index));
 
   const int grain = meta_->current_grain() > 0
                         ? meta_->current_grain()
                         : partitioner.preferred_grain();
-  const partition::WorkGrid native(emulator_.hierarchy(), grain,
-                                   partitioner.curve());
+  const partition::WorkGrid& native = native_grid(grain, partitioner.curve());
   const partition::PartitionResult result =
       partitioner.partition(native, targets);
 
-  // The emulator's hierarchy changes only at a regrid, so an event
-  // repartition keeps the canonical grid rasterized at the last one.
-  if (count_as_regrid || !canonical_.has_value())
-    canonical_.emplace(emulator_.hierarchy(), 2,
-                       partition::CurveKind::kHilbert);
   partition::OwnerMap next = project_owners(
       result.owners, native.lattice_dims(), canonical_->lattice_dims());
 
@@ -537,6 +552,17 @@ void ManagedRun::repartition(bool count_as_regrid) {
   span.annotate("cells", canonical_->cell_count());
   util::log_debug("managed run: repartitioned with ", partitioner.name(),
                   count_as_regrid ? " (regrid)" : " (event)");
+}
+
+const partition::WorkGrid& ManagedRun::native_grid(
+    int grain, partition::CurveKind curve) {
+  const auto has_key = [grain, curve](const partition::WorkGrid& grid) {
+    return grid.grain() == grain && grid.curve() == curve;
+  };
+  if (has_key(*canonical_)) return *canonical_;
+  if (!native_ || !has_key(*native_))
+    native_.emplace(emulator_.hierarchy(), grain, curve);
+  return *native_;
 }
 
 ManagedRunReport ManagedRun::run() {

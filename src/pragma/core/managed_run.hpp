@@ -256,6 +256,11 @@ class ManagedRun {
   [[nodiscard]] std::vector<double> current_targets();
   [[nodiscard]] bool port_reachable(const agents::PortId& port) const;
   void repartition(bool count_as_regrid);
+  /// The current hierarchy rasterized at (`grain`, `curve`): the canonical
+  /// grid when it has that key (G-MISP+SP's), else native_, rebuilt when
+  /// its key differs.
+  [[nodiscard]] const partition::WorkGrid& native_grid(
+      int grain, partition::CurveKind curve);
   void wire_agents();
   void wire_fault_tolerance();
   void on_suspect(const agents::PortId& port, double now);
@@ -289,6 +294,11 @@ class ManagedRun {
 
   // Current assignment state.
   std::optional<partition::WorkGrid> canonical_;
+  // Per-regrid state: the hierarchy changes only at a regrid, so the event
+  // repartitions between two regrids reuse the current snapshot's
+  // classification and the native grid.  Reset with canonical_.
+  std::optional<octant::OctantState> regrid_state_;
+  std::optional<partition::WorkGrid> native_;
   partition::OwnerMap owners_;
   MappedLoad mapped_;
   bool has_assignment_ = false;

@@ -35,9 +35,13 @@ const partition::Partitioner& MetaPartitioner::by_name(
 
 const partition::Partitioner& MetaPartitioner::select(
     const amr::AdaptationTrace& trace, std::size_t i) {
+  return select(classifier_.classify(trace, i), i);
+}
+
+const partition::Partitioner& MetaPartitioner::select(
+    const octant::OctantState& state, std::size_t i) {
   PRAGMA_SPAN_VAR(span, "core", "MetaPartitioner.select");
   meta_selects_counter().add();
-  const octant::OctantState state = classifier_.classify(trace, i);
   span.annotate("octant", octant::to_string(state.octant()));
 
   // Policy query: "octant = <name>" -> partitioner (+ optional grain).

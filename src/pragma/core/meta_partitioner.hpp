@@ -49,6 +49,11 @@ class MetaPartitioner {
   /// Classify snapshot `i` and select a partitioner.
   const partition::Partitioner& select(const amr::AdaptationTrace& trace,
                                        std::size_t i);
+  /// Select a partitioner for snapshot `i`, whose classification is
+  /// `state` (a caller that selects repeatedly for one snapshot classifies
+  /// it once).
+  const partition::Partitioner& select(const octant::OctantState& state,
+                                       std::size_t i);
 
   /// Name of the currently selected partitioner.
   [[nodiscard]] const std::string& current() const { return current_; }

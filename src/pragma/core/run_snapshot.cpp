@@ -11,8 +11,9 @@ namespace pragma::core {
 namespace {
 
 /// Payload-internal format tag (the envelope versions the container; this
-/// versions the RunSnapshot layout inside it).
-constexpr std::uint32_t kPayloadFormat = 1;
+/// versions the RunSnapshot layout inside it).  Format 2 stores the owner
+/// map as runs; format 1 (one i32 per cell) is no longer decoded.
+constexpr std::uint32_t kPayloadFormat = 2;
 
 /// Caps on decoded sequence lengths, far above anything a real run emits.
 constexpr std::uint32_t kMaxSelectCalls = 1u << 20;
@@ -88,14 +89,60 @@ void progress_fields(Io& io, Snapshot& snapshot) {
   io.i64(snapshot.max_box_cells);
 }
 
-/// The meta-partitioner's select() history and the owner map.
-template <class Io, class Snapshot>
-void assignment_fields(Io& io, Snapshot& snapshot) {
+/// A maximal run of equal owners in lattice order.  A canonical owner
+/// map of 16,384 cells holds about 1,500 of them.
+struct OwnerRun {
+  std::int32_t owner = 0;
+  std::uint32_t length = 0;
+};
+
+std::vector<OwnerRun> owner_runs(const std::vector<std::int32_t>& owners) {
+  std::vector<OwnerRun> runs;
+  for (const std::int32_t owner : owners) {
+    if (runs.empty() || runs.back().owner != owner)
+      runs.push_back(OwnerRun{owner, 0});
+    ++runs.back().length;
+  }
+  return runs;
+}
+
+/// The meta-partitioner's select() history and the owner map, as `runs`
+/// (the snapshot's owners run-length encoded).
+template <class Io, class Snapshot, class Runs>
+void assignment_fields(Io& io, Snapshot& snapshot, Runs& runs) {
   io.list(snapshot.select_indices, sizeof(std::uint32_t), kMaxSelectCalls,
           [&io](auto& index) { io.u32(index); });
-  io.list(snapshot.owners, sizeof(std::int32_t), kMaxOwners,
-          [&io](auto& owner) { io.i32(owner); });
+  io.list(runs, sizeof(std::int32_t) + sizeof(std::uint32_t), kMaxOwners,
+          [&io](auto& run) {
+            io.i32(run.owner);
+            io.u32(run.length);
+          });
   io.i32(snapshot.owners_nprocs);
+}
+
+/// Expand decoded runs into `owners`, rejecting empty runs, a total past
+/// kMaxOwners (before allocating it) and owners outside [0, nprocs).
+util::Status expand_owner_runs(const std::vector<OwnerRun>& runs,
+                               std::int32_t nprocs,
+                               std::vector<std::int32_t>& owners) {
+  std::uint64_t total = 0;
+  for (const OwnerRun& run : runs) {
+    if (run.length == 0)
+      return util::Status::invalid("zero-length owner run");
+    total += run.length;
+    if (total > kMaxOwners)
+      return util::Status::invalid("owner runs cover more than " +
+                                   std::to_string(kMaxOwners) + " cells");
+    if (run.owner < 0 || run.owner >= nprocs)
+      return util::Status::out_of_range(
+          "owner id " + std::to_string(run.owner) + " outside [0, " +
+          std::to_string(nprocs) + ")");
+  }
+  owners.clear();
+  owners.reserve(static_cast<std::size_t>(total));
+  for (const OwnerRun& run : runs)
+    owners.insert(owners.end(), run.length, run.owner);
+  return util::Status::ok();
 }
 
 }  // namespace
@@ -126,7 +173,8 @@ std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snapshot) {
   io::FieldWriter io;
   io.out.u32(kPayloadFormat);
   progress_fields(io, snapshot);
-  assignment_fields(io, snapshot);
+  const std::vector<OwnerRun> runs = owner_runs(snapshot.owners);
+  assignment_fields(io, snapshot, runs);
   io::encode_trace(io.out, snapshot.trace);
   report_fields(io, snapshot.report);
   return io.out.take();
@@ -153,15 +201,15 @@ util::Expected<RunSnapshot> decode_run_snapshot(
       !(snapshot.sim_clock >= 0.0))
     return util::Status::invalid("negative progress counters in snapshot");
 
-  assignment_fields(io, snapshot);
+  std::vector<OwnerRun> runs;
+  assignment_fields(io, snapshot, runs);
   if (!r.ok()) return r.status();
   if (snapshot.owners_nprocs < 0)
     return util::Status::invalid("negative owner processor count");
-  for (const std::int32_t owner : snapshot.owners)
-    if (owner < 0 || owner >= snapshot.owners_nprocs)
-      return util::Status::out_of_range(
-          "owner id " + std::to_string(owner) + " outside [0, " +
-          std::to_string(snapshot.owners_nprocs) + ")");
+  if (util::Status status =
+          expand_owner_runs(runs, snapshot.owners_nprocs, snapshot.owners);
+      !status.is_ok())
+    return status;
 
   util::Expected<amr::AdaptationTrace> trace = io::decode_trace(r);
   if (!trace) return trace.status();

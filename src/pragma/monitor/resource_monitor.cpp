@@ -52,14 +52,22 @@ void ResourceMonitor::sample_now() {
     const double bw =
         noisy(link.effective_bytes_per_s() * 8.0 / 1.0e6);  // -> Mb/s
 
-    series.cpu.series.append(now, std::max(cpu, 0.0));
-    series.cpu.forecaster->observe(std::max(cpu, 0.0));
-    series.memory.series.append(now, mem);
-    series.memory.forecaster->observe(mem);
-    series.bandwidth.series.append(now, bw);
-    series.bandwidth.forecaster->observe(bw);
+    series.cpu.append(now, std::max(cpu, 0.0));
+    series.memory.append(now, mem);
+    series.bandwidth.append(now, bw);
   }
   ++sweeps_;
+}
+
+void ResourceMonitor::PerResource::append(sim::SimTime time, double value) {
+  series.append(time, value);
+  if (++unfed == series.capacity()) feed();
+}
+
+void ResourceMonitor::PerResource::feed() const {
+  for (std::size_t i = series.size() - unfed; i < series.size(); ++i)
+    forecaster->observe(series.at(i).value);
+  unfed = 0;
 }
 
 const ResourceMonitor::PerResource& ResourceMonitor::resource_of(
@@ -92,8 +100,15 @@ double ResourceMonitor::last_sample_time(grid::NodeId node,
   return series.back().time;
 }
 
+const AdaptiveForecaster& ResourceMonitor::forecaster_of(
+    grid::NodeId node, Resource resource) const {
+  const PerResource& per_resource = resource_of(node, resource);
+  per_resource.feed();
+  return *per_resource.forecaster;
+}
+
 double ResourceMonitor::forecast(grid::NodeId node, Resource resource) const {
-  return resource_of(node, resource).forecaster->predict();
+  return forecaster_of(node, resource).predict();
 }
 
 const TimeSeries& ResourceMonitor::series(grid::NodeId node,
@@ -103,7 +118,7 @@ const TimeSeries& ResourceMonitor::series(grid::NodeId node,
 
 std::string ResourceMonitor::forecaster_choice(grid::NodeId node,
                                                Resource resource) const {
-  return resource_of(node, resource).forecaster->best_member();
+  return forecaster_of(node, resource).best_member();
 }
 
 }  // namespace pragma::monitor

@@ -5,6 +5,15 @@
 // adaptive forecaster per series, and answers "current" and "forecast"
 // queries.  Measurements carry configurable observation noise — real
 // monitors never see the true state.
+//
+// Forecasts are computed when read: a sweep only appends, and forecast()
+// or forecaster_choice() first feeds the ensemble the samples it has not
+// seen, oldest first, from the series.  A sweep feeds them itself before
+// the series could evict one, so the ensemble sees every sample in order
+// and each forecast has the bits an eager feed would give.  A run that
+// never reads a forecast runs no ensemble.  That feeding mutates state
+// behind the const readers: forecast() and forecaster_choice() must not
+// be called concurrently with each other or with a sweep.
 #pragma once
 
 #include <cstddef>
@@ -71,14 +80,16 @@ class ResourceMonitor {
   /// Most recent (noisy) reading for a node.
   [[nodiscard]] NodeReading current(grid::NodeId node) const;
 
-  /// One-step-ahead forecast for a node/resource.
+  /// One-step-ahead forecast for a node/resource.  Not thread-safe (see
+  /// the file comment).
   [[nodiscard]] double forecast(grid::NodeId node, Resource resource) const;
 
   /// Full history for a node/resource.
   [[nodiscard]] const TimeSeries& series(grid::NodeId node,
                                          Resource resource) const;
 
-  /// Name of the forecaster member currently trusted for a series.
+  /// Name of the forecaster member currently trusted for a series.  Not
+  /// thread-safe (see the file comment).
   [[nodiscard]] std::string forecaster_choice(grid::NodeId node,
                                               Resource resource) const;
 
@@ -89,8 +100,17 @@ class ResourceMonitor {
   struct PerResource {
     TimeSeries series;
     std::unique_ptr<AdaptiveForecaster> forecaster;
+    /// The newest `unfed` samples of `series` have not been observed by
+    /// `forecaster` yet.
+    mutable std::size_t unfed = 0;
     explicit PerResource(std::size_t history)
         : series(history), forecaster(AdaptiveForecaster::standard()) {}
+
+    /// Append a sample, feeding the ensemble once the unfed samples fill
+    /// the series, so the next append evicts none unseen.
+    void append(sim::SimTime time, double value);
+    /// Observe the unfed samples, oldest first.
+    void feed() const;
   };
   struct PerNode {
     PerResource cpu;
@@ -101,6 +121,9 @@ class ResourceMonitor {
   };
   [[nodiscard]] const PerResource& resource_of(grid::NodeId node,
                                                Resource resource) const;
+  /// The ensemble of a series, fed up to its newest sample.
+  [[nodiscard]] const AdaptiveForecaster& forecaster_of(
+      grid::NodeId node, Resource resource) const;
   [[nodiscard]] double noisy(double value);
 
   sim::Simulator& simulator_;

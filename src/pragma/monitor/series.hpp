@@ -27,6 +27,8 @@ class TimeSeries {
   void clear();
 
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
+  /// Most samples retained; an append beyond it evicts the oldest.
+  [[nodiscard]] std::size_t capacity() const { return max_samples_; }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   [[nodiscard]] const Sample& back() const { return samples_.back(); }
   [[nodiscard]] const Sample& at(std::size_t i) const { return samples_[i]; }

@@ -6,26 +6,51 @@ namespace pragma::util {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
+using Table = std::array<std::uint32_t, 256>;
+
+/// kTables[0] is the classic byte-at-a-time table.  kTables[k][b] is the
+/// CRC contribution of byte b followed by k zero bytes, so one lookup per
+/// byte of an 8-byte block advances the register over the whole block.
+constexpr std::array<Table, 8> make_tables() {
+  std::array<Table, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k)
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
 }
 
-constexpr auto kTable = make_table();
+constexpr auto kTables = make_tables();
+
+/// Four bytes as a little-endian word, whatever the host byte order.
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = kTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(bytes);
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size)
+    crc = kTables[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

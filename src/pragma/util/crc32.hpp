@@ -1,9 +1,12 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// Used by the checkpoint envelope to detect torn writes and bit-flips.
-// The implementation is the classic byte-at-a-time table walk: the
-// checkpoint payloads are small (tens of KiB) so simplicity wins over a
-// slicing-by-8 variant.
+// Used by the checkpoint envelope and the journal's WAL frames to detect
+// torn writes and bit-flips.  Every checkpoint persist checksums its whole
+// payload (tens of KiB, one per save-state), so the implementation is
+// slicing-by-8: eight 256-entry tables fold one 8-byte block per step,
+// and the tail goes byte by byte through the first (classic) table.  The
+// polynomial, the init and final XOR and seed chaining are the standard
+// ones, so every checksum equals the byte-at-a-time definition's.
 #pragma once
 
 #include <cstddef>

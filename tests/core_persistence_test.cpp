@@ -262,6 +262,95 @@ TEST(RunSnapshotCodec, RejectsOutOfRangeOwners) {
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kOutOfRange);
 }
 
+/// A payload whose owner map section is written by hand: `count` as the
+/// run count, then `runs` as (owner, length) pairs, then `nprocs`; every
+/// other section is a valid empty snapshot's.  `cut` drops that many bytes
+/// from the end of the runs (and everything after them).
+std::vector<std::uint8_t> payload_with_owner_runs(
+    std::uint32_t count,
+    const std::vector<std::pair<std::int32_t, std::uint32_t>>& runs,
+    std::int32_t nprocs, std::size_t cut = 0) {
+  RunSnapshot snapshot;
+  snapshot.owners_nprocs = nprocs;
+  snapshot.trace.add(amr::Snapshot{0, amr::GridHierarchy({16, 8, 8}, 2, 3)});
+  const std::vector<std::uint8_t> valid = encode_run_snapshot(snapshot);
+  // Format tag and progress counters (36 bytes), an empty select list
+  // (4), then the run count (4) and owners_nprocs (4) of no runs.
+  constexpr std::size_t kRunsAt = 40;
+  std::vector<std::uint8_t> out(valid.begin(), valid.begin() + kRunsAt);
+  const auto put = [&out](const void* value, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(value);
+    out.insert(out.end(), bytes, bytes + size);
+  };
+  put(&count, sizeof count);
+  for (const auto& [owner, length] : runs) {
+    put(&owner, sizeof owner);
+    put(&length, sizeof length);
+  }
+  if (cut > 0) {
+    out.resize(out.size() - cut);
+    return out;
+  }
+  put(&nprocs, sizeof nprocs);
+  out.insert(out.end(), valid.begin() + kRunsAt + 8, valid.end());
+  return out;
+}
+
+TEST(RunSnapshotCodec, RejectsMalformedOwnerRuns) {
+  // The helper's well-formed case decodes, and the encoder writes runs.
+  const auto good = decode_run_snapshot(
+      payload_with_owner_runs(3, {{0, 3}, {2, 2}, {1, 1}}, 4));
+  ASSERT_TRUE(good) << good.status().to_string();
+  EXPECT_EQ(good.value().owners, (std::vector<std::int32_t>{0, 0, 0, 2, 2, 1}));
+  EXPECT_EQ(encode_run_snapshot(good.value()),
+            payload_with_owner_runs(3, {{0, 3}, {2, 2}, {1, 1}}, 4));
+
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> payload;
+    util::StatusCode code;
+    const char* message;
+  };
+  const std::uint32_t half = (1u << 25) + 1;
+  const std::vector<Case> cases = {
+      {"zero length", payload_with_owner_runs(2, {{0, 3}, {1, 0}}, 4),
+       util::StatusCode::kInvalidArgument, "zero-length owner run"},
+      {"total past the cap",
+       payload_with_owner_runs(2, {{0, half}, {1, half}}, 4),
+       util::StatusCode::kInvalidArgument, "owner runs cover more than"},
+      {"count above the cap", payload_with_owner_runs((1u << 26) + 1, {}, 4),
+       util::StatusCode::kInvalidArgument, "exceeds cap"},
+      {"count past the buffer", payload_with_owner_runs(1u << 26, {{0, 1}}, 4),
+       util::StatusCode::kInvalidArgument, "overruns buffer"},
+      {"owner at nprocs", payload_with_owner_runs(2, {{0, 2}, {4, 1}}, 4),
+       util::StatusCode::kOutOfRange, "owner id 4 outside [0, 4)"},
+      {"truncated last run",
+       payload_with_owner_runs(2, {{0, 2}, {1, 1}}, 4, /*cut=*/3),
+       util::StatusCode::kInvalidArgument, "overruns buffer"},
+  };
+  for (const Case& c : cases) {
+    const auto decoded = decode_run_snapshot(c.payload);
+    ASSERT_FALSE(decoded) << c.what;
+    EXPECT_EQ(decoded.status().code(), c.code) << c.what;
+    EXPECT_NE(decoded.status().message().find(c.message), std::string::npos)
+        << c.what << ": " << decoded.status().to_string();
+  }
+}
+
+TEST(RunSnapshotCodec, Format1IsUnimplemented) {
+  RunSnapshot snapshot;
+  snapshot.owners = {0, 1};
+  snapshot.owners_nprocs = 2;
+  snapshot.trace.add(amr::Snapshot{0, amr::GridHierarchy({16, 8, 8}, 2, 3)});
+  std::vector<std::uint8_t> payload = encode_run_snapshot(snapshot);
+  ASSERT_TRUE(decode_run_snapshot(payload));
+  const std::uint32_t format1 = 1;
+  std::memcpy(payload.data(), &format1, sizeof format1);
+  const auto decoded = decode_run_snapshot(payload);
+  ASSERT_FALSE(decoded);
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kUnimplemented);
+}
+
 /// Every persisted scalar of RunSnapshot, ManagedRunReport and
 /// ManagedStepRecord, listed independently of the codec's own field lists
 /// so that a field missing from both directions of the codec still fails
@@ -374,15 +463,18 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 /// The libFuzzer seeds in fuzz/corpus/checkpoint, written by the current
 /// encoder: valid.ckpt is a small hand-built snapshot (no records, a
 /// 2-snapshot trace); managed.ckpt is generation 3 of a real persisted
-/// run (64x16x16 base grid, 24 steps, 4 procs, ft on, 5 s checkpoint
-/// interval, node 3 failing at 20 s for 30 s) with 4 regrid records and a
-/// 5-snapshot trace; torn.ckpt cuts valid.ckpt to 100 bytes; bitflip.ckpt
-/// flips one payload bit of valid.ckpt.  A payload format change must
-/// regenerate them, or the fuzzer explores stale bytes.
+/// run (64x16x16 base grid, 24 steps, 4 procs, capacity spread 0.35,
+/// background load, system-sensitive, ft on with drop 0.05, 5 s
+/// checkpoint interval, node 3 failing at 20 s for 30 s) with 4 regrid
+/// records and a 5-snapshot trace; managed200.ckpt is the last generation
+/// of the run ci/managed_report_reference.out pins (a full 16,384-cell
+/// owner map); torn.ckpt cuts valid.ckpt to 100 bytes; bitflip.ckpt flips
+/// bit 6 of valid.ckpt's byte 200, inside the payload.  A payload format
+/// change must regenerate them, or the fuzzer explores stale bytes.
 TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
   const std::string corpus = std::string(PRAGMA_SOURCE_DIR) +
                              "/fuzz/corpus/checkpoint/";
-  for (const char* name : {"valid.ckpt", "managed.ckpt"}) {
+  for (const char* name : {"valid.ckpt", "managed.ckpt", "managed200.ckpt"}) {
     const std::vector<std::uint8_t> bytes = read_file(corpus + name);
     const util::Expected<std::vector<std::uint8_t>> payload =
         io::decode_envelope(bytes);
@@ -400,6 +492,13 @@ TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
       io::decode_envelope(read_file(corpus + "managed.ckpt")).value());
   EXPECT_GE(managed.value().report.records.size(), 2u);
   EXPECT_GE(managed.value().trace.size(), 3u);
+  // The whole 200-step checkpoint fits the fuzz-smoke job's -max_len.
+  const std::vector<std::uint8_t> full = read_file(corpus + "managed200.ckpt");
+  EXPECT_LE(full.size(), 65536u);
+  const util::Expected<RunSnapshot> managed200 =
+      decode_run_snapshot(io::decode_envelope(full).value());
+  EXPECT_EQ(managed200.value().owners.size(), 16384u);
+  EXPECT_GE(managed200.value().report.records.size(), 40u);
 
   for (const char* name : {"torn.ckpt", "bitflip.ckpt"}) {
     const util::Expected<std::vector<std::uint8_t>> payload =

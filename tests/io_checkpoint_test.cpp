@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,44 @@ class CheckpointStoreTest : public ::testing::Test {
 
   fs::path dir_;
 };
+
+/// CRC-32 by its definition: the reflected polynomial 0xEDB88320 applied
+/// bit by bit, without tables.
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t size,
+                             std::uint32_t seed = 0) {
+  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k)
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SlicingMatchesBytewiseDefinition) {
+  const std::string check = "123456789";
+  EXPECT_EQ(util::crc32(check.data(), check.size()), 0xCBF43926u);
+
+  std::vector<std::uint8_t> buffer(1024);
+  std::mt19937 engine(2024);
+  for (std::uint8_t& byte : buffer)
+    byte = static_cast<std::uint8_t>(engine());
+  // Every length through several 8-byte blocks plus a tail, at every
+  // alignment of the start.
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t length = 0; length <= 300; ++length)
+      ASSERT_EQ(util::crc32(buffer.data() + offset, length),
+                bytewise_crc32(buffer.data() + offset, length))
+          << "offset " << offset << " length " << length;
+  // Chaining through `seed` at every split equals the one-shot CRC.
+  const std::uint32_t whole = util::crc32(buffer.data(), buffer.size());
+  EXPECT_EQ(whole, bytewise_crc32(buffer.data(), buffer.size()));
+  for (std::size_t split = 0; split <= buffer.size(); ++split)
+    ASSERT_EQ(util::crc32(buffer.data() + split, buffer.size() - split,
+                          util::crc32(buffer.data(), split)),
+              whole)
+        << "split " << split;
+}
 
 TEST(EnvelopeTest, RoundTrip) {
   const auto payload = payload_bytes(1000, 3);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <set>
+#include <vector>
 
 #include "pragma/grid/loadgen.hpp"
 #include "pragma/monitor/resource_monitor.hpp"
@@ -125,6 +130,57 @@ TEST_F(MonitoredClusterTest, ForecastTracksStableLoad) {
   }
   const double truth = cluster_.node(1).effective_gflops();
   EXPECT_NEAR(monitor_->forecast(1, Resource::kCpu), truth, truth * 0.1);
+}
+
+// Forecasts are computed when read.  An ensemble fed eagerly with every
+// sample a sweep appends must agree with them bit for bit, also after more
+// unread sweeps than the series retains and around a node whose series
+// stalls while it is unreachable.
+TEST(ResourceMonitorForecast, OnDemandEqualsEagerBitForBit) {
+  constexpr std::size_t kNodes = 4;
+  constexpr std::array<Resource, 3> kResources = {
+      Resource::kCpu, Resource::kMemory, Resource::kBandwidth};
+  const std::set<int> read_at = {1, 2, 7, 30, 60};
+  sim::Simulator simulator;
+  util::Rng rng(31);
+  grid::Cluster cluster = grid::ClusterBuilder::heterogeneous(kNodes, rng);
+  grid::LoadGenerator load(simulator, cluster, {}, util::Rng(32));
+  load.start();
+  ResourceMonitorConfig config;
+  config.history = 8;
+  ResourceMonitor monitor(simulator, cluster, config, util::Rng(33));
+  int sweep = 0;
+  monitor.set_reachability([&sweep](grid::NodeId node) {
+    return node != 2 || sweep < 10 || sweep > 14;
+  });
+
+  std::vector<std::unique_ptr<AdaptiveForecaster>> eager;
+  for (std::size_t i = 0; i < kNodes * kResources.size(); ++i)
+    eager.push_back(AdaptiveForecaster::standard());
+  std::size_t skipped = 0;
+  for (sweep = 1; sweep <= 60; ++sweep) {
+    simulator.run(2.0 * sweep);
+    monitor.sample_now();
+    for (grid::NodeId node = 0; node < kNodes; ++node) {
+      for (std::size_t r = 0; r < kResources.size(); ++r) {
+        AdaptiveForecaster& reference = *eager[node * kResources.size() + r];
+        if (monitor.last_sample_time(node, kResources[r]) == simulator.now())
+          reference.observe(monitor.series(node, kResources[r]).back().value);
+        else
+          ++skipped;
+        if (read_at.count(sweep) == 0) continue;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      monitor.forecast(node, kResources[r])),
+                  std::bit_cast<std::uint64_t>(reference.predict()))
+            << "sweep " << sweep << " node " << node << " resource " << r;
+        EXPECT_EQ(monitor.forecaster_choice(node, kResources[r]),
+                  reference.best_member())
+            << "sweep " << sweep << " node " << node << " resource " << r;
+      }
+    }
+  }
+  EXPECT_EQ(skipped, 5 * kResources.size());  // node 2, sweeps 10-14
+  EXPECT_EQ(monitor.series(0, Resource::kCpu).size(), 8u);
 }
 
 TEST_F(MonitoredClusterTest, CapacitiesFavorFasterNodes) {
