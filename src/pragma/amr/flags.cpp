@@ -28,6 +28,23 @@ void FlagField::set(IntVec3 p, bool flagged) {
   }
 }
 
+void FlagField::or_row(IntVec3 start, std::span<const std::uint8_t> row) {
+  if (row.empty()) return;
+  const IntVec3 last{start.x + static_cast<int>(row.size()) - 1, start.y,
+                     start.z};
+  if (!domain_.contains(start) || !domain_.contains(last))
+    throw std::out_of_range("FlagField::or_row: row leaves the domain");
+  std::uint8_t* cells = &cells_[index(start)];
+  // A local count: a store through `cells` may alias the member.
+  std::int64_t added = 0;
+  for (std::size_t x = 0; x < row.size(); ++x) {
+    const auto cell = static_cast<std::uint8_t>(cells[x] | (row[x] != 0));
+    added += cell - cells[x];
+    cells[x] = cell;
+  }
+  count_ += added;
+}
+
 bool FlagField::get(IntVec3 p) const {
   if (!domain_.contains(p)) return false;
   return cells_[index(p)] != 0;

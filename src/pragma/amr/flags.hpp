@@ -8,6 +8,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "pragma/amr/box.hpp"
@@ -21,6 +22,9 @@ class FlagField {
   [[nodiscard]] const Box& domain() const { return domain_; }
 
   void set(IntVec3 p, bool flagged = true);
+  /// Flag the cells from `start` along +x where `row` is non-zero; a zero
+  /// byte leaves its cell as it was.  The row must lie inside the domain.
+  void or_row(IntVec3 start, std::span<const std::uint8_t> row);
   [[nodiscard]] bool get(IntVec3 p) const;
   void clear();
 

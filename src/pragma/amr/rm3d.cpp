@@ -86,9 +86,10 @@ bool spans_row(const Sphere& s, double v, double w) {
 }
 
 /// Raise `ind` to the sphere's bump at (u, v, w); cells outside its
-/// bounding cube are rejected before the radial test.
-void raise_by_sphere(double& ind, const Sphere& s, double u, double v,
-                     double w, double peak) {
+/// bounding cube are rejected before the radial test.  Inline, as is
+/// line_terms: the brute-force indicator() runs them for every cell.
+inline void raise_by_sphere(double& ind, const Sphere& s, double u, double v,
+                            double w, double peak) {
   if (std::abs(u - s.u) > s.radius || !spans_row(s, v, w)) return;
   const double r = std::sqrt((u - s.u) * (u - s.u) + (v - s.v) * (v - s.v) +
                              (w - s.w) * (w - s.w));
@@ -100,45 +101,30 @@ std::span<const TurbulentBlob> startup_blobs(
   return std::span(blobs).first(std::min(blobs.size(), kStartupBlobs));
 }
 
-/// The refinement indicator at (u, v, w).  A blob whose bounding cube
-/// misses the cell adds nothing, so callers may drop such blobs from
-/// `startup` and `mixing` without changing the result.
-double evaluate(const Phase& phase, std::span<const TurbulentBlob> startup,
-                std::span<const TurbulentBlob> mixing, double u, double v,
-                double w) {
+/// Whether u lies in the material interface / mixing zone, the reach of
+/// its slab and the only place its turbulent blobs act.
+bool in_mixing_zone(const Phase& phase, double u) {
+  return std::abs(u - phase.xc) < phase.half * kMixingReach;
+}
+
+/// The largest of the terms that depend on u alone.
+inline double line_terms(const Phase& phase, double u) {
   double ind = 0.0;
-
-  // Initialization transient: the first error estimate tags scattered
-  // pockets of start-up noise across the domain (they vanish by the first
-  // regrid, giving the trace its initial scattered, high-churn snapshot).
-  if (phase.tau < kStartupEnd)
-    for (const TurbulentBlob& blob : startup)
-      raise_by_sphere(ind, startup_sphere(blob), u, v, w, kNoisePeak);
-
   // Shock front: a thin finest-level core inside a wider level-1 band.
   if (phase.shock) {
     const double dx = std::abs(u - phase.shock_u);
     ind = std::max(ind, bump(dx, kShockCore, kShockCorePeak));
     ind = std::max(ind, bump(dx, kShockBand, kShockBandPeak));
   }
-
-  // Material interface / mixing zone.
-  const double du = std::abs(u - phase.xc);
-  if (du < phase.half * kMixingReach) {
-    if (phase.tau < kHitTime) {
-      // Quiescent perturbed interface: a compact level-1 slab (the
-      // perturbation amplitude is below the finest-level threshold until
-      // the shock arrives).
-      ind = std::max(ind, bump(du, phase.half, kInterfacePeak));
-    } else {
-      // Developed mixing zone: level-1 slab...
-      ind = std::max(ind, bump(du, phase.half * kMixingReach, kSlabPeak));
-      // ...with embedded finest-level turbulent blobs.
-      for (const TurbulentBlob& blob : mixing)
-        if (blob.birth <= phase.tau)
-          raise_by_sphere(ind, mixing_sphere(blob, phase), u, v, w,
-                          kBlobPeak);
-    }
+  if (in_mixing_zone(phase, u)) {
+    const double du = std::abs(u - phase.xc);
+    // Before the shock arrives, the quiescent perturbed interface is a
+    // compact level-1 slab (its perturbation amplitude is below the
+    // finest-level threshold); after it, the developed mixing zone's
+    // level-1 slab.
+    ind = std::max(ind, phase.tau < kHitTime
+                            ? bump(du, phase.half, kInterfacePeak)
+                            : bump(du, phase.half * kMixingReach, kSlabPeak));
   }
   return ind;
 }
@@ -150,89 +136,86 @@ std::pair<int, int> cells_near(double centre, double reach, double n) {
           static_cast<int>(std::ceil((centre + reach) * n - 0.5)) + 2};
 }
 
-/// Flag the cells of `coverage` whose indicator reaches `threshold`, with
-/// indicator()'s arithmetic on far fewer cells.  Each bump is at most its
-/// peak and exactly 0 outside its support, so a cell outside the support
-/// of every term whose peak reaches a threshold > 0 cannot be flagged.
-/// Each (y, z) row therefore evaluates only the x-cells of those supports,
-/// against only the blobs whose bounding square holds the row.  A
-/// threshold <= 0 flags every cell, so such a level takes whole rows.
+/// Flag the cells of `coverage` whose indicator reaches `threshold`.  The
+/// indicator is the max of its terms and max returns one of its operands
+/// bit for bit, so a cell is flagged exactly when a single term, computed
+/// as indicator() computes it, reaches the threshold.  The terms of u
+/// alone become one mask over the field's x-range.  Each (y, z) row then
+/// tests only the blobs whose bounding square holds it, each alone and
+/// only over its own padded x-support: a bump is at most its peak and 0
+/// outside its support.  The finished row is ORed into `flags`.
 void flag_rows(FlagField& flags, const std::vector<Box>& coverage,
                const Phase& phase, const std::vector<TurbulentBlob>& blobs,
                double nx, double ny, double nz, double threshold) {
-  const auto reaches = [threshold](double peak) { return peak >= threshold; };
+  const int x0 = flags.domain().lo().x;
+  const auto column = [x0](int x) { return static_cast<std::size_t>(x - x0); };
+  std::vector<std::uint8_t> line(column(flags.domain().hi().x));
+  std::vector<std::uint8_t> zone(line.size());
+  for (int x = x0; x < flags.domain().hi().x; ++x) {
+    const double un = (static_cast<double>(x) + 0.5) / nx;
+    line[column(x)] = line_terms(phase, un) >= threshold;
+    zone[column(x)] = in_mixing_zone(phase, un);
+  }
+
+  // The blobs whose peak reaches: start-up noise, and the mixing-zone
+  // blobs, which act only inside the zone.
   struct Candidate {
-    TurbulentBlob blob;
     Sphere sphere;
+    double peak;
+    bool in_zone_only;
+    std::pair<int, int> support;
   };
-  std::vector<Candidate> startup;
-  std::vector<Candidate> mixing;
+  std::vector<Candidate> candidates;
+  const auto add = [&](const Sphere& s, double peak, bool in_zone_only) {
+    if (peak >= threshold)
+      candidates.push_back(
+          {s, peak, in_zone_only, cells_near(s.u, s.radius, nx)});
+  };
   if (phase.tau < kStartupEnd)
     for (const TurbulentBlob& blob : startup_blobs(blobs))
-      startup.push_back({blob, startup_sphere(blob)});
+      add(startup_sphere(blob), kNoisePeak, false);
   if (phase.tau >= kHitTime)
     for (const TurbulentBlob& blob : blobs)
       if (blob.birth <= phase.tau)
-        mixing.push_back({blob, mixing_sphere(blob, phase)});
-  // Supports shared by every row.
-  std::vector<std::pair<int, int>> level_spans;
-  if (phase.shock && reaches(kShockCorePeak))
-    level_spans.push_back(cells_near(phase.shock_u, kShockCore, nx));
-  if (phase.shock && reaches(kShockBandPeak))
-    level_spans.push_back(cells_near(phase.shock_u, kShockBand, nx));
-  if (reaches(phase.tau < kHitTime ? kInterfacePeak : kSlabPeak))
-    level_spans.push_back(
-        cells_near(phase.xc, phase.half * kMixingReach, nx));
+        add(mixing_sphere(blob, phase), kBlobPeak, true);
 
-  // Candidates are culled per z-plane on w, then per row on (v, w); the
-  // row's survivors add their supports when their peak reaches.
-  const auto in_plane = [](const std::vector<Candidate>& all, double w,
-                           std::vector<Candidate>& out) {
-    out.clear();
-    for (const Candidate& c : all)
-      if (std::abs(w - c.sphere.w) <= c.sphere.radius) out.push_back(c);
-  };
-  const auto in_row = [&](const std::vector<Candidate>& plane, double v,
-                          double w, bool reach,
-                          std::vector<TurbulentBlob>& out,
-                          std::vector<std::pair<int, int>>& spans) {
-    out.clear();
-    for (const Candidate& c : plane)
-      if (spans_row(c.sphere, v, w)) {
-        out.push_back(c.blob);
-        if (reach)
-          spans.push_back(cells_near(c.sphere.u, c.sphere.radius, nx));
-      }
-  };
-  std::vector<Candidate> plane_startup;
-  std::vector<Candidate> plane_mixing;
-  std::vector<TurbulentBlob> row_startup;
-  std::vector<TurbulentBlob> row_mixing;
-  std::vector<std::pair<int, int>> spans;
+  std::vector<const Candidate*> plane;
+  std::vector<std::uint8_t> row;
   for (const Box& box : coverage) {
+    const int lo = box.lo().x;
+    const int hi = box.hi().x;
+    const std::span<const std::uint8_t> segment(line.data() + column(lo),
+                                                line.data() + column(hi));
+    const bool segment_flags =
+        std::find(segment.begin(), segment.end(), 1) != segment.end();
     for (int z = box.lo().z; z < box.hi().z; ++z) {
       const double wn = (static_cast<double>(z) + 0.5) / nz;
-      in_plane(startup, wn, plane_startup);
-      in_plane(mixing, wn, plane_mixing);
+      plane.clear();
+      for (const Candidate& c : candidates)
+        if (std::abs(wn - c.sphere.w) <= c.sphere.radius) plane.push_back(&c);
       for (int y = box.lo().y; y < box.hi().y; ++y) {
         const double vn = (static_cast<double>(y) + 0.5) / ny;
-        spans = level_spans;
-        in_row(plane_startup, vn, wn, reaches(kNoisePeak), row_startup,
-               spans);
-        in_row(plane_mixing, vn, wn, reaches(kBlobPeak), row_mixing, spans);
-        if (threshold <= 0.0) spans.assign(1, {box.lo().x, box.hi().x});
-        std::sort(spans.begin(), spans.end());
-        int next = box.lo().x;
-        for (const auto& [lo, hi] : spans) {
-          for (int x = std::max(lo, next); x < std::min(hi, box.hi().x);
-               ++x) {
+        // A row no blob spans is the line mask's segment; the first blob
+        // that spans it starts a copy to write into.
+        row.clear();
+        for (const Candidate* c : plane) {
+          if (!spans_row(c->sphere, vn, wn)) continue;
+          if (row.empty()) row.assign(segment.begin(), segment.end());
+          for (int x = std::max(c->support.first, lo);
+               x < std::min(c->support.second, hi); ++x) {
+            std::uint8_t& cell = row[static_cast<std::size_t>(x - lo)];
+            if (cell != 0 || (c->in_zone_only && zone[column(x)] == 0))
+              continue;
             const double un = (static_cast<double>(x) + 0.5) / nx;
-            if (evaluate(phase, row_startup, row_mixing, un, vn, wn) >=
-                threshold)
-              flags.set({x, y, z});
+            double term = 0.0;
+            raise_by_sphere(term, c->sphere, un, vn, wn, c->peak);
+            cell = term >= threshold;
           }
-          next = std::max(next, hi);
         }
+        if (!row.empty())
+          flags.or_row({lo, y, z}, row);
+        else if (segment_flags)
+          flags.or_row({lo, y, z}, segment);
       }
     }
   }
@@ -306,8 +289,20 @@ double Rm3dEmulator::mixing_width(double tau) const {
 
 double Rm3dEmulator::indicator(double u, double v, double w,
                                double tau) const {
-  return evaluate(phase_at(*this, tau), startup_blobs(blobs_), blobs_, u, v,
-                  w);
+  const Phase phase = phase_at(*this, tau);
+  double ind = line_terms(phase, u);
+  // Initialization transient: the first error estimate tags scattered
+  // pockets of start-up noise across the domain (they vanish by the first
+  // regrid, giving the trace its initial scattered, high-churn snapshot).
+  if (tau < kStartupEnd)
+    for (const TurbulentBlob& blob : startup_blobs(blobs_))
+      raise_by_sphere(ind, startup_sphere(blob), u, v, w, kNoisePeak);
+  // Finest-level turbulent blobs embedded in the developed mixing zone.
+  if (tau >= kHitTime && in_mixing_zone(phase, u))
+    for (const TurbulentBlob& blob : blobs_)
+      if (blob.birth <= tau)
+        raise_by_sphere(ind, mixing_sphere(blob, phase), u, v, w, kBlobPeak);
+  return ind;
 }
 
 std::vector<Box> Rm3dEmulator::flag_and_cluster(int level) {

@@ -98,9 +98,9 @@ class Rm3dEmulator {
   }
 
   /// The refinement indicator at normalized position (u, v, w) in [0,1]^3
-  /// and normalized time tau in [0,1].  Evaluated on every cell of a
-  /// level's coverage, it is the brute-force oracle the regrid's
-  /// row-clipped flagging must match.
+  /// and normalized time tau in [0,1]: the largest of its terms.
+  /// Evaluated on every cell of a level's coverage, it is the brute-force
+  /// oracle the regrid's per-term flagging must match.
   [[nodiscard]] double indicator(double u, double v, double w,
                                  double tau) const;
 

@@ -507,7 +507,7 @@ void ManagedRun::repartition(bool count_as_regrid) {
     native_.reset();
   }
 
-  const std::vector<double> targets = current_targets();
+  targets_ = current_targets();
   const std::size_t select_index = trace_.size() - 1;
   if (!regrid_state_)
     regrid_state_ = meta_->classifier().classify(trace_, select_index);
@@ -521,7 +521,7 @@ void ManagedRun::repartition(bool count_as_regrid) {
                         : partitioner.preferred_grain();
   const partition::WorkGrid& native = native_grid(grain, partitioner.curve());
   const partition::PartitionResult result =
-      partitioner.partition(native, targets);
+      partitioner.partition(native, targets_);
 
   partition::OwnerMap next = project_owners(
       result.owners, native.lattice_dims(), canonical_->lattice_dims());
@@ -609,14 +609,13 @@ ManagedRunReport ManagedRun::run() {
       record.sim_time_s = simulator_.now();
       record.live_nodes = cluster_.up_count();
       record.repartitioned = true;
-      const std::vector<double> targets = current_targets();
-      const std::vector<double> loads =
-          partition::processor_loads(*canonical_, owners_);
+      // Imbalance against the targets the repartition just partitioned
+      // for, from the per-processor work it just mapped.
+      const double total_work = canonical_->total_work();
       double worst = 0.0;
-      for (std::size_t p = 0; p < loads.size(); ++p)
-        if (targets[p] > 0.0)
-          worst = std::max(worst,
-                           loads[p] / (targets[p] * canonical_->total_work()));
+      for (std::size_t p = 0; p < mapped_.work.size(); ++p)
+        if (targets_[p] > 0.0)
+          worst = std::max(worst, mapped_.work[p] / (targets_[p] * total_work));
       record.imbalance = std::max(0.0, worst - 1.0);
       report_.records.push_back(record);
     }

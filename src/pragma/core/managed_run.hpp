@@ -299,6 +299,7 @@ class ManagedRun {
   // classification and the native grid.  Reset with canonical_.
   std::optional<octant::OctantState> regrid_state_;
   std::optional<partition::WorkGrid> native_;
+  std::vector<double> targets_;  ///< what owners_ was partitioned against
   partition::OwnerMap owners_;
   MappedLoad mapped_;
   bool has_assignment_ = false;

@@ -71,6 +71,65 @@ TEST(FlagFieldTest, MinimalBoundingBoxEmptyWhenNoFlags) {
   EXPECT_TRUE(flags.minimal_bounding_box(flags.domain()).empty());
 }
 
+TEST(FlagFieldTest, OrRowMatchesCellwiseSets) {
+  const Box domain({3, -2, 5}, {13, 4, 9});
+  FlagField rows(domain);
+  FlagField cells(domain);
+  util::Rng rng(11);
+  // Overlapping rows of random bytes, zeros among them: each row is ORed
+  // whole into one field and set cell by cell into the other.
+  const auto in_domain = [&rng, &domain](int axis) {
+    return static_cast<int>(
+        rng.uniform_int(domain.lo()[axis], domain.hi()[axis] - 1));
+  };
+  for (int i = 0; i < 80; ++i) {
+    const IntVec3 start{in_domain(0), in_domain(1), in_domain(2)};
+    std::vector<std::uint8_t> row(
+        static_cast<std::size_t>(rng.uniform_int(1, domain.hi().x - start.x)));
+    for (std::uint8_t& byte : row)
+      byte = rng.bernoulli(0.6) ? 0 : static_cast<std::uint8_t>(
+                                          rng.uniform_int(1, 255));
+    rows.or_row(start, row);
+    for (std::size_t x = 0; x < row.size(); ++x)
+      if (row[x] != 0) cells.set(start + IntVec3{static_cast<int>(x), 0, 0});
+    ASSERT_EQ(rows.count(), cells.count()) << "row " << i;
+  }
+  EXPECT_GT(cells.count(), 0);
+  EXPECT_LT(cells.count(), domain.volume());
+  for (int z = domain.lo().z; z < domain.hi().z; ++z)
+    for (int y = domain.lo().y; y < domain.hi().y; ++y)
+      for (int x = domain.lo().x; x < domain.hi().x; ++x)
+        EXPECT_EQ(rows.get({x, y, z}), cells.get({x, y, z}));
+  const FlagField::RegionScan a = rows.scan(domain);
+  const FlagField::RegionScan b = cells.scan(domain);
+  EXPECT_EQ(a.bound, b.bound);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.signatures, b.signatures);
+}
+
+TEST(FlagFieldTest, OrRowZerosNeverClear) {
+  FlagField flags(Box({-4, 2, 1}, {4, 5, 3}));
+  flags.set({-2, 3, 2});
+  flags.set({1, 3, 2});
+  flags.or_row({-4, 3, 2}, std::vector<std::uint8_t>(8, 0));
+  EXPECT_EQ(flags.count(), 2);
+  EXPECT_TRUE(flags.get({-2, 3, 2}));
+  EXPECT_TRUE(flags.get({1, 3, 2}));
+  // Re-flagging a flagged cell does not count it twice.
+  flags.or_row({-2, 3, 2}, std::vector<std::uint8_t>{1, 0, 7});
+  EXPECT_EQ(flags.count(), 3);
+  EXPECT_TRUE(flags.get({0, 3, 2}));
+}
+
+TEST(FlagFieldTest, OrRowOutsideDomainThrows) {
+  FlagField flags(Box({0, 0, 0}, {4, 4, 4}));
+  const std::vector<std::uint8_t> row(3, 1);
+  EXPECT_THROW(flags.or_row({2, 0, 0}, row), std::out_of_range);
+  EXPECT_THROW(flags.or_row({-1, 0, 0}, row), std::out_of_range);
+  EXPECT_THROW(flags.or_row({0, 4, 0}, row), std::out_of_range);
+  EXPECT_EQ(flags.count(), 0);
+}
+
 TEST(ClusterBr, EmptyFlagsYieldNoBoxes) {
   FlagField flags(Box({0, 0, 0}, {16, 16, 16}));
   EXPECT_TRUE(cluster_flags(flags, flags.domain()).empty());
