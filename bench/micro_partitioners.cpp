@@ -6,12 +6,15 @@
 //
 // In addition to the google-benchmark suite, main() first runs a small
 // fixed harness over the hot pipeline kernels — prefix-sum splitters vs the
-// reference scan kernels, serial vs parallel WorkGrid build, and the
-// communication sweep — and writes the results to
-// BENCH_partition_pipeline.json (name -> ns/op, cells, threads) so runs can
-// be diffed mechanically.  It then runs the equivalence gates below.
+// reference scan kernels, serial vs parallel WorkGrid build, the
+// communication sweep, the execution model's mapping of a repartition and
+// the owner-map projection — and writes the results to
+// BENCH_partition_pipeline.json (name -> ns/op, cells, threads; each entry
+// the median of 5 timed batches after its own warm-up) so runs can be
+// diffed mechanically.  It then runs the equivalence gates below.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +26,7 @@
 #include "pragma/amr/synthetic.hpp"
 #include "pragma/core/exec_model.hpp"
 #include "pragma/partition/metrics.hpp"
+#include "pragma/util/stats.hpp"
 #include "pragma/util/table.hpp"
 #include "pragma/util/thread_pool.hpp"
 
@@ -128,23 +132,29 @@ struct PipelineEntry {
   int threads = 1;
 };
 
-/// Time `fn` with a plain steady_clock loop: one warm-up call, then batches
-/// until ~0.2 s have accumulated.
+/// Time `fn` with a plain steady_clock loop: after a warm-up call (first
+/// touch, curve cache), one timed call sizes a batch to ~40 ms, and the
+/// median ns/op over kBatches timed batches is reported, so one slow batch
+/// cannot move it.
 template <typename Fn>
 double time_ns_per_op(Fn&& fn) {
   using Clock = std::chrono::steady_clock;
-  fn();  // warm-up (first-touch, curve cache)
-  constexpr double kMinSeconds = 0.2;
-  constexpr std::size_t kMaxIters = 1u << 20;
-  std::size_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0.0;
-  while (elapsed < kMinSeconds && iters < kMaxIters) {
-    fn();
-    ++iters;
-    elapsed = std::chrono::duration<double>(Clock::now() - start).count();
-  }
-  return elapsed * 1e9 / static_cast<double>(iters);
+  constexpr int kBatches = 5;
+  constexpr double kBatchSeconds = 0.04;
+  constexpr double kMaxIters = 1u << 20;
+  const auto seconds_of = [&fn](std::size_t iters) {
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i) fn();
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  fn();
+  const double once = std::max(seconds_of(1), 1e-9);
+  const auto iters = static_cast<std::size_t>(
+      std::clamp(kBatchSeconds / once, 1.0, kMaxIters));
+  std::vector<double> ns_per_op(kBatches);
+  for (double& ns : ns_per_op)
+    ns = seconds_of(iters) * 1e9 / static_cast<double>(iters);
+  return util::median(ns_per_op);
 }
 
 bool write_pipeline_json(const std::vector<PipelineEntry>& entries,
@@ -211,16 +221,39 @@ std::vector<PipelineEntry> run_pipeline_harness() {
         benchmark::DoNotOptimize(
             partition::communication_volume(grid, result.owners));
       }));
+
+  // A repartition as the replay and the managed run cost it: the new
+  // assignment mapped with the migration from the previous one.
+  const partition::OwnerMap previous =
+      partition::make_partitioner("SFC")->partition(grid, targets).owners;
+  const core::ExecutionModel model;
+  add("execution_model_map", 1, time_ns_per_op([&] {
+        benchmark::DoNotOptimize(
+            model.map(grid, result.owners, nullptr, &previous));
+      }));
+
+  // pBD-ISP's grain-4 assignment projected onto this grain-2 lattice.
+  const partition::WorkGrid native(hierarchy, 4,
+                                   partition::CurveKind::kMorton);
+  const partition::OwnerMap coarse =
+      partition::make_partitioner("pBD-ISP")->partition(native, targets)
+          .owners;
+  add("project_owners", 1, time_ns_per_op([&] {
+        benchmark::DoNotOptimize(core::project_owners(
+            coarse, native.lattice_dims(), grid.lattice_dims()));
+      }));
   return entries;
 }
 
 // ---- Equivalence gates ----------------------------------------------------
 //
 // Run once on a 1M-cell synthetic lattice: the vectorized build must match
-// WorkGrid::reference_build bitwise, and the table-driven communication
-// sweep and the execution model's communication tally must match the
-// reference fold.  Any violation makes the binary exit nonzero, which is
-// what the perf-smoke CI job checks.
+// WorkGrid::reference_build bitwise, the table-driven communication sweep
+// and the execution model's communication tally must match the reference
+// fold, and a mapping with a previous assignment must match the two-pass
+// form (the mapping alone, then a separate migration loop).  Any violation
+// makes the binary exit nonzero, which is what the perf-smoke CI job
+// checks.
 
 /// Bitwise comparison of every array a grid build produces.
 bool grids_bitwise_equal(const partition::WorkGrid& a,
@@ -258,6 +291,53 @@ bool grids_bitwise_equal(const partition::WorkGrid& a,
   return true;
 }
 
+/// The two-pass migration oracle: a lattice-order loop over both owner
+/// maps after the mapping, then the worst processor's bytes over its
+/// uplink.
+double two_pass_migration_time(const partition::WorkGrid& grid,
+                               const partition::OwnerMap& previous,
+                               const partition::OwnerMap& current,
+                               const grid::Cluster& cluster,
+                               const core::ExecModelConfig& config) {
+  const auto nprocs = static_cast<std::size_t>(
+      std::max(previous.nprocs, current.nprocs));
+  std::vector<double> outgoing(nprocs, 0.0);
+  std::vector<double> incoming(nprocs, 0.0);
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    const int from = previous.owner[c];
+    const int to = current.owner[c];
+    if (from == to) continue;
+    const double bytes = grid.storage(c) * config.bytes_per_cell;
+    outgoing[static_cast<std::size_t>(from)] += bytes;
+    incoming[static_cast<std::size_t>(to)] += bytes;
+  }
+  double worst = 0.0;
+  for (std::size_t p = 0; p < nprocs && p < cluster.size(); ++p) {
+    const double rate =
+        cluster.uplink(static_cast<grid::NodeId>(p)).effective_bytes_per_s();
+    if (rate <= 0.0) continue;
+    worst = std::max(worst, (outgoing[p] + incoming[p]) / rate);
+  }
+  return worst * config.redistribution_overhead;
+}
+
+/// Every field map() tallies without a previous assignment.
+bool mapped_bitwise_equal(const core::MappedLoad& a,
+                          const core::MappedLoad& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return same(a.work, b.work) && same(a.face_cells, b.face_cells) &&
+         same(a.messages, b.messages) &&
+         std::memcmp(&a.communication, &b.communication, sizeof(double)) ==
+             0 &&
+         std::memcmp(&a.wan_face_cells, &b.wan_face_cells, sizeof(double)) ==
+             0 &&
+         std::memcmp(&a.wan_messages, &b.wan_messages, sizeof(double)) == 0;
+}
+
 int run_equivalence_gates() {
   // 128 x 128 x 64 grain cells at grain 2 = 1,048,576 cells.
   amr::SyntheticConfig config;
@@ -293,6 +373,35 @@ int run_equivalence_gates() {
                  "GATE FAILED: execution-model communication differs "
                  "from reference (%.17g vs %.17g)\n",
                  mapped, reference_swept);
+    ++failures;
+  }
+
+  // A non-integer bytes_per_cell makes the migration sums order-sensitive,
+  // and the previous assignment has more processors than the new one.
+  core::ExecModelConfig exec;
+  exec.bytes_per_cell = 80.3;
+  const core::ExecutionModel model(exec);
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(80);
+  const partition::OwnerMap previous =
+      partition::make_partitioner("SFC")
+          ->partition(grid, partition::equal_targets(80))
+          .owners;
+  const core::MappedLoad one = model.map(grid, owners, nullptr, &previous);
+  if (!mapped_bitwise_equal(one, model.map(grid, owners))) {
+    std::fprintf(stderr,
+                 "GATE FAILED: mapping with a previous assignment differs "
+                 "from the mapping alone\n");
+    ++failures;
+  }
+  const double migration = model.migration_time(one, cluster);
+  const double two_pass =
+      two_pass_migration_time(grid, previous, owners, cluster, exec);
+  if (std::memcmp(&migration, &two_pass, sizeof(double)) != 0 ||
+      !(migration > 0.0)) {
+    std::fprintf(stderr,
+                 "GATE FAILED: one-sweep migration time differs from the "
+                 "two-pass form (%.17g vs %.17g)\n",
+                 migration, two_pass);
     ++failures;
   }
   return failures;

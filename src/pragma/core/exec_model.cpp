@@ -22,14 +22,24 @@ double substeps(std::uint32_t mask, int num_levels, int ratio) {
 
 /// The map() sweep, generic over how a level mask becomes a face cost and
 /// a substep count (table lookups, or per-mask folds on grids too deep to
-/// tabulate).  Every cost, work and substep term is an integer-valued
-/// double far below 2^53, so the per-run partial sums below are exact:
-/// the result does not depend on how the terms are grouped.
+/// tabulate).
+///
+/// Work and substep terms are integer-valued doubles, so their sums are
+/// exact in any grouping while they stay below partition::kExactSumBound.
+/// With `regroup` (map() checks that bound from the grid) each processor's
+/// work is one prefix-sum difference per SFC fragment and fragment
+/// messages are summed per fragment.  Without it both are added term by
+/// term, work in lattice order, which is processor_loads' order.  Face
+/// costs are added face by face in lattice visit order either way (the
+/// order of reference_communication_volume), and migration bytes cell by
+/// cell in lattice order: bytes_per_cell need not be an integer, so that
+/// order is part of the result.
 template <class FaceCost, class Substeps>
 void sweep(const partition::WorkGrid& grid, const int* owner,
-           const int* site, const FaceCost& face_cost,
-           const Substeps& substeps_of, MappedLoad& mapped) {
-  if (grid.cell_count() == 0) return;
+           const int* site, const int* previous, double bytes_per_cell,
+           bool regroup, const FaceCost& face_cost,
+           const Substeps& substeps_of, MappedLoad& mapped,
+           double* outgoing, double* incoming) {
   const std::size_t nprocs = mapped.work.size();
   const amr::IntVec3 dims = grid.lattice_dims();
   const std::uint32_t* levels = grid.levels().data();
@@ -41,16 +51,10 @@ void sweep(const partition::WorkGrid& grid, const int* owner,
   std::vector<std::uint32_t> charged(site != nullptr ? nprocs * nprocs : 0,
                                      0u);
 
-  // Runs of same-owner cells keep the owner's work and own-side face
-  // cost in registers; accumulating into work[owner] per cell would chain
-  // every iteration through a store-to-load forward.
-  int run_owner = owner[0];
-  double run_work = 0.0;
-  double run_face = 0.0;
   double communication = 0.0;
   const auto cut = [&](int oc, int on, std::uint32_t shared) {
     const double cost = face_cost(shared);
-    run_face += cost;
+    face[oc] += cost;
     face[on] += cost;
     communication += cost;
     if (site != nullptr && site[oc] != site[on]) {
@@ -77,25 +81,30 @@ void sweep(const partition::WorkGrid& grid, const int* owner,
         const std::size_t xn = c + static_cast<std::size_t>(x + 1 < dims.x);
         const int oc = owner[c];
         const std::uint32_t lc = levels[c];
-        if (oc != run_owner) {
-          work[run_owner] += run_work;
-          face[run_owner] += run_face;
-          run_owner = oc;
-          run_work = 0.0;
-          run_face = 0.0;
-        }
-        run_work += grid.work(c);
+        if (!regroup) work[oc] += grid.work(c);
+        // Cut faces are the minority (5-17% per axis for the Table 4
+        // partitions); keeping their handling out of line keeps this loop
+        // small: ~9% more perfbench trace_replay throughput with GCC 12
+        // -O3 on a 4-core x86 VM.
         const auto visit = [&](std::size_t n) {
-          if (owner[n] != oc) cut(oc, owner[n], lc & levels[n]);
+          if (owner[n] != oc) [[unlikely]]
+            cut(oc, owner[n], lc & levels[n]);
         };
         visit(xn);
         visit(c + ystep);
         visit(c + zstep);
       }
+      // The row's migration, after its faces: still lattice order, and the
+      // face loop stays free of it.
+      if (previous == nullptr) continue;
+      for (std::size_t c = base; c < base + sy; ++c) {
+        if (previous[c] == owner[c]) continue;
+        const double bytes = grid.storage(c) * bytes_per_cell;
+        outgoing[previous[c]] += bytes;
+        incoming[owner[c]] += bytes;
+      }
     }
   }
-  work[run_owner] += run_work;
-  face[run_owner] += run_face;
   mapped.communication = communication;
 
   // Message count = per-level ownership fragmentation: the number of
@@ -106,30 +115,47 @@ void sweep(const partition::WorkGrid& grid, const int* owner,
   // fragment of level l starts wherever l is present but was not in the
   // previous cell of the same owner: two boundary exchanges per substep.
   const std::vector<std::uint32_t>& order = grid.order();
+  const partition::PrefixSums& prefix = grid.prefix_sums();
   double* messages = mapped.messages.data();
-  run_owner = owner[order.front()];
+  int run_owner = owner[order.front()];
+  std::size_t run_start = 0;
   double run_substeps = 0.0;
   std::uint32_t previous_levels = 0;
-  for (const std::uint32_t c : order) {
+  const auto close_run = [&](std::size_t end) {
+    if (!regroup) return;
+    messages[run_owner] += 2.0 * run_substeps;
+    work[run_owner] += prefix.sum(run_start, end);
+  };
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const std::uint32_t c = order[k];
     const int o = owner[c];
     if (o != run_owner) {
-      messages[run_owner] += 2.0 * run_substeps;
+      close_run(k);
       run_owner = o;
+      run_start = k;
       run_substeps = 0.0;
       previous_levels = 0;
     }
-    run_substeps += substeps_of(levels[c] & ~previous_levels);
+    const double steps = substeps_of(levels[c] & ~previous_levels);
+    if (regroup)
+      run_substeps += steps;
+    else
+      messages[o] += 2.0 * steps;
     previous_levels = levels[c];
   }
-  messages[run_owner] += 2.0 * run_substeps;
+  close_run(order.size());
 }
 
 }  // namespace
 
 MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
                                const partition::OwnerMap& owners,
-                               const std::vector<int>* proc_sites) const {
+                               const std::vector<int>* proc_sites,
+                               const partition::OwnerMap* previous) const {
   partition::validate_owners("ExecutionModel::map", grid, owners);
+  if (previous != nullptr)
+    partition::validate_owners("ExecutionModel::map (previous)", grid,
+                               *previous);
   const auto nprocs = static_cast<std::size_t>(owners.nprocs);
   if (proc_sites != nullptr && proc_sites->size() < nprocs)
     throw std::invalid_argument(
@@ -139,29 +165,50 @@ MappedLoad ExecutionModel::map(const partition::WorkGrid& grid,
   mapped.work.assign(nprocs, 0.0);
   mapped.face_cells.assign(nprocs, 0.0);
   mapped.messages.assign(nprocs, 0.0);
-  const int* site = proc_sites != nullptr ? proc_sites->data() : nullptr;
+  // Bytes sent by each processor of either assignment, then bytes received.
+  const std::size_t movers =
+      previous != nullptr
+          ? std::max(nprocs, static_cast<std::size_t>(previous->nprocs))
+          : 0;
+  std::vector<double> moved(2 * movers, 0.0);
   const int levels = grid.num_levels();
   const int ratio = grid.ratio();
+  // A processor's fragment count is at most two substep sets per cell and
+  // the WAN count three per cell, so one bound covers every substep sum.
+  const bool regroup =
+      grid.work_sums_exact() &&
+      static_cast<double>(grid.cell_count()) * 3.0 *
+              substeps(~0u, levels, ratio) <
+          partition::kExactSumBound;
+  const auto run = [&](const auto& face_cost, const auto& substeps_of) {
+    if (grid.cell_count() == 0) return;
+    sweep(grid, owners.owner.data(),
+          proc_sites != nullptr ? proc_sites->data() : nullptr,
+          previous != nullptr ? previous->owner.data() : nullptr,
+          config_.bytes_per_cell, regroup, face_cost, substeps_of, mapped,
+          moved.data(), moved.data() + movers);
+  };
   const std::vector<double> faces = partition::face_cost_table(grid);
   if (faces.empty()) {
-    sweep(
-        grid, owners.owner.data(), site,
+    run(
         [&](std::uint32_t mask) {
           return partition::face_cost(mask, grid.grain(), levels, ratio);
         },
-        [&](std::uint32_t mask) { return substeps(mask, levels, ratio); },
-        mapped);
-    return mapped;
+        [&](std::uint32_t mask) { return substeps(mask, levels, ratio); });
+  } else {
+    std::vector<double> steps(faces.size());
+    for (std::size_t mask = 0; mask < steps.size(); ++mask)
+      steps[mask] = substeps(static_cast<std::uint32_t>(mask), levels, ratio);
+    const double* face_table = faces.data();
+    const double* step_table = steps.data();
+    run([face_table](std::uint32_t mask) { return face_table[mask]; },
+        [step_table](std::uint32_t mask) { return step_table[mask]; });
   }
-  std::vector<double> steps(faces.size());
-  for (std::size_t mask = 0; mask < steps.size(); ++mask)
-    steps[mask] = substeps(static_cast<std::uint32_t>(mask), levels, ratio);
-  const double* face_table = faces.data();
-  const double* step_table = steps.data();
-  sweep(
-      grid, owners.owner.data(), site,
-      [face_table](std::uint32_t mask) { return face_table[mask]; },
-      [step_table](std::uint32_t mask) { return step_table[mask]; }, mapped);
+  if (previous != nullptr) {
+    mapped.migration_bytes.resize(movers);
+    for (std::size_t p = 0; p < movers; ++p)
+      mapped.migration_bytes[p] = moved[p] + moved[movers + p];
+  }
   return mapped;
 }
 
@@ -216,32 +263,15 @@ StepTime ExecutionModel::step_time(const partition::WorkGrid& grid,
   return time_of(map(grid, owners), cluster);
 }
 
-double ExecutionModel::migration_time(const partition::WorkGrid& grid,
-                                      const partition::OwnerMap& previous,
-                                      const partition::OwnerMap& current,
+double ExecutionModel::migration_time(const MappedLoad& mapped,
                                       const grid::Cluster& cluster) const {
-  if (previous.owner.size() != current.owner.size())
-    throw std::invalid_argument("migration_time: lattice mismatch");
-  partition::validate_owners("migration_time", grid, previous);
-  partition::validate_owners("migration_time", grid, current);
-  const auto nprocs = static_cast<std::size_t>(
-      std::max(previous.nprocs, current.nprocs));
-  std::vector<double> outgoing(nprocs, 0.0);
-  std::vector<double> incoming(nprocs, 0.0);
-  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
-    const int from = previous.owner[c];
-    const int to = current.owner[c];
-    if (from == to) continue;
-    const double bytes = grid.storage(c) * config_.bytes_per_cell;
-    outgoing[static_cast<std::size_t>(from)] += bytes;
-    incoming[static_cast<std::size_t>(to)] += bytes;
-  }
+  const std::vector<double>& bytes = mapped.migration_bytes;
   double worst = 0.0;
-  for (std::size_t p = 0; p < nprocs && p < cluster.size(); ++p) {
+  for (std::size_t p = 0; p < bytes.size() && p < cluster.size(); ++p) {
     const double rate =
         cluster.uplink(static_cast<grid::NodeId>(p)).effective_bytes_per_s();
     if (rate <= 0.0) continue;
-    worst = std::max(worst, (outgoing[p] + incoming[p]) / rate);
+    worst = std::max(worst, bytes[p] / rate);
   }
   return worst * config_.redistribution_overhead;
 }
@@ -260,32 +290,30 @@ partition::OwnerMap project_owners(const partition::OwnerMap& source,
       target_dims.y % source_dims.y != 0 ||
       target_dims.z % source_dims.z != 0)
     throw std::invalid_argument("project_owners: dims must divide");
-  const int fx = target_dims.x / source_dims.x;
+  if (source_dims == target_dims) return source;
+  const auto fx = static_cast<std::size_t>(target_dims.x / source_dims.x);
   const int fy = target_dims.y / source_dims.y;
   const int fz = target_dims.z / source_dims.z;
+  const auto nx = static_cast<std::size_t>(target_dims.x);
+  const auto source_row = static_cast<std::size_t>(source_dims.x);
+  const auto source_plane =
+      source_row * static_cast<std::size_t>(source_dims.y);
+  // Source x of every target x, so the gather divides once per x.
+  std::vector<std::size_t> source_x(nx);
+  for (std::size_t x = 0; x < nx; ++x) source_x[x] = x / fx;
 
   partition::OwnerMap out;
   out.nprocs = source.nprocs;
-  out.owner.resize(static_cast<std::size_t>(target_dims.x) *
-                   static_cast<std::size_t>(target_dims.y) *
+  out.owner.resize(nx * static_cast<std::size_t>(target_dims.y) *
                    static_cast<std::size_t>(target_dims.z));
+  int* row = out.owner.data();
   for (int z = 0; z < target_dims.z; ++z)
-    for (int y = 0; y < target_dims.y; ++y)
-      for (int x = 0; x < target_dims.x; ++x) {
-        const std::size_t src =
-            static_cast<std::size_t>(x / fx) +
-            static_cast<std::size_t>(source_dims.x) *
-                (static_cast<std::size_t>(y / fy) +
-                 static_cast<std::size_t>(source_dims.y) *
-                     static_cast<std::size_t>(z / fz));
-        const std::size_t dst =
-            static_cast<std::size_t>(x) +
-            static_cast<std::size_t>(target_dims.x) *
-                (static_cast<std::size_t>(y) +
-                 static_cast<std::size_t>(target_dims.y) *
-                     static_cast<std::size_t>(z));
-        out.owner[dst] = source.owner[src];
-      }
+    for (int y = 0; y < target_dims.y; ++y, row += nx) {
+      const int* from = source.owner.data() +
+                        source_plane * static_cast<std::size_t>(z / fz) +
+                        source_row * static_cast<std::size_t>(y / fy);
+      for (std::size_t x = 0; x < nx; ++x) row[x] = from[source_x[x]];
+    }
   return out;
 }
 

@@ -62,6 +62,10 @@ struct MappedLoad {
   /// Total cut-face cost, each face counted once: the same value as
   /// partition::communication_volume of the assignment.
   double communication = 0.0;
+  /// Mapped against a previous assignment only (empty otherwise): bytes
+  /// each processor sends plus bytes it receives to redistribute the cells
+  /// that changed owner, indexed up to the larger of the two nprocs.
+  std::vector<double> migration_bytes;
   [[nodiscard]] std::size_t nprocs() const { return work.size(); }
 };
 
@@ -74,12 +78,16 @@ class ExecutionModel {
   /// Precompute the per-processor load/traffic of an assignment.  When
   /// `proc_sites` is given (federated grids: site of the node each
   /// processor runs on), cross-site ghost traffic is tallied separately
-  /// for the WAN charge.  Throws std::invalid_argument when the owner map
-  /// does not cover the grid, an owner is out of range, or `proc_sites`
-  /// has fewer than owners.nprocs entries.
+  /// for the WAN charge.  When `previous` is given, the same sweep tallies
+  /// the bytes each processor moves to get from `previous` to `owners`
+  /// (MappedLoad::migration_bytes, read by migration_time).  Throws
+  /// std::invalid_argument when either owner map does not cover the grid
+  /// or holds an out-of-range owner, or `proc_sites` has fewer than
+  /// owners.nprocs entries.
   [[nodiscard]] MappedLoad map(
       const partition::WorkGrid& grid, const partition::OwnerMap& owners,
-      const std::vector<int>* proc_sites = nullptr) const;
+      const std::vector<int>* proc_sites = nullptr,
+      const partition::OwnerMap* previous = nullptr) const;
 
   /// Time one coarse step of a mapped load against the cluster's *current*
   /// state.  Processor i runs on cluster node i.
@@ -91,13 +99,11 @@ class ExecutionModel {
                                    const partition::OwnerMap& owners,
                                    const grid::Cluster& cluster) const;
 
-  /// Time to migrate ownership differences between two assignments (data
-  /// redistribution through the switch, bulk-synchronous).  Throws
-  /// std::invalid_argument unless both owner maps cover the grid with
-  /// in-range owners.
-  [[nodiscard]] double migration_time(const partition::WorkGrid& grid,
-                                      const partition::OwnerMap& previous,
-                                      const partition::OwnerMap& current,
+  /// Time to migrate the ownership differences tallied by
+  /// map(grid, owners, sites, &previous) (data redistribution through the
+  /// switch, bulk-synchronous).  0 for a load mapped without a previous
+  /// assignment.
+  [[nodiscard]] double migration_time(const MappedLoad& mapped,
                                       const grid::Cluster& cluster) const;
 
   /// Simulated cost of running the partitioning algorithm itself.
@@ -110,9 +116,10 @@ class ExecutionModel {
 };
 
 /// Project an owner map from a coarser partitioning lattice onto a finer
-/// canonical lattice.  Throws std::invalid_argument unless every dim is
-/// positive, the source dims divide the target dims exactly, and `source`
-/// covers the source lattice.
+/// canonical lattice: a copy when the dims are equal, otherwise a row-wise
+/// gather.  Throws std::invalid_argument unless every dim is positive, the
+/// source dims divide the target dims exactly, and `source` covers the
+/// source lattice.
 [[nodiscard]] partition::OwnerMap project_owners(
     const partition::OwnerMap& source, amr::IntVec3 source_dims,
     amr::IntVec3 target_dims);

@@ -539,13 +539,15 @@ void ManagedRun::repartition(bool count_as_regrid) {
   if (modeled_s_per_cell > 0.0)
     partition_seconds =
         static_cast<double>(native.cell_count()) * modeled_s_per_cell;
+  const bool migrates =
+      has_assignment_ && next.owner.size() == owners_.owner.size();
+  mapped_ = model_.map(*canonical_, next, nullptr,
+                       migrates ? &owners_ : nullptr);
   double overhead = model_.partition_cost(partition_seconds);
-  if (has_assignment_ && next.owner.size() == owners_.owner.size())
-    overhead += model_.migration_time(*canonical_, owners_, next, cluster_);
+  if (migrates) overhead += model_.migration_time(mapped_, cluster_);
   report_.total_time_s += overhead;
 
   owners_ = std::move(next);
-  mapped_ = model_.map(*canonical_, owners_);
   has_assignment_ = true;
   if (count_as_regrid) ++report_.repartitions;
   span.annotate("partitioner", partitioner.name());

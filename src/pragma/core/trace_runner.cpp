@@ -77,10 +77,21 @@ RunSummary TraceRunner::replay(
   // the stale term of the previous iteration, it is both the reuse check's
   // loads and, when the partition is kept, the fresh mapping.
   MappedLoad carried;
-  // evaluate_pac's imbalance: targets normalised by their sum.
+  // evaluate_pac's imbalance: targets normalised by their sum, so that
+  // scaling every target leaves records and reuse decisions unchanged.
   double target_sum = 0.0;
   for (const double t : config_.targets) target_sum += t;
   if (target_sum <= 0.0) target_sum = 1.0;
+  const auto imbalance = [&](const std::vector<double>& loads,
+                             double total) {
+    double worst = 0.0;
+    for (std::size_t p = 0; p < loads.size(); ++p) {
+      const double share = config_.targets[p] / target_sum;
+      if (share <= 0.0) continue;
+      worst = std::max(worst, loads[p] / (share * total));
+    }
+    return total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
+  };
 
   double weighted_imbalance = 0.0;
   double weighted_efficiency = 0.0;
@@ -124,20 +135,11 @@ RunSummary TraceRunner::replay(
     // costs that static schemes pay at every regrid.  In dynamic phases the
     // drift crosses the threshold almost immediately, so repartitioning
     // stays regrid-frequent there.
-    bool reuse_previous = false;
-    if (meta != nullptr && has_previous &&
-        config_.repartition_threshold > 0.0) {
-      const std::vector<double>& loads = carried.work;
-      const double total = canonical.total_work();
-      double worst = 0.0;
-      for (std::size_t p = 0; p < loads.size(); ++p) {
-        const double share = config_.targets[p];
-        if (share > 0.0 && total > 0.0)
-          worst = std::max(worst, loads[p] / (share * total));
-      }
-      reuse_previous = (worst - 1.0) <
-                       baseline_imbalance + config_.repartition_threshold;
-    }
+    const bool reuse_previous =
+        meta != nullptr && has_previous &&
+        config_.repartition_threshold > 0.0 &&
+        imbalance(carried.work, canonical.total_work()) <
+            baseline_imbalance + config_.repartition_threshold;
 
     partition::OwnerMap owners;
     partition::PartitionResult result;
@@ -169,9 +171,14 @@ RunSummary TraceRunner::replay(
     // during which the refinement pattern keeps evolving: the first half of
     // the covered steps run against this snapshot's workload, the second
     // half against the next snapshot's (the "stale partition" effect that
-    // penalizes expensive balancing in highly dynamic phases).
+    // penalizes expensive balancing in highly dynamic phases).  A fresh
+    // mapping also tallies the migration from the previous partition; a
+    // kept one moves nothing.
     const MappedLoad mapped =
-        reuse_previous ? std::move(carried) : model_.map(canonical, owners);
+        reuse_previous
+            ? std::move(carried)
+            : model_.map(canonical, owners, nullptr,
+                         has_previous ? &previous_canonical : nullptr);
     const StepTime fresh = model_.time_of(mapped, cluster_);
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
@@ -192,22 +199,12 @@ RunSummary TraceRunner::replay(
           octant::to_string(meta->history().back().state.octant());
     record.step_time_s = step.total_s;
 
-    const double total = canonical.total_work();
-    double worst = 0.0;
-    for (std::size_t p = 0; p < mapped.work.size(); ++p) {
-      const double share = config_.targets[p] / target_sum;
-      if (share <= 0.0) continue;
-      worst = std::max(worst, mapped.work[p] / (share * total));
-    }
-    record.imbalance = total > 0.0 ? std::max(0.0, worst - 1.0) : 0.0;
+    record.imbalance = imbalance(mapped.work, canonical.total_work());
     record.comm_volume = mapped.communication;
     if (!reuse_previous) baseline_imbalance = record.imbalance;
 
     record.partition_s = model_.partition_cost(result.partition_seconds);
-    if (has_previous)
-      record.migration_s = model_.migration_time(canonical,
-                                                 previous_canonical, owners,
-                                                 cluster_);
+    record.migration_s = model_.migration_time(mapped, cluster_);
 
     // AMR efficiency: adaptivity saving relative to a uniformly fine grid,
     // with the partitioner's ghost overhead charged as extra work.

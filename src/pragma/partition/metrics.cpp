@@ -52,12 +52,13 @@ void validate_owners(const char* who, const WorkGrid& grid,
   if (owners.owner.size() != grid.cell_count())
     throw std::invalid_argument(std::string(who) + ": size mismatch");
   // Branch-free so the pass vectorizes; a negative owner wraps past
-  // nprocs as unsigned.
+  // nprocs as unsigned.  The flag is an unsigned, not a bool: GCC does not
+  // vectorize a bool OR-reduction.
   const auto nprocs = static_cast<unsigned>(std::max(owners.nprocs, 0));
-  bool out_of_range = false;
+  unsigned out_of_range = 0;
   for (int owner : owners.owner)
     out_of_range |= static_cast<unsigned>(owner) >= nprocs;
-  if (out_of_range)
+  if (out_of_range != 0)
     throw std::invalid_argument(std::string(who) + ": owner out of range");
 }
 

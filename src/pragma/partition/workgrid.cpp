@@ -221,13 +221,18 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
       }
   }
 
-  total_work_ = 0.0;
-  for (double w : work_) total_work_ += w;
-
   order_ = curve_order_shared(dims_, curve);
   sequence_.reserve(order_->size());
   for (std::uint32_t c : *order_) sequence_.push_back(work_[c]);
   prefix_ = PrefixSums(sequence_);
+
+  // Below the bound the curve-order total is exact, hence equal to the
+  // lattice-order fold; past it the fold is kept (see work_sums_exact).
+  total_work_ = prefix_.total();
+  if (!work_sums_exact()) {
+    total_work_ = 0.0;
+    for (double w : work_) total_work_ += w;
+  }
 }
 
 amr::IntVec3 WorkGrid::coords(std::size_t c) const {

@@ -12,9 +12,14 @@
 //
 // A grid is always rasterized whole from its hierarchy.  Per-box
 // contributions are integer-valued by construction (overlap volumes times
-// integer powers of the refinement ratio), so any summation order gives
-// the same bits; reference_build keeps the scalar per-box kernel around as
-// the equivalence oracle.
+// integer powers of the refinement ratio).  A double holds every integer
+// below 2^53 exactly, so while a grid's total work stays below that bound
+// every sum of its work terms is exact and any summation order gives the
+// same bits (work_sums_exact()).  Deep grids exceed the bound: at ratio 2 a
+// level-l cell carries 2^(4l) work, 2^52 at level 13.  Past it sums round,
+// and the code that regroups work sums (total_work, ExecutionModel::map)
+// keeps the lattice-order fold instead.  reference_build keeps the scalar
+// per-box kernel around as the equivalence oracle.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +34,11 @@
 #include "pragma/partition/sfc.hpp"
 
 namespace pragma::partition {
+
+/// 2^53: a double holds every integer below it exactly, so a sum of
+/// non-negative integer-valued terms that stays below it is exact in any
+/// grouping.
+inline constexpr double kExactSumBound = 9007199254740992.0;
 
 class WorkGrid {
  public:
@@ -57,6 +67,12 @@ class WorkGrid {
   [[nodiscard]] double work(std::size_t c) const { return work_[c]; }
   /// Total work over the grid.
   [[nodiscard]] double total_work() const { return total_work_; }
+  /// True when the total work is below kExactSumBound: every work term is
+  /// an integer, so every sum of them (per processor, per SFC range) is
+  /// then exact, and prefix-sum differences equal lattice-order folds.
+  [[nodiscard]] bool work_sums_exact() const {
+    return total_work_ < kExactSumBound;
+  }
   /// Bitmask of levels present in grain cell `c` (bit l = level l).
   [[nodiscard]] std::uint32_t levels_present(std::size_t c) const {
     return levels_[c];

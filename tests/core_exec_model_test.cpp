@@ -102,6 +102,45 @@ MappedLoad reference_map(const partition::WorkGrid& grid,
   return mapped;
 }
 
+/// Equivalence oracle for map()'s migration tally: the two-pass form, a
+/// separate lattice-order loop over both owner maps after the mapping.
+/// Returns each processor's bytes sent plus bytes received.
+std::vector<double> reference_migration_bytes(
+    const partition::WorkGrid& grid, const partition::OwnerMap& previous,
+    const partition::OwnerMap& current, double bytes_per_cell) {
+  const auto nprocs = static_cast<std::size_t>(
+      std::max(previous.nprocs, current.nprocs));
+  std::vector<double> outgoing(nprocs, 0.0);
+  std::vector<double> incoming(nprocs, 0.0);
+  for (std::size_t c = 0; c < grid.cell_count(); ++c) {
+    const int from = previous.owner[c];
+    const int to = current.owner[c];
+    if (from == to) continue;
+    const double bytes = grid.storage(c) * bytes_per_cell;
+    outgoing[static_cast<std::size_t>(from)] += bytes;
+    incoming[static_cast<std::size_t>(to)] += bytes;
+  }
+  std::vector<double> total(nprocs);
+  for (std::size_t p = 0; p < nprocs; ++p)
+    total[p] = outgoing[p] + incoming[p];
+  return total;
+}
+
+/// The two-pass migration time: the worst processor's bytes over its
+/// uplink, scaled by the redistribution overhead.
+double reference_migration_time(const std::vector<double>& bytes,
+                                const grid::Cluster& cluster,
+                                const ExecModelConfig& config) {
+  double worst = 0.0;
+  for (std::size_t p = 0; p < bytes.size() && p < cluster.size(); ++p) {
+    const double rate =
+        cluster.uplink(static_cast<grid::NodeId>(p)).effective_bytes_per_s();
+    if (rate <= 0.0) continue;
+    worst = std::max(worst, bytes[p] / rate);
+  }
+  return worst * config.redistribution_overhead;
+}
+
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -193,7 +232,20 @@ TEST(ExecutionModel, MigrationTimeZeroForIdenticalAssignments) {
   const partition::OwnerMap owners = split_by_curve(grid, 4);
   const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
-  EXPECT_DOUBLE_EQ(model.migration_time(grid, owners, owners, cluster), 0.0);
+  EXPECT_DOUBLE_EQ(
+      model.migration_time(model.map(grid, owners, nullptr, &owners),
+                           cluster),
+      0.0);
+}
+
+TEST(ExecutionModel, MigrationTimeZeroWithoutPrevious) {
+  const partition::WorkGrid grid(test_hierarchy(), 2);
+  const partition::OwnerMap owners = split_by_curve(grid, 4);
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
+  const ExecutionModel model;
+  const MappedLoad mapped = model.map(grid, owners);
+  EXPECT_TRUE(mapped.migration_bytes.empty());
+  EXPECT_DOUBLE_EQ(model.migration_time(mapped, cluster), 0.0);
 }
 
 TEST(ExecutionModel, MigrationTimeGrowsWithChange) {
@@ -206,9 +258,13 @@ TEST(ExecutionModel, MigrationTimeGrowsWithChange) {
   for (int& owner : c.owner) owner = (owner + 1) % 4;  // everything moves
   const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
-  const double none = model.migration_time(grid, a, a, cluster);
-  const double some = model.migration_time(grid, a, b, cluster);
-  const double all = model.migration_time(grid, a, c, cluster);
+  const auto migration = [&](const partition::OwnerMap& current) {
+    return model.migration_time(model.map(grid, current, nullptr, &a),
+                                cluster);
+  };
+  const double none = migration(a);
+  const double some = migration(b);
+  const double all = migration(c);
   EXPECT_LT(none, some);
   EXPECT_LE(some, all);
 }
@@ -223,10 +279,12 @@ TEST(ExecutionModel, RedistributionOverheadScalesMigration) {
   cheap.redistribution_overhead = 1.0;
   ExecModelConfig costly;
   costly.redistribution_overhead = 8.0;
-  const double t1 =
-      ExecutionModel(cheap).migration_time(grid, a, b, cluster);
-  const double t8 =
-      ExecutionModel(costly).migration_time(grid, a, b, cluster);
+  const ExecutionModel cheap_model(cheap);
+  const ExecutionModel costly_model(costly);
+  const double t1 = cheap_model.migration_time(
+      cheap_model.map(grid, b, nullptr, &a), cluster);
+  const double t8 = costly_model.migration_time(
+      costly_model.map(grid, b, nullptr, &a), cluster);
   EXPECT_NEAR(t8, 8.0 * t1, 1e-9);
 }
 
@@ -258,6 +316,40 @@ TEST(ProjectOwners, RefinesCoarseAssignment) {
       for (int x = 0; x < 4; ++x) {
         const std::size_t c = x + 4 * (y + 2 * z);
         EXPECT_EQ(fine.owner[c], x < 2 ? 0 : 1);
+      }
+}
+
+// The row-wise gather against the per-cell loop it replaced, for every
+// refinement factor in {1, 2, 4} per axis (identity included).
+TEST(ProjectOwners, MatchesPerCellReference) {
+  const amr::IntVec3 source_dims{5, 3, 2};
+  partition::OwnerMap source;
+  source.nprocs = 7;
+  util::Rng rng(23);
+  for (int c = 0; c < source_dims.x * source_dims.y * source_dims.z; ++c)
+    source.owner.push_back(static_cast<int>(rng.uniform_int(0, 6)));
+  for (const int fx : {1, 2, 4})
+    for (const int fy : {1, 2, 4})
+      for (const int fz : {1, 2, 4}) {
+        SCOPED_TRACE("factors " + std::to_string(fx) + " " +
+                     std::to_string(fy) + " " + std::to_string(fz));
+        const amr::IntVec3 target_dims{source_dims.x * fx,
+                                       source_dims.y * fy,
+                                       source_dims.z * fz};
+        std::vector<int> expected(static_cast<std::size_t>(
+            target_dims.x * target_dims.y * target_dims.z));
+        for (int z = 0; z < target_dims.z; ++z)
+          for (int y = 0; y < target_dims.y; ++y)
+            for (int x = 0; x < target_dims.x; ++x)
+              expected[static_cast<std::size_t>(
+                  x + target_dims.x * (y + target_dims.y * z))] =
+                  source.owner[static_cast<std::size_t>(
+                      x / fx +
+                      source_dims.x * (y / fy + source_dims.y * (z / fz)))];
+        const partition::OwnerMap projected =
+            project_owners(source, source_dims, target_dims);
+        EXPECT_EQ(projected.owner, expected);
+        EXPECT_EQ(projected.nprocs, source.nprocs);
       }
 }
 
@@ -422,6 +514,92 @@ TEST(ExecutionModel, MapMatchesReferenceBitwise) {
   }
 }
 
+// map() with a previous assignment against the two-pass form, over
+// MapMatchesReferenceBitwise's matrix: every other field must equal the
+// mapping without `previous`, and the migration tally the separate loop's
+// bit for bit.  The previous map has another processor count, and the
+// non-integer bytes_per_cell makes the per-processor accumulation order
+// visible in the result.
+TEST(ExecutionModel, MapWithPreviousMatchesTwoPassBitwise) {
+  amr::Rm3dConfig app;
+  app.coarse_steps = 100;
+  const amr::AdaptationTrace trace = amr::Rm3dEmulator(app).run();
+  ASSERT_GE(trace.size(), 26u);
+  std::vector<std::pair<std::string, partition::WorkGrid>> grids;
+  for (int grain = 1; grain <= 3; ++grain)
+    for (std::size_t i = 20; i < 26; ++i)
+      grids.emplace_back("grain " + std::to_string(grain) + " snapshot " +
+                             std::to_string(i),
+                         partition::WorkGrid(trace.at(i).hierarchy, grain));
+  grids.emplace_back("17 levels", partition::WorkGrid(deep_hierarchy(), 1));
+  ASSERT_EQ(grids.back().second.num_levels(), 17);
+
+  ExecModelConfig config;
+  config.bytes_per_cell = 80.3;
+  const ExecutionModel model(config);
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(19);
+  const auto partitioner = partition::make_partitioner("SFC");
+  util::Rng rng(16);
+  const auto perturb = [&](partition::OwnerMap owners) {
+    for (int& owner : owners.owner)
+      if (rng.uniform() < 0.05)
+        owner = static_cast<int>(rng.uniform_int(0, owners.nprocs - 1));
+    return owners;
+  };
+  for (const auto& [name, grid] : grids) {
+    for (const int nprocs : {5, 16}) {
+      const partition::OwnerMap blocky =
+          partitioner->partition(grid, partition::equal_targets(nprocs))
+              .owners;
+      const partition::OwnerMap perturbed = perturb(blocky);
+      const partition::OwnerMap previous = perturb(
+          partitioner
+              ->partition(grid, partition::equal_targets(
+                                    static_cast<std::size_t>(nprocs) + 3))
+              .owners);
+      std::vector<int> sites(static_cast<std::size_t>(nprocs));
+      for (int p = 0; p < nprocs; ++p)
+        sites[static_cast<std::size_t>(p)] = p % 3;
+      for (const partition::OwnerMap* owners : {&blocky, &perturbed}) {
+        for (const std::vector<int>* proc_sites :
+             {static_cast<const std::vector<int>*>(nullptr),
+              static_cast<const std::vector<int>*>(&sites)}) {
+          SCOPED_TRACE(name + " nprocs " + std::to_string(nprocs) +
+                       (owners == &blocky ? " blocky" : " perturbed") +
+                       (proc_sites != nullptr ? " 3 sites" : ""));
+          const MappedLoad one =
+              model.map(grid, *owners, proc_sites, &previous);
+          const MappedLoad plain = model.map(grid, *owners, proc_sites);
+          EXPECT_TRUE(bitwise_equal(one.work, plain.work));
+          EXPECT_TRUE(bitwise_equal(one.face_cells, plain.face_cells));
+          EXPECT_TRUE(bitwise_equal(one.messages, plain.messages));
+          EXPECT_TRUE(bitwise_equal(one.wan_face_cells, plain.wan_face_cells));
+          EXPECT_TRUE(bitwise_equal(one.wan_messages, plain.wan_messages));
+          EXPECT_TRUE(bitwise_equal(one.communication, plain.communication));
+          EXPECT_TRUE(bitwise_equal(
+              one.work, reference_map(grid, *owners, proc_sites).work));
+
+          const std::vector<double> two_pass = reference_migration_bytes(
+              grid, previous, *owners, config.bytes_per_cell);
+          ASSERT_EQ(two_pass.size(), static_cast<std::size_t>(nprocs) + 3);
+          EXPECT_TRUE(bitwise_equal(one.migration_bytes, two_pass));
+          const double time = model.migration_time(one, cluster);
+          EXPECT_GT(time, 0.0);
+          EXPECT_TRUE(bitwise_equal(
+              time, reference_migration_time(two_pass, cluster, config)));
+          // And in the other direction: fewer processors than before.
+          const MappedLoad back =
+              model.map(grid, previous, nullptr, owners);
+          EXPECT_TRUE(bitwise_equal(
+              back.migration_bytes,
+              reference_migration_bytes(grid, *owners, previous,
+                                        config.bytes_per_cell)));
+        }
+      }
+    }
+  }
+}
+
 TEST(ExecutionModel, MapRejectsBadInputs) {
   const partition::WorkGrid grid(test_hierarchy(), 2);
   const ExecutionModel model;
@@ -436,16 +614,19 @@ TEST(ExecutionModel, MapRejectsBadInputs) {
 
 TEST(ExecutionModel, MigrationTimeRejectsBadInputs) {
   const partition::WorkGrid grid(test_hierarchy(), 2);
-  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
   const partition::OwnerMap owners = split_by_curve(grid, 4);
   partition::OwnerMap out_of_range = owners;
   out_of_range.owner.front() = 4;
-  EXPECT_THROW(model.migration_time(grid, owners, out_of_range, cluster),
+  EXPECT_THROW(model.map(grid, out_of_range, nullptr, &owners),
+               std::invalid_argument);
+  EXPECT_THROW(model.map(grid, owners, nullptr, &out_of_range),
                std::invalid_argument);
   partition::OwnerMap shorter = owners;
   shorter.owner.pop_back();
-  EXPECT_THROW(model.migration_time(grid, shorter, shorter, cluster),
+  EXPECT_THROW(model.map(grid, shorter, nullptr, &shorter),
+               std::invalid_argument);
+  EXPECT_THROW(model.map(grid, owners, nullptr, &shorter),
                std::invalid_argument);
 }
 

@@ -27,13 +27,38 @@ const amr::AdaptationTrace& short_rm3d_trace() {
   return trace;
 }
 
-/// Every RunSummary field and SnapshotRecord of the Table 4 strategies on
-/// 16 and 64 homogeneous processors, one runner per processor count, with
-/// the modeled (deterministic) partitioning cost and the serial pipeline.
+/// Every RunSummary field and SnapshotRecord of a replay, at %.17g.
+std::string summary_text(const RunSummary& s, std::size_t nprocs) {
+  std::string out;
+  char line[512];
+  std::snprintf(line, sizeof(line),
+                "run %s nprocs=%zu runtime_s=%.17g compute_s=%.17g "
+                "comm_s=%.17g migration_s=%.17g partition_s=%.17g "
+                "max_imbalance=%.17g mean_imbalance=%.17g "
+                "amr_efficiency=%.17g switches=%zu records=%zu\n",
+                s.label.c_str(), nprocs, s.runtime_s, s.compute_s, s.comm_s,
+                s.migration_s, s.partition_s, s.max_imbalance,
+                s.mean_imbalance, s.amr_efficiency, s.switches,
+                s.records.size());
+  out += line;
+  for (const SnapshotRecord& r : s.records) {
+    std::snprintf(line, sizeof(line),
+                  "  %d %s %s %.17g %.17g %.17g %.17g %.17g %.17g\n",
+                  r.step, r.partitioner.c_str(),
+                  r.octant.empty() ? "-" : r.octant.c_str(), r.step_time_s,
+                  r.imbalance, r.comm_volume, r.migration_s, r.partition_s,
+                  r.amr_efficiency);
+    out += line;
+  }
+  return out;
+}
+
+/// The Table 4 strategies on 16 and 64 homogeneous processors, one runner
+/// per processor count, with the modeled (deterministic) partitioning cost
+/// and the serial pipeline.
 std::string replay_reference_text() {
   const policy::PolicyBase policies = policy::standard_policy_base();
   std::string out;
-  char line[512];
   for (const std::size_t nprocs : {std::size_t{16}, std::size_t{64}}) {
     const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(nprocs);
     TraceRunConfig config;
@@ -41,30 +66,11 @@ std::string replay_reference_text() {
     config.threads = 1;
     config.modeled_partition_s_per_cell = 50e-9;
     const TraceRunner runner(short_rm3d_trace(), cluster, config);
-    for (const char* strategy : {"SFC", "G-MISP+SP", "pBD-ISP", "adaptive"}) {
-      const RunSummary s = std::string(strategy) == "adaptive"
-                               ? runner.run_adaptive(policies)
-                               : runner.run_static(strategy);
-      std::snprintf(line, sizeof(line),
-                    "run %s nprocs=%zu runtime_s=%.17g compute_s=%.17g "
-                    "comm_s=%.17g migration_s=%.17g partition_s=%.17g "
-                    "max_imbalance=%.17g mean_imbalance=%.17g "
-                    "amr_efficiency=%.17g switches=%zu records=%zu\n",
-                    s.label.c_str(), nprocs, s.runtime_s, s.compute_s,
-                    s.comm_s, s.migration_s, s.partition_s, s.max_imbalance,
-                    s.mean_imbalance, s.amr_efficiency, s.switches,
-                    s.records.size());
-      out += line;
-      for (const SnapshotRecord& r : s.records) {
-        std::snprintf(line, sizeof(line),
-                      "  %d %s %s %.17g %.17g %.17g %.17g %.17g %.17g\n",
-                      r.step, r.partitioner.c_str(),
-                      r.octant.empty() ? "-" : r.octant.c_str(),
-                      r.step_time_s, r.imbalance, r.comm_volume,
-                      r.migration_s, r.partition_s, r.amr_efficiency);
-        out += line;
-      }
-    }
+    for (const char* strategy : {"SFC", "G-MISP+SP", "pBD-ISP", "adaptive"})
+      out += summary_text(std::string(strategy) == "adaptive"
+                              ? runner.run_adaptive(policies)
+                              : runner.run_static(strategy),
+                          nprocs);
   }
   return out;
 }
@@ -198,6 +204,30 @@ TEST(TraceRunner, WeightedTargetsShiftLoad) {
   // Imbalance is measured against the weighted targets, so a partitioner
   // honoring them stays moderate.
   EXPECT_LT(summary.mean_imbalance, 0.6);
+}
+
+// Records and the adaptive reuse check both divide the targets by their
+// sum, so doubling every target (exact in binary) must leave the whole
+// replay unchanged bit for bit, including which partitions are kept.
+TEST(TraceRunner, AdaptiveReuseIsInvariantToTargetScale) {
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
+  const policy::PolicyBase policies = policy::standard_policy_base();
+  const auto replay = [&](double scale) {
+    TraceRunConfig config;
+    config.nprocs = 4;
+    config.threads = 1;
+    config.modeled_partition_s_per_cell = 50e-9;
+    config.targets = {0.4 * scale, 0.2 * scale, 0.2 * scale, 0.2 * scale};
+    return TraceRunner(short_rm3d_trace(), cluster, config)
+        .run_adaptive(policies);
+  };
+  const RunSummary base = replay(1.0);
+  std::size_t kept = 0;
+  for (const SnapshotRecord& record : base.records)
+    kept += record.partition_s == 0.0 ? 1 : 0;
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, base.records.size());
+  EXPECT_EQ(summary_text(replay(2.0), 4), summary_text(base, 4));
 }
 
 TEST(SystemSensitive, ImprovesOnHeterogeneousCluster) {
