@@ -12,14 +12,12 @@
 // imbalance among the statics, AMR efficiency is nearly partitioner-
 // independent, and the adaptive improvement over the slowest partitioner
 // is a few tens of percent (paper: 27.2%).
-#include <future>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "pragma/core/trace_runner.hpp"
 #include "pragma/policy/builtin.hpp"
-#include "pragma/util/thread_pool.hpp"
 
 using namespace pragma;
 
@@ -46,24 +44,10 @@ int main() {
       {"adaptive", 352.824, 8.11825, 98.7633},
   };
 
-  // The four replays are independent and the runner is const over a replay
-  // (canonical grids are shared through its mutex-guarded cache), so run
-  // them concurrently on the shared pool.  get_helping keeps the main
-  // thread draining queued work, so this also runs fine on one core.
-  util::ThreadPool& pool = util::shared_pool();
-  std::vector<std::future<core::RunSummary>> futures;
-  futures.push_back(
-      pool.submit([&runner] { return runner.run_static("SFC"); }));
-  futures.push_back(
-      pool.submit([&runner] { return runner.run_static("G-MISP+SP"); }));
-  futures.push_back(
-      pool.submit([&runner] { return runner.run_static("pBD-ISP"); }));
-  futures.push_back(pool.submit(
-      [&runner, &policies] { return runner.run_adaptive(policies); }));
-
   std::vector<core::RunSummary> runs;
-  for (std::future<core::RunSummary>& future : futures)
-    runs.push_back(pool.get_helping(future));
+  for (const char* name : {"SFC", "G-MISP+SP", "pBD-ISP"})
+    runs.push_back(runner.run_static(name));
+  runs.push_back(runner.run_adaptive(policies));
 
   util::TextTable table({"Partitioner", "Run-time (s)", "Load Imb. (%)",
                          "AMR Eff. (%)", "paper rt (s)", "paper imb (%)",

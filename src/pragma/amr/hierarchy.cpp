@@ -1,6 +1,7 @@
 #include "pragma/amr/hierarchy.hpp"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -20,6 +21,18 @@ GridHierarchy::GridHierarchy(IntVec3 base_dims, int ratio, int max_levels)
 Box GridHierarchy::level_domain(int l) const {
   const auto r = static_cast<int>(cumulative_ratio(l));
   return Box::from_dims(base_dims_ * r);
+}
+
+bool GridHierarchy::in_level_domain(int l, const Box& box) const {
+  if (box.empty()) return true;
+  for (int axis = 0; axis < 3; ++axis) {
+    // The level's extent, saturated once it passes every int coordinate.
+    std::int64_t extent = base_dims_[axis];
+    for (int i = 0; i < l && extent <= std::numeric_limits<int>::max(); ++i)
+      extent *= ratio_;
+    if (box.lo()[axis] < 0 || box.hi()[axis] > extent) return false;
+  }
+  return true;
 }
 
 std::int64_t GridHierarchy::cumulative_ratio(int l) const {

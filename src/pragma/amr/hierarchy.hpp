@@ -54,6 +54,10 @@ class GridHierarchy {
   /// Domain box of level l in level-l index space.
   [[nodiscard]] Box level_domain(int l) const;
 
+  /// True when `box` is empty or lies inside level_domain(l).  Computed in
+  /// 64 bits, so it also holds for levels whose domain overflows an int.
+  [[nodiscard]] bool in_level_domain(int l, const Box& box) const;
+
   /// Cumulative refinement ratio of level l relative to level 0 (r^l).
   [[nodiscard]] std::int64_t cumulative_ratio(int l) const;
 

@@ -34,7 +34,8 @@ Status validate_trace_config(IntVec3 base_dims, int ratio, int max_levels) {
   return Status::ok();
 }
 
-Status validate_trace_box(const IntVec3& lo, const IntVec3& hi) {
+Status validate_trace_box(const GridHierarchy& hierarchy, int level,
+                          const IntVec3& lo, const IntVec3& hi) {
   const auto coord_ok = [](int c) {
     return c >= -TraceLimits::kMaxCoord && c <= TraceLimits::kMaxCoord;
   };
@@ -42,12 +43,24 @@ Status validate_trace_box(const IntVec3& lo, const IntVec3& hi) {
       !coord_ok(hi.x) || !coord_ok(hi.y) || !coord_ok(hi.z))
     return Status::out_of_range("box coordinate outside ±" +
                                 std::to_string(TraceLimits::kMaxCoord));
+  // GCC 12 misreads a literal + std::string&& as an overlapping memcpy
+  // (-Wrestrict), so the messages are appended to std::string objects.
+  const auto point = [](const IntVec3& p) {
+    return std::to_string(p.x) + "," + std::to_string(p.y) + "," +
+           std::to_string(p.z);
+  };
+  const std::string extents =
+      std::string("[").append(point(lo)).append("]..[").append(point(hi))
+          .append("]");
   if (hi.x < lo.x || hi.y < lo.y || hi.z < lo.z)
     return Status::invalid(
-        "inverted box extents (hi < lo): [" + std::to_string(lo.x) + "," +
-        std::to_string(lo.y) + "," + std::to_string(lo.z) + "]..[" +
-        std::to_string(hi.x) + "," + std::to_string(hi.y) + "," +
-        std::to_string(hi.z) + "]");
+        std::string("inverted box extents (hi < lo): ").append(extents));
+  if (!hierarchy.in_level_domain(level, Box(lo, hi)))
+    return Status::out_of_range(std::string("level ")
+                                    .append(std::to_string(level))
+                                    .append(" box ")
+                                    .append(extents)
+                                    .append(" outside the level's domain"));
   return Status::ok();
 }
 
@@ -146,7 +159,8 @@ util::Expected<AdaptationTrace> try_load_trace(std::istream& is) {
               hi.z) ||
             keyword != "box")
           return fail("bad box");
-        if (Status status = validate_trace_box(lo, hi); !status.is_ok())
+        if (Status status = validate_trace_box(hierarchy, l, lo, hi);
+            !status.is_ok())
           return status;
         boxes.emplace_back(lo, hi);
       }

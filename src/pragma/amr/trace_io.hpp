@@ -18,7 +18,7 @@
 // and replayed on another), so the loader validates every header count
 // against the TraceLimits caps *before* allocating: a malformed or
 // hostile file yields a bounded util::Status, never a multi-gigabyte
-// resize or a negative-extent box.
+// resize, a negative-extent box or a box outside its level's domain.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,12 @@ struct TraceLimits {
 [[nodiscard]] util::Status validate_trace_config(IntVec3 base_dims, int ratio,
                                                  int max_levels);
 
-/// Validate one box: extents within bounds and hi >= lo on every axis.
-[[nodiscard]] util::Status validate_trace_box(const IntVec3& lo,
+/// Validate one level-`level` box of `hierarchy`: coordinates within
+/// bounds, hi >= lo on every axis, and inside the level's domain
+/// (GridHierarchy::in_level_domain; kOutOfRange naming the level and the
+/// box).  Both trace loaders check every box through it.
+[[nodiscard]] util::Status validate_trace_box(const GridHierarchy& hierarchy,
+                                              int level, const IntVec3& lo,
                                               const IntVec3& hi);
 
 /// Write a trace.  All hierarchies must share the same configuration

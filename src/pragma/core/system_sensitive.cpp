@@ -64,19 +64,20 @@ SystemSensitiveResult run_system_sensitive_experiment(
 
     // Grids come from the shared cache when one is configured, so the
     // Table 5 processor-count sweep rasterizes each snapshot only once.
-    auto grid_for = [&](int grain, partition::CurveKind curve) {
-      if (config.workgrid_cache != nullptr)
-        return config.workgrid_cache->get_or_build(i, snapshot.hierarchy,
-                                                   grain, curve,
-                                                   config.threads);
-      return std::shared_ptr<const partition::WorkGrid>(
-          std::make_shared<const partition::WorkGrid>(
-              snapshot.hierarchy, grain, curve, config.threads));
+    // The canonical grid is the native one when the keys match.
+    const auto grid_for = [&](int grain, partition::CurveKind curve) {
+      return partition::shared_or_built(config.workgrid_cache, i,
+                                        snapshot.hierarchy, grain, curve,
+                                        config.threads);
     };
-    const std::shared_ptr<const partition::WorkGrid> native =
-        grid_for(partitioner->preferred_grain(), partitioner->curve());
     const std::shared_ptr<const partition::WorkGrid> canonical =
         grid_for(config.canonical_grain, partition::CurveKind::kHilbert);
+    const int grain = partitioner->preferred_grain();
+    const std::shared_ptr<const partition::WorkGrid> native =
+        canonical->grain() == grain &&
+                canonical->curve() == partitioner->curve()
+            ? canonical
+            : grid_for(grain, partitioner->curve());
 
     auto project = [&](const partition::PartitionResult& r) {
       return project_owners(r.owners, native->lattice_dims(),

@@ -60,7 +60,7 @@ struct SystemSensitiveConfig {
   /// Optional shared work-grid cache (keyed by snapshot index): experiments
   /// over the same trace — e.g. the Table 5 processor-count sweep — share
   /// one cache so each snapshot is rasterized once across all of them.
-  /// Null builds grids locally per call.
+  /// Null builds each snapshot's grids once per call.
   partition::WorkGridCache* workgrid_cache = nullptr;
   /// Worker threads for WorkGrid rasterization (see TraceRunConfig).
   int threads = 1;

@@ -97,7 +97,17 @@ RunSummary TraceRunner::replay(
   double weighted_efficiency = 0.0;
   double total_steps = 0.0;
 
-  partition::WorkGridCache& grids = cache();
+  // A grid the replay does not already hold comes from the shared cache
+  // when a caller shares one across runs, else it is built: the replay
+  // requests each grid once.
+  const auto grid = [&](std::size_t index, int grain,
+                        partition::CurveKind curve) {
+    return partition::shared_or_built(config_.shared_cache, index,
+                                      trace_.at(index).hierarchy, grain,
+                                      curve, config_.threads);
+  };
+  // Snapshot i+1's canonical grid, built for snapshot i's stale term.
+  std::shared_ptr<const partition::WorkGrid> next_canonical;
   for (std::size_t i = 0; i < trace_.size(); ++i) {
     if (config_.should_abort && config_.should_abort()) break;
     const amr::Snapshot& snapshot = trace_.at(i);
@@ -115,17 +125,10 @@ RunSummary TraceRunner::replay(
 
     const partition::Partitioner& partitioner = select(i);
 
-    // Canonical grids come from the cache: snapshot i+1's grid, built
-    // below for the stale-partition term, is this lookup on the next
-    // iteration, and concurrent replays of the same trace share it.
-    const auto canonical_grid = [&](std::size_t index) {
-      return grids.get_or_build(index, trace_.at(index).hierarchy,
-                                config_.canonical_grain,
-                                partition::CurveKind::kHilbert,
-                                config_.threads);
-    };
     const std::shared_ptr<const partition::WorkGrid> canonical_ptr =
-        canonical_grid(i);
+        next_canonical ? std::move(next_canonical)
+                       : grid(i, config_.canonical_grain,
+                              partition::CurveKind::kHilbert);
     const partition::WorkGrid& canonical = *canonical_ptr;
 
     // Agent-triggered repartitioning (adaptive runs only): keep the
@@ -151,13 +154,15 @@ RunSummary TraceRunner::replay(
       // Partition at the partitioner's preferred granularity/curve (unless
       // a policy configured a grain for this selection), then project onto
       // the canonical lattice used by the execution model (so that
-      // migration is comparable across partitioners).
+      // migration is comparable across partitioners).  The canonical grid
+      // is the native one when the keys match (G-MISP+SP's).
       const int grain = (meta != nullptr && meta->current_grain() > 0)
                             ? meta->current_grain()
                             : partitioner.preferred_grain();
       const std::shared_ptr<const partition::WorkGrid> native =
-          grids.get_or_build(i, hierarchy, grain, partitioner.curve(),
-                             config_.threads);
+          canonical.grain() == grain && canonical.curve() == partitioner.curve()
+              ? canonical_ptr
+              : grid(i, grain, partitioner.curve());
       result = partitioner.partition(*native, config_.targets);
       if (config_.modeled_partition_s_per_cell > 0.0)
         result.partition_seconds =
@@ -182,7 +187,9 @@ RunSummary TraceRunner::replay(
     const StepTime fresh = model_.time_of(mapped, cluster_);
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
-      carried = model_.map(*canonical_grid(i + 1), owners);
+      next_canonical =
+          grid(i + 1, config_.canonical_grain, partition::CurveKind::kHilbert);
+      carried = model_.map(*next_canonical, owners);
       stale = model_.time_of(carried, cluster_);
     }
     const double sw = std::clamp(config_.stale_weight, 0.0, 1.0);

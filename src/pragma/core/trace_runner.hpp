@@ -42,9 +42,10 @@ struct TraceRunConfig {
   double repartition_threshold = 0.20;
   /// Worker threads for WorkGrid rasterization.  Snapshots are costed by
   /// serial ExecutionModel::map sweeps, which also yield the communication
-  /// volume.  0 = hardware_concurrency; 1 = the serial code path,
-  /// bitwise-identical to pre-threading replays.
-  int threads = 0;
+  /// volume.  1 = the serial code path (the default, as in RunSpec and
+  /// SystemSensitiveConfig); 0 = hardware_concurrency.  RM3D work is
+  /// integer-valued, so every thread count builds bitwise-identical grids.
+  int threads = 1;
   /// When > 0, charge partitioning as cells * this instead of the
   /// partitioner's wall-clock measurement (same knob as
   /// ManagedRunConfig::modeled_partition_s_per_cell) so that concurrent
@@ -53,10 +54,11 @@ struct TraceRunConfig {
   double modeled_partition_s_per_cell = 0.0;
   /// Observability knobs, merge-enabled at construction (default: no-op).
   obs::ObsConfig obs;
-  /// Optional externally owned work-grid cache.  When set, rasterized
-  /// canonical/native grids are shared *across* runners replaying the same
-  /// trace (the service layer batches concurrent partition requests through
-  /// one cache per trace).  Must outlive the runner.  Null = private cache.
+  /// Optional externally owned work-grid cache, shared across runs over the
+  /// same trace (Runtime keeps one per trace).  A replay asks it once for
+  /// each grid it does not already hold, so concurrent and later replays of
+  /// the trace rasterize each grid once.  Must outlive the runner.  Null:
+  /// each replay builds its own grids.
   partition::WorkGridCache* shared_cache = nullptr;
   /// Cooperative cancellation probe, polled once per snapshot.  Returning
   /// true abandons the replay; the partial summary is returned as-is.
@@ -95,9 +97,10 @@ class TraceRunner {
   TraceRunner(const amr::AdaptationTrace& trace, const grid::Cluster& cluster,
               TraceRunConfig config = {});
 
-  /// Replay with one fixed partitioner.  Replays are const: independent
-  /// replays over the same runner may execute concurrently (the canonical
-  /// work grids are shared through a mutex-guarded cache).
+  /// Replay with one fixed partitioner.  Replays are const and keep no
+  /// state between calls, so independent replays over the same runner may
+  /// execute concurrently.  A replay holds at most the current and next
+  /// snapshot's canonical grids and one native grid.
   [[nodiscard]] RunSummary run_static(
       const partition::Partitioner& fixed) const;
   [[nodiscard]] RunSummary run_static(
@@ -116,19 +119,10 @@ class TraceRunner {
           select,
       MetaPartitioner* meta) const;
 
-  [[nodiscard]] partition::WorkGridCache& cache() const {
-    return config_.shared_cache != nullptr ? *config_.shared_cache
-                                           : workgrid_cache_;
-  }
-
   const amr::AdaptationTrace& trace_;
   const grid::Cluster& cluster_;
   TraceRunConfig config_;
   ExecutionModel model_;
-  /// Canonical (and native) work grids keyed by snapshot index, shared
-  /// across replays while they stay in the LRU (see WorkGridCache).
-  /// Bypassed when config_.shared_cache points at a service-owned cache.
-  mutable partition::WorkGridCache workgrid_cache_;
 };
 
 }  // namespace pragma::core

@@ -44,7 +44,8 @@ util::Status decode_levels(ByteReader& reader, amr::GridHierarchy& h) {
       amr::IntVec3 lo{reader.i32(), reader.i32(), reader.i32()};
       amr::IntVec3 hi{reader.i32(), reader.i32(), reader.i32()};
       if (!reader.ok()) return reader.status();
-      if (util::Status status = amr::validate_trace_box(lo, hi);
+      if (util::Status status = amr::validate_trace_box(
+              h, static_cast<int>(l), lo, hi);
           !status.is_ok())
         return status;
       boxes.emplace_back(lo, hi);

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "pragma/obs/metrics.hpp"
 #include "pragma/obs/tracer.hpp"
-#include "pragma/util/arena.hpp"
 #include "pragma/util/thread_pool.hpp"
 
 namespace pragma::partition {
@@ -66,72 +66,67 @@ void reference_rasterize_box(const BoxTask& task, int grain,
       }
 }
 
-/// Vectorizable kernel: the box's per-axis overlap lengths are materialized
-/// once into arena scratch, then each lattice row is updated with a
-/// branchless stride-1 loop (no Box construction, no intersection test —
-/// every cell in the coarsened footprint overlaps by construction).  All
+/// Vectorizable kernel: no Box construction and no intersection test, since
+/// every cell in the coarsened footprint overlaps it.  Along each axis a
+/// grain cell overlaps the footprint by a whole grain, except at the
+/// footprint's two end cells, so each lattice row is its first cell, a
+/// branchless stride-1 run of whole-grain cells and its last cell.  All
 /// per-cell contributions are products of exact small integers, so the
 /// factored form (ox * (oy*oz*weight)) produces bitwise-identical sums to
 /// the reference kernel's (ox*oy*oz) * weight.
 void rasterize_box(const BoxTask& task, int grain, amr::IntVec3 dims,
                    double* work, double* storage, std::uint32_t* levels) {
   const amr::Box in_l0 = task.box->coarsen(task.rr);
-  const amr::IntVec3 glo{in_l0.lo().x / grain, in_l0.lo().y / grain,
-                         in_l0.lo().z / grain};
-  const amr::IntVec3 ghi{(in_l0.hi().x + grain - 1) / grain,
-                         (in_l0.hi().y + grain - 1) / grain,
-                         (in_l0.hi().z + grain - 1) / grain};
+  const amr::IntVec3 lo = in_l0.lo();
+  const amr::IntVec3 hi = in_l0.hi();
+  const amr::IntVec3 glo{lo.x / grain, lo.y / grain, lo.z / grain};
+  const amr::IntVec3 ghi{(hi.x + grain - 1) / grain,
+                         (hi.y + grain - 1) / grain,
+                         (hi.z + grain - 1) / grain};
   const int nx = ghi.x - glo.x;
-  const int ny = ghi.y - glo.y;
-  const int nz = ghi.z - glo.z;
-  if (nx <= 0 || ny <= 0 || nz <= 0) return;
+  if (nx <= 0 || ghi.y <= glo.y || ghi.z <= glo.z) return;
 
-  util::ScratchArena& arena = util::scratch_arena();
-  arena.reset();
-  const std::span<double> ox = arena.make_span<double>(
-      static_cast<std::size_t>(nx));
-  const std::span<double> oy = arena.make_span<double>(
-      static_cast<std::size_t>(ny));
-  const std::span<double> oz = arena.make_span<double>(
-      static_cast<std::size_t>(nz));
-  const auto axis_overlap = [grain](int g, int lo, int hi) {
-    const int a = std::max(lo, g * grain);
-    const int b = std::min(hi, (g + 1) * grain);
-    return static_cast<double>(b - a);
+  // Overlap of grain cell g with the footprint along `axis`.
+  const auto overlap = [&](int axis, int g) {
+    return static_cast<double>(std::min(hi[axis], (g + 1) * grain) -
+                               std::max(lo[axis], g * grain));
   };
-  for (int i = 0; i < nx; ++i)
-    ox[static_cast<std::size_t>(i)] =
-        axis_overlap(glo.x + i, in_l0.lo().x, in_l0.hi().x);
-  for (int j = 0; j < ny; ++j)
-    oy[static_cast<std::size_t>(j)] =
-        axis_overlap(glo.y + j, in_l0.lo().y, in_l0.hi().y);
-  for (int k = 0; k < nz; ++k)
-    oz[static_cast<std::size_t>(k)] =
-        axis_overlap(glo.z + k, in_l0.lo().z, in_l0.hi().z);
-
+  const double first_x = overlap(0, glo.x);
+  const double last_x = overlap(0, ghi.x - 1);
+  const auto whole = static_cast<double>(grain);
   const std::uint32_t bit = 1u << task.level;
-  for (int k = 0; k < nz; ++k)
-    for (int j = 0; j < ny; ++j) {
-      const double oyz = oy[static_cast<std::size_t>(j)] *
-                         oz[static_cast<std::size_t>(k)];
+  for (int gz = glo.z; gz < ghi.z; ++gz) {
+    const double oz = overlap(2, gz);
+    for (int gy = glo.y; gy < ghi.y; ++gy) {
+      const double oyz = overlap(1, gy) * oz;
       const double wyz = oyz * task.work_per_l0;
       const double syz = oyz * task.cells_per_l0;
       const std::size_t base =
           static_cast<std::size_t>(glo.x) +
           static_cast<std::size_t>(dims.x) *
-              (static_cast<std::size_t>(glo.y + j) +
+              (static_cast<std::size_t>(gy) +
                static_cast<std::size_t>(dims.y) *
-                   static_cast<std::size_t>(glo.z + k));
+                   static_cast<std::size_t>(gz));
       double* wrow = work + base;
       double* srow = storage + base;
       std::uint32_t* lrow = levels + base;
-      for (int i = 0; i < nx; ++i) {
-        const double o = ox[static_cast<std::size_t>(i)];
-        wrow[i] += o * wyz;
-        srow[i] += o * syz;
+      wrow[0] += first_x * wyz;
+      srow[0] += first_x * syz;
+      lrow[0] |= bit;
+      const double w_whole = whole * wyz;
+      const double s_whole = whole * syz;
+      for (int i = 1; i < nx - 1; ++i) {
+        wrow[i] += w_whole;
+        srow[i] += s_whole;
         lrow[i] |= bit;
       }
+      if (nx > 1) {
+        wrow[nx - 1] += last_x * wyz;
+        srow[nx - 1] += last_x * syz;
+        lrow[nx - 1] |= bit;
+      }
     }
+  }
 }
 }  // namespace
 
@@ -168,10 +163,17 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
   // Rasterize each level's boxes onto the grain lattice.  A level-l box is
   // first coarsened to level-0 index space; for each overlapped grain cell
   // the exact level-0 overlap volume is scaled back to level-l quantities.
+  // A box outside its level's domain would deposit outside the lattice.
   std::vector<BoxTask> tasks;
   for (const amr::GridLevel& level : hierarchy.levels())
-    for (const amr::Box& box : level.boxes)
+    for (const amr::Box& box : level.boxes) {
+      if (!hierarchy.in_level_domain(level.level, box))
+        throw std::invalid_argument(
+            std::string("WorkGrid: level ")
+                .append(std::to_string(level.level))
+                .append(" box outside the level's domain"));
       tasks.push_back(make_task(box, level.level, ratio_));
+    }
 
   const auto deposit = [&](const BoxTask& task, double* work, double* storage,
                            std::uint32_t* levels) {
@@ -311,6 +313,15 @@ std::shared_ptr<const WorkGrid> WorkGridCache::get_or_build(
                                                threads);
   std::lock_guard<std::mutex> lock(mutex_);
   return insert_locked(key, std::move(grid));
+}
+
+std::shared_ptr<const WorkGrid> shared_or_built(
+    WorkGridCache* cache, std::size_t snapshot,
+    const amr::GridHierarchy& hierarchy, int grain, CurveKind curve,
+    int threads) {
+  if (cache != nullptr)
+    return cache->get_or_build(snapshot, hierarchy, grain, curve, threads);
+  return std::make_shared<const WorkGrid>(hierarchy, grain, curve, threads);
 }
 
 std::size_t WorkGridCache::size() const {

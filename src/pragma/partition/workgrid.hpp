@@ -46,6 +46,8 @@ class WorkGrid {
   /// edge) using the given curve for the 1-D ordering.  `threads` > 1
   /// splits the per-box rasterization across the shared thread pool with
   /// per-thread partial grids merged in box order; 1 is the serial path.
+  /// Throws std::invalid_argument when grain <= 0 or a box lies outside
+  /// its level's domain (GridHierarchy::in_level_domain).
   WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
            CurveKind curve = CurveKind::kHilbert, int threads = 1);
 
@@ -131,14 +133,12 @@ class WorkGrid {
 };
 
 /// Thread-safe LRU cache of immutable WorkGrids keyed by (snapshot index,
-/// grain, curve).  The entry count is bounded (least-recently-used grids
-/// are evicted) so long multi-run services do not grow without limit.  A
-/// grid is shared only while it stays among the max_entries() most recent
-/// keys: a replay reuses snapshot i+1's grid from snapshot i's
-/// stale-partition lookup, and concurrent replays of one trace share
-/// grids, but a sequential replay of a trace longer than the cap (the
-/// canonical 201-snapshot trace against the default 64) finds its early
-/// grids evicted and rasterizes them again.
+/// grain, curve).  It only shares grids across runs over one trace:
+/// `Runtime` keeps one per trace for the replays it schedules, and Table 5
+/// one for its processor-count sweep.  A single replay keeps the few grids
+/// it uses itself and asks the cache for each key at most once.  The entry
+/// count is bounded (least-recently-used grids are evicted) so long
+/// multi-run services do not grow without limit.
 class WorkGridCache {
  public:
   static constexpr std::size_t kDefaultMaxEntries = 64;
@@ -198,5 +198,13 @@ class WorkGridCache {
   std::list<Key> lru_;
   Stats stats_;
 };
+
+/// The grid of `hierarchy`, snapshot `snapshot` of a trace, at (`grain`,
+/// `curve`): `cache`'s when a caller shares one across runs, else a fresh
+/// build.
+[[nodiscard]] std::shared_ptr<const WorkGrid> shared_or_built(
+    WorkGridCache* cache, std::size_t snapshot,
+    const amr::GridHierarchy& hierarchy, int grain, CurveKind curve,
+    int threads = 1);
 
 }  // namespace pragma::partition

@@ -1,11 +1,10 @@
 // A small fixed-size thread pool (no work stealing: one shared FIFO queue).
 //
-// Used to run independent replays of a bench table concurrently and to
-// parallelize the hot loops of the partitioning pipeline (WorkGrid
-// rasterization, the communication-volume face sweep).  Waiting callers
-// help drain the queue (`help_while_waiting` / `get_helping`), so nested
-// parallel sections cannot deadlock even when every worker is occupied by
-// an outer task.
+// It runs the service scheduler's runs, Table 5's independent experiments
+// and the optional threaded WorkGrid rasterization (`parallel_blocks`,
+// `TraceRunConfig::threads` > 1).  Waiting callers help drain the queue
+// (`help_while_waiting` / `get_helping`), so nested parallel sections
+// cannot deadlock even when every worker is occupied by an outer task.
 #pragma once
 
 #include <chrono>

@@ -40,6 +40,23 @@ TEST(GridHierarchy, LevelDomainScales) {
   EXPECT_EQ(h.level_domain(2), Box::from_dims({32, 16, 16}));
 }
 
+TEST(GridHierarchy, InLevelDomain) {
+  const GridHierarchy h = sample_hierarchy();
+  EXPECT_TRUE(h.in_level_domain(1, h.level_domain(1)));
+  EXPECT_TRUE(h.in_level_domain(2, Box({120, 0, 60}, {128, 64, 64})));
+  EXPECT_FALSE(h.in_level_domain(1, Box({0, 0, 0}, {65, 32, 32})));
+  EXPECT_FALSE(h.in_level_domain(2, Box({-1, 0, 0}, {4, 4, 4})));
+  // An empty box deposits nothing, wherever it lies.
+  EXPECT_TRUE(h.in_level_domain(1, Box({-9, 0, 0}, {-9, 4, 4})));
+  // Deep levels of a large domain pass every int coordinate; the check
+  // must not overflow computing their extent.
+  const GridHierarchy deep({1 << 14, 1 << 14, 1 << 14}, 16, 24);
+  const int cap = 1 << 30;
+  EXPECT_TRUE(deep.in_level_domain(23, Box({0, 0, 0}, {cap, cap, cap})));
+  EXPECT_FALSE(deep.in_level_domain(23, Box({-1, 0, 0}, {cap, cap, cap})));
+  EXPECT_FALSE(deep.in_level_domain(0, Box({0, 0, 0}, {cap, 1, 1})));
+}
+
 TEST(GridHierarchy, SetLevelBoxesValidation) {
   GridHierarchy h({8, 8, 8}, 2, 2);
   EXPECT_THROW(h.set_level_boxes(0, {}), std::invalid_argument);

@@ -171,6 +171,25 @@ TEST(TraceIoHardened, InvertedBoxExtentsRejected) {
   EXPECT_NE(trace.status().message().find("hi < lo"), std::string::npos);
 }
 
+// Level 1 of an 8^3 base at ratio 2 spans [0, 16)^3.  A box past it would
+// deposit outside every work grid built from the trace.
+TEST(TraceIoHardened, BoxOutsideLevelDomainRejected) {
+  const std::string header =
+      "pragma-trace 1\nconfig 8 8 8 2 2\nsnapshot 0 2\nlevel 1 1\n";
+  const auto trace = try_load(header + "box 12 12 12 40 16 16\n");
+  ASSERT_FALSE(trace);
+  EXPECT_EQ(trace.status().code(), util::StatusCode::kOutOfRange);
+  EXPECT_NE(trace.status().message().find(
+                "level 1 box [12,12,12]..[40,16,16]"),
+            std::string::npos)
+      << trace.status().to_string();
+  const auto below = try_load(header + "box 0 -1 0 4 4 4\n");
+  ASSERT_FALSE(below);
+  EXPECT_EQ(below.status().code(), util::StatusCode::kOutOfRange);
+  // The domain's own upper faces are inside.
+  EXPECT_TRUE(try_load(header + "box 12 12 12 16 16 16\n"));
+}
+
 TEST(TraceIoHardened, AbsurdConfigDimensionsRejected) {
   const auto trace =
       try_load("pragma-trace 1\nconfig 2000000000 8 8 2 3\nsnapshot 0 1\n");

@@ -5,14 +5,18 @@
 // EXPECT_THROW intentionally discards nodiscard results.
 #pragma GCC diagnostic ignored "-Wunused-result"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "pragma/amr/rm3d.hpp"
 #include "pragma/core/system_sensitive.hpp"
 #include "pragma/core/trace_runner.hpp"
+#include "pragma/obs/tracer.hpp"
 #include "pragma/policy/builtin.hpp"
 
 namespace pragma::core {
@@ -230,6 +234,38 @@ TEST(TraceRunner, AdaptiveReuseIsInvariantToTargetScale) {
   EXPECT_EQ(summary_text(replay(2.0), 4), summary_text(base, 4));
 }
 
+// A replay keeps the grids it uses: it asks a shared cache once per
+// (snapshot, grain, curve) key, never for a grid it already holds, and the
+// cache changes no number.
+TEST(TraceRunner, ReplayRequestsEachGridOnce) {
+  const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(16);
+  const policy::PolicyBase policies = policy::standard_policy_base();
+  for (const std::string strategy : {"SFC", "adaptive"}) {
+    SCOPED_TRACE(strategy);
+    const auto replay = [&](partition::WorkGridCache* cache) {
+      TraceRunConfig config;
+      config.nprocs = 16;
+      config.modeled_partition_s_per_cell = 50e-9;
+      config.shared_cache = cache;
+      const TraceRunner runner(short_rm3d_trace(), cluster, config);
+      return strategy == "adaptive" ? runner.run_adaptive(policies)
+                                    : runner.run_static(strategy);
+    };
+    // Room for every key, so no grid is evicted before a second request.
+    partition::WorkGridCache cache(/*max_entries=*/4096);
+    const RunSummary shared = replay(&cache);
+    const partition::WorkGridCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.evictions, 0u);
+    EXPECT_EQ(stats.misses, cache.size());
+    // SFC partitions a (4, Morton) grid, never the canonical one.
+    if (strategy == "SFC") {
+      EXPECT_EQ(cache.size(), 2 * shared.records.size());
+    }
+    EXPECT_EQ(summary_text(shared, 16), summary_text(replay(nullptr), 16));
+  }
+}
+
 TEST(SystemSensitive, ImprovesOnHeterogeneousCluster) {
   SystemSensitiveConfig config;
   config.nprocs = 12;
@@ -276,6 +312,28 @@ TEST(SystemSensitive, HomogeneousClusterGainsLittle) {
       run_system_sensitive_experiment(short_rm3d_trace(), homogeneous)
           .improvement;
   EXPECT_GT(gain_hetero, gain_homo);
+}
+
+// G-MISP+SP partitions at the canonical key (grain 2, Hilbert), so an
+// experiment without a shared cache rasterizes each snapshot once.
+TEST(SystemSensitive, CanonicalGridDoublesAsNative) {
+  const amr::AdaptationTrace& trace = short_rm3d_trace();
+  SystemSensitiveConfig config;
+  config.nprocs = 6;
+  ASSERT_EQ(config.partitioner, "G-MISP+SP");
+  ASSERT_EQ(config.workgrid_cache, nullptr);
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  (void)run_system_sensitive_experiment(trace, config);
+  const std::vector<obs::TraceEvent> events = tracer.events();
+  tracer.set_enabled(false);
+  tracer.clear();
+  const auto builds = std::count_if(
+      events.begin(), events.end(), [](const obs::TraceEvent& event) {
+        return std::strcmp(event.name, "WorkGrid.build") == 0;
+      });
+  EXPECT_EQ(static_cast<std::size_t>(builds), trace.size());
 }
 
 }  // namespace

@@ -337,6 +337,24 @@ TEST(RunSnapshotCodec, RejectsMalformedOwnerRuns) {
   }
 }
 
+// The checkpoint codec shares the text loader's box check, so a restore
+// never rasterizes a box outside its level's domain.
+TEST(RunSnapshotCodec, RejectsBoxOutsideLevelDomain) {
+  RunSnapshot snapshot;
+  snapshot.owners = {0, 1};
+  snapshot.owners_nprocs = 2;
+  amr::GridHierarchy h({8, 8, 8}, 2, 2);
+  h.set_level_boxes(1, {amr::Box({12, 12, 12}, {40, 16, 16})});
+  snapshot.trace.add(amr::Snapshot{0, h});
+  const auto decoded = decode_run_snapshot(encode_run_snapshot(snapshot));
+  ASSERT_FALSE(decoded);
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kOutOfRange);
+  EXPECT_NE(decoded.status().message().find(
+                "level 1 box [12,12,12]..[40,16,16]"),
+            std::string::npos)
+      << decoded.status().to_string();
+}
+
 TEST(RunSnapshotCodec, Format1IsUnimplemented) {
   RunSnapshot snapshot;
   snapshot.owners = {0, 1};

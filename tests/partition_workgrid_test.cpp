@@ -101,6 +101,22 @@ TEST(WorkGrid, BadGrainThrows) {
   EXPECT_THROW(WorkGrid(simple_hierarchy(), 0), std::invalid_argument);
 }
 
+// A box outside its level's domain would deposit outside the lattice, so
+// the build rejects it, as both trace loaders do.
+TEST(WorkGrid, BoxOutsideLevelDomainThrows) {
+  // Level 1 of an 8^3 base at ratio 2 spans [0, 16)^3.
+  amr::GridHierarchy h({8, 8, 8}, 2, 2);
+  h.set_level_boxes(1, {amr::Box({12, 12, 12}, {40, 16, 16})});
+  EXPECT_THROW(WorkGrid(h, 2), std::invalid_argument);
+  EXPECT_THROW(WorkGrid::reference_build(h, 2), std::invalid_argument);
+  h.set_level_boxes(1, {amr::Box({-2, 0, 0}, {4, 4, 4})});
+  EXPECT_THROW(WorkGrid(h, 4), std::invalid_argument);
+  // The domain's own upper faces are inside.
+  h.set_level_boxes(1, {amr::Box({12, 12, 12}, {16, 16, 16})});
+  const WorkGrid edge(h, 2);
+  EXPECT_EQ(edge.levels_present(edge.cell_count() - 1), 0b11u);
+}
+
 TEST(WorkGrid, TotalWorkMatchesHierarchy) {
   const amr::GridHierarchy h = simple_hierarchy();
   const WorkGrid grid(h, 2);
@@ -193,6 +209,33 @@ TEST(WorkGridOracle, VectorizedBuildMatchesReferenceKernels) {
     expect_bitwise_equal(
         WorkGrid(h, kGrain, CurveKind::kHilbert, 4),
         WorkGrid::reference_build(h, kGrain));
+  }
+  // The row kernel treats a footprint's first and last grain cell on each
+  // axis apart from the whole-grain cells between them.  The spans
+  // [lo, hi) with lo in [g, 2g) and hi - lo in [1, 4g] cover 1 to 5 grain
+  // cells, aligned to the grain or not at either end, and every axis of
+  // some box takes each span.  Level-1 boxes cover the spans exactly;
+  // level-2 boxes coarsen to them from bounds off the level-1 lattice.
+  for (int g = 1; g <= 4; ++g) {
+    std::vector<std::pair<int, int>> spans;
+    for (int lo = g; lo < 2 * g; ++lo)
+      for (int hi = lo + 1; hi <= lo + 4 * g; ++hi) spans.emplace_back(lo, hi);
+    const std::size_t n = spans.size();  // 4g^2: coprime with 7 and 13
+    std::vector<amr::Box> level1;
+    std::vector<amr::Box> level2;
+    for (std::size_t b = 0; b < n; ++b) {
+      const auto [xl, xh] = spans[b];
+      const auto [yl, yh] = spans[(7 * b + 3) % n];
+      const auto [zl, zh] = spans[(13 * b + 5) % n];
+      level1.emplace_back(amr::IntVec3{2 * xl, 2 * yl, 2 * zl},
+                          amr::IntVec3{2 * xh, 2 * yh, 2 * zh});
+      level2.emplace_back(amr::IntVec3{4 * xl + 1, 4 * yl + 1, 4 * zl + 1},
+                          amr::IntVec3{4 * xh - 1, 4 * yh - 1, 4 * zh - 1});
+    }
+    amr::GridHierarchy h({6 * g, 6 * g, 6 * g}, 2, 3);
+    h.set_level_boxes(1, std::move(level1));
+    h.set_level_boxes(2, std::move(level2));
+    expect_bitwise_equal(WorkGrid(h, g), WorkGrid::reference_build(h, g));
   }
 }
 
