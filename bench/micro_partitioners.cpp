@@ -7,7 +7,7 @@
 // In addition to the google-benchmark suite, main() first runs a small
 // fixed harness over the hot pipeline kernels — prefix-sum splitters vs the
 // reference scan kernels, serial vs parallel WorkGrid build, the
-// communication sweep, the execution model's mapping of a repartition and
+// communication fold, the execution model's mapping of a repartition and
 // the owner-map projection — and writes the results to
 // BENCH_partition_pipeline.json (name -> ns/op, cells, threads; each entry
 // the median of 5 timed batches after its own warm-up) so runs can be
@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -33,6 +34,14 @@
 using namespace pragma;
 
 namespace {
+
+/// Work in SFC order, the sequence the reference scan kernels divide.
+std::vector<double> sfc_sequence(const partition::WorkGrid& grid) {
+  std::vector<double> sequence;
+  sequence.reserve(grid.cell_count());
+  for (const std::uint32_t c : grid.order()) sequence.push_back(grid.work(c));
+  return sequence;
+}
 
 const amr::GridHierarchy& sample_hierarchy() {
   static const amr::GridHierarchy hierarchy = [] {
@@ -80,10 +89,11 @@ void BM_SplitterReference(
     partition::Breaks (*splitter)(std::span<const double>,
                                   std::span<const double>)) {
   const partition::WorkGrid grid(sample_hierarchy(), 2);
+  const std::vector<double> sequence = sfc_sequence(grid);
   const auto targets =
       partition::equal_targets(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(splitter(grid.sequence(), targets));
+    benchmark::DoNotOptimize(splitter(sequence, targets));
   }
   state.SetLabel("cells=" + std::to_string(grid.cell_count()));
 }
@@ -171,6 +181,7 @@ bool write_pipeline_json(const std::vector<PipelineEntry>& entries,
 std::vector<PipelineEntry> run_pipeline_harness() {
   const amr::GridHierarchy& hierarchy = sample_hierarchy();
   const partition::WorkGrid grid(hierarchy, 2);
+  const std::vector<double> sequence = sfc_sequence(grid);
   const std::size_t cells = grid.cell_count();
   const auto targets = partition::equal_targets(64);
   const int hw = util::resolve_threads(0);
@@ -202,7 +213,7 @@ std::vector<PipelineEntry> run_pipeline_harness() {
           benchmark::DoNotOptimize(s.prefix(grid.prefix_sums(), targets));
         }));
     add(std::string(s.name) + "/reference", 1, time_ns_per_op([&] {
-          benchmark::DoNotOptimize(s.reference(grid.sequence(), targets));
+          benchmark::DoNotOptimize(s.reference(sequence, targets));
         }));
   }
 
@@ -248,12 +259,11 @@ std::vector<PipelineEntry> run_pipeline_harness() {
 // ---- Equivalence gates ----------------------------------------------------
 //
 // Run once on a 1M-cell synthetic lattice: the vectorized build must match
-// WorkGrid::reference_build bitwise, the table-driven communication sweep
-// and the execution model's communication tally must match the reference
-// fold, and a mapping with a previous assignment must match the two-pass
-// form (the mapping alone, then a separate migration loop).  Any violation
-// makes the binary exit nonzero, which is what the perf-smoke CI job
-// checks.
+// WorkGrid::reference_build bitwise, the execution model's communication
+// tally must match partition::communication_volume's fold, and a mapping
+// with a previous assignment must match the two-pass form (the mapping
+// alone, then a separate migration loop).  Any violation makes the binary
+// exit nonzero, which is what the perf-smoke CI job checks.
 
 /// Bitwise comparison of every array a grid build produces.
 bool grids_bitwise_equal(const partition::WorkGrid& a,
@@ -277,9 +287,8 @@ bool grids_bitwise_equal(const partition::WorkGrid& a,
     const double sb = b.storage(c);
     if (std::memcmp(&sa, &sb, sizeof(double)) != 0) return fail("storage");
   }
-  if (std::memcmp(a.sequence().data(), b.sequence().data(),
-                  n * sizeof(double)) != 0)
-    return fail("sequence");
+  // With equal work, an equal curve order gives an equal SFC sequence.
+  if (a.order() != b.order()) return fail("order");
   for (std::size_t i = 0; i <= n; ++i) {
     const double pa = a.prefix_sums().prefix(i);
     const double pb = b.prefix_sums().prefix(i);
@@ -357,22 +366,13 @@ int run_equivalence_gates() {
   const auto partitioner = partition::make_partitioner("G-MISP+SP");
   const partition::OwnerMap owners =
       partitioner->partition(grid, partition::equal_targets(64)).owners;
-  const double swept = partition::communication_volume(grid, owners);
-  const double reference_swept =
-      partition::reference_communication_volume(grid, owners);
-  if (std::memcmp(&swept, &reference_swept, sizeof(double)) != 0) {
-    std::fprintf(stderr,
-                 "GATE FAILED: table comm sweep differs from reference "
-                 "(%.17g vs %.17g)\n",
-                 swept, reference_swept);
-    ++failures;
-  }
+  const double folded = partition::communication_volume(grid, owners);
   const double mapped = core::ExecutionModel{}.map(grid, owners).communication;
-  if (std::memcmp(&mapped, &reference_swept, sizeof(double)) != 0) {
+  if (std::memcmp(&mapped, &folded, sizeof(double)) != 0) {
     std::fprintf(stderr,
                  "GATE FAILED: execution-model communication differs "
-                 "from reference (%.17g vs %.17g)\n",
-                 mapped, reference_swept);
+                 "from communication_volume (%.17g vs %.17g)\n",
+                 mapped, folded);
     ++failures;
   }
 

@@ -30,10 +30,11 @@ double substeps(std::uint32_t mask, int num_levels, int ratio) {
 /// work is one prefix-sum difference per SFC fragment and fragment
 /// messages are summed per fragment.  Without it both are added term by
 /// term, work in lattice order, which is processor_loads' order.  Face
-/// costs are added face by face in lattice visit order either way (the
-/// order of reference_communication_volume), and migration bytes cell by
-/// cell in lattice order: bytes_per_cell need not be an integer, so that
-/// order is part of the result.
+/// costs are added face by face in lattice visit order either way, the
+/// order of partition::communication_volume's fold, so
+/// MappedLoad::communication equals it bit for bit.  Migration bytes are
+/// added cell by cell in lattice order: bytes_per_cell need not be an
+/// integer, so that order is part of the result.
 template <class FaceCost, class Substeps>
 void sweep(const partition::WorkGrid& grid, const int* owner,
            const int* site, const int* previous, double bytes_per_cell,
@@ -255,12 +256,6 @@ StepTime ExecutionModel::time_of(const MappedLoad& mapped,
     result.total_s += wan_s;
   }
   return result;
-}
-
-StepTime ExecutionModel::step_time(const partition::WorkGrid& grid,
-                                   const partition::OwnerMap& owners,
-                                   const grid::Cluster& cluster) const {
-  return time_of(map(grid, owners), cluster);
 }
 
 double ExecutionModel::migration_time(const MappedLoad& mapped,

@@ -94,11 +94,6 @@ class ExecutionModel {
   [[nodiscard]] StepTime time_of(const MappedLoad& mapped,
                                  const grid::Cluster& cluster) const;
 
-  /// Convenience: map + time in one call.
-  [[nodiscard]] StepTime step_time(const partition::WorkGrid& grid,
-                                   const partition::OwnerMap& owners,
-                                   const grid::Cluster& cluster) const;
-
   /// Time to migrate the ownership differences tallied by
   /// map(grid, owners, sites, &previous) (data redistribution through the
   /// switch, bulk-synchronous).  0 for a load mapped without a previous

@@ -10,6 +10,11 @@
 
 namespace pragma::core {
 
+namespace {
+/// Simulated seconds the monitor samples before capacities are read.
+constexpr double kWarmupS = 30.0;
+}  // namespace
+
 SystemSensitiveResult run_system_sensitive_experiment(
     const amr::AdaptationTrace& trace, const SystemSensitiveConfig& config) {
   // ---- Testbed: heterogeneous commodity cluster + synthetic load + NWS.
@@ -27,7 +32,7 @@ SystemSensitiveResult run_system_sensitive_experiment(
   nws.start();
 
   // Warm up so the monitor has real history when capacities are read.
-  simulator.run(config.warmup_s);
+  simulator.run(kWarmupS);
 
   // ---- Fig. 4: monitoring tool -> capacity calculator -> partitioner.
   const monitor::CapacityCalculator calculator(config.weights);

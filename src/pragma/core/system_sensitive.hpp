@@ -52,8 +52,6 @@ struct SystemSensitiveConfig {
   std::string partitioner = "G-MISP+SP";
   /// Canonical execution lattice grain.
   int canonical_grain = 2;
-  /// Simulated warm-up before capacities are read (monitor history).
-  double warmup_s = 30.0;
   /// Recompute capacities at every regrid instead of once at start (an
   /// extension the paper leaves to future work; off to match Table 5).
   bool dynamic_capacities = false;

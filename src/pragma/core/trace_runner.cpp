@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <stdexcept>
 
@@ -26,42 +25,27 @@ TraceRunner::TraceRunner(const amr::AdaptationTrace& trace,
     throw std::invalid_argument("TraceRunner: targets/nprocs mismatch");
   config_.threads = util::resolve_threads(config_.threads);
   if (config_.obs.any()) obs::apply(config_.obs);
-}
-
-RunSummary TraceRunner::run_static(
-    const partition::Partitioner& fixed) const {
-  return replay(fixed.name(),
-                [&fixed](std::size_t) -> const partition::Partitioner& {
-                  return fixed;
-                },
-                nullptr);
+  if (cluster_.federated())
+    for (std::size_t p = 0; p < config_.nprocs; ++p)
+      sites_.push_back(cluster_.site_of(static_cast<grid::NodeId>(p)));
 }
 
 RunSummary TraceRunner::run_static(
     const std::string& partitioner_name) const {
   const auto partitioner = partition::make_partitioner(
       partitioner_name, config_.meta.partitioner_options);
-  return replay(partitioner_name,
-                [&partitioner](std::size_t) -> const partition::Partitioner& {
-                  return *partitioner;
-                },
-                nullptr);
+  return replay(partitioner_name, partitioner.get(), nullptr);
 }
 
 RunSummary TraceRunner::run_adaptive(
     const policy::PolicyBase& policies) const {
   MetaPartitioner meta(policies, config_.meta);
-  return replay("adaptive",
-                [&](std::size_t i) -> const partition::Partitioner& {
-                  return meta.select(trace_, i);
-                },
-                &meta);
+  return replay("adaptive", nullptr, &meta);
 }
 
-RunSummary TraceRunner::replay(
-    const std::string& label,
-    const std::function<const partition::Partitioner&(std::size_t)>& select,
-    MetaPartitioner* meta) const {
+RunSummary TraceRunner::replay(const std::string& label,
+                               const partition::Partitioner* fixed,
+                               MetaPartitioner* meta) const {
   PRAGMA_SPAN_VAR(span, "core", "TraceRunner.replay");
   span.annotate("label", label);
   span.annotate("snapshots", trace_.size());
@@ -77,6 +61,7 @@ RunSummary TraceRunner::replay(
   // the stale term of the previous iteration, it is both the reuse check's
   // loads and, when the partition is kept, the fresh mapping.
   MappedLoad carried;
+  const std::vector<int>* sites = sites_.empty() ? nullptr : &sites_;
   // evaluate_pac's imbalance: targets normalised by their sum, so that
   // scaling every target leaves records and reuse decisions unchanged.
   double target_sum = 0.0;
@@ -123,7 +108,8 @@ RunSummary TraceRunner::replay(
       steps_covered = 1;
     }
 
-    const partition::Partitioner& partitioner = select(i);
+    const partition::Partitioner& partitioner =
+        meta != nullptr ? meta->select(trace_, i) : *fixed;
 
     const std::shared_ptr<const partition::WorkGrid> canonical_ptr =
         next_canonical ? std::move(next_canonical)
@@ -182,14 +168,14 @@ RunSummary TraceRunner::replay(
     const MappedLoad mapped =
         reuse_previous
             ? std::move(carried)
-            : model_.map(canonical, owners, nullptr,
+            : model_.map(canonical, owners, sites,
                          has_previous ? &previous_canonical : nullptr);
     const StepTime fresh = model_.time_of(mapped, cluster_);
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
       next_canonical =
           grid(i + 1, config_.canonical_grain, partition::CurveKind::kHilbert);
-      carried = model_.map(*next_canonical, owners);
+      carried = model_.map(*next_canonical, owners, sites);
       stale = model_.time_of(carried, cluster_);
     }
     const double sw = std::clamp(config_.stale_weight, 0.0, 1.0);

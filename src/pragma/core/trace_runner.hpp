@@ -94,6 +94,9 @@ struct RunSummary {
 
 class TraceRunner {
  public:
+  /// Processor p runs on cluster node p.  On a federated cluster every
+  /// mapping tallies the ghost traffic between processors on different
+  /// sites, which time_of charges to the WAN.
   TraceRunner(const amr::AdaptationTrace& trace, const grid::Cluster& cluster,
               TraceRunConfig config = {});
 
@@ -101,8 +104,6 @@ class TraceRunner {
   /// state between calls, so independent replays over the same runner may
   /// execute concurrently.  A replay holds at most the current and next
   /// snapshot's canonical grids and one native grid.
-  [[nodiscard]] RunSummary run_static(
-      const partition::Partitioner& fixed) const;
   [[nodiscard]] RunSummary run_static(
       const std::string& partitioner_name) const;
 
@@ -113,16 +114,19 @@ class TraceRunner {
   [[nodiscard]] const TraceRunConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] RunSummary replay(
-      const std::string& label,
-      const std::function<const partition::Partitioner&(std::size_t)>&
-          select,
-      MetaPartitioner* meta) const;
+  /// Replays with `meta`'s selection at each snapshot when it is given,
+  /// else with `fixed`.
+  [[nodiscard]] RunSummary replay(const std::string& label,
+                                  const partition::Partitioner* fixed,
+                                  MetaPartitioner* meta) const;
 
   const amr::AdaptationTrace& trace_;
   const grid::Cluster& cluster_;
   TraceRunConfig config_;
   ExecutionModel model_;
+  /// Site of each processor's node on a federated cluster (empty otherwise),
+  /// passed to every mapping so that the WAN is charged.
+  std::vector<int> sites_;
 };
 
 }  // namespace pragma::core

@@ -12,39 +12,6 @@ namespace pragma::partition {
 namespace {
 /// Deepest grid whose 2^levels face-cost table is built.
 constexpr int kFaceCostTableMaxLevels = 16;
-
-/// Branchless lattice sweep using a precomputed cost table.  Boundary
-/// faces resolve to the cell itself (owner difference 0), so the inner loop
-/// is a straight-line select+gather chain; adding the resulting 0.0 terms
-/// leaves the non-negative accumulator bitwise unchanged, which keeps the
-/// fold order identical to the reference sweep's.
-double sweep_table(const int* owner, const std::uint32_t* levels,
-                   amr::IntVec3 dims, const double* table) {
-  const std::size_t sy = static_cast<std::size_t>(dims.x);
-  const std::size_t sz =
-      static_cast<std::size_t>(dims.x) * static_cast<std::size_t>(dims.y);
-  double total = 0.0;
-  for (int z = 0; z < dims.z; ++z) {
-    const std::size_t zstep = z + 1 < dims.z ? sz : 0;
-    for (int y = 0; y < dims.y; ++y) {
-      const std::size_t ystep = y + 1 < dims.y ? sy : 0;
-      const std::size_t base =
-          sy * static_cast<std::size_t>(y) + sz * static_cast<std::size_t>(z);
-      for (int x = 0; x < dims.x; ++x) {
-        const std::size_t c = base + static_cast<std::size_t>(x);
-        const std::size_t xn = c + static_cast<std::size_t>(x + 1 < dims.x);
-        const std::size_t yn = c + ystep;
-        const std::size_t zn = c + zstep;
-        const int oc = owner[c];
-        const std::uint32_t lc = levels[c];
-        total += oc != owner[xn] ? table[lc & levels[xn]] : 0.0;
-        total += oc != owner[yn] ? table[lc & levels[yn]] : 0.0;
-        total += oc != owner[zn] ? table[lc & levels[zn]] : 0.0;
-      }
-    }
-  }
-  return total;
-}
 }  // namespace
 
 void validate_owners(const char* who, const WorkGrid& grid,
@@ -93,20 +60,11 @@ std::vector<double> processor_loads(const WorkGrid& grid,
   return loads;
 }
 
-std::vector<double> processor_storage(const WorkGrid& grid,
-                                      const OwnerMap& owners) {
-  validate_owners("processor_storage", grid, owners);
-  std::vector<double> storage(static_cast<std::size_t>(owners.nprocs), 0.0);
-  for (std::size_t c = 0; c < grid.cell_count(); ++c)
-    storage[static_cast<std::size_t>(owners.owner[c])] += grid.storage(c);
-  return storage;
-}
-
-double reference_communication_volume(const WorkGrid& grid,
-                                      const OwnerMap& owners) {
+double communication_volume(const WorkGrid& grid, const OwnerMap& owners) {
   if (owners.owner.size() != grid.cell_count())
-    throw std::invalid_argument(
-        "reference_communication_volume: size mismatch");
+    throw std::invalid_argument("communication_volume: size mismatch");
+  PRAGMA_SPAN_VAR(span, "partition", "communication_volume");
+  span.annotate("cells", grid.cell_count());
   const amr::IntVec3 dims = grid.lattice_dims();
   const int g = grid.grain();
 
@@ -129,20 +87,10 @@ double reference_communication_volume(const WorkGrid& grid,
   return total;
 }
 
-double communication_volume(const WorkGrid& grid, const OwnerMap& owners) {
-  if (owners.owner.size() != grid.cell_count())
-    throw std::invalid_argument("communication_volume: size mismatch");
-  PRAGMA_SPAN_VAR(span, "partition", "communication_volume");
-  span.annotate("cells", grid.cell_count());
-  const std::vector<double> table = face_cost_table(grid);
-  if (table.empty()) return reference_communication_volume(grid, owners);
-  return sweep_table(owners.owner.data(), grid.levels().data(),
-                     grid.lattice_dims(), table.data());
-}
-
 double migration_fraction(const WorkGrid& grid, const OwnerMap& previous,
                           const OwnerMap& current) {
-  if (previous.owner.size() != current.owner.size())
+  if (previous.owner.size() != grid.cell_count() ||
+      current.owner.size() != grid.cell_count())
     throw std::invalid_argument("migration_fraction: size mismatch");
   double moved = 0.0;
   double total = 0.0;

@@ -46,11 +46,6 @@ void validate_owners(const char* who, const WorkGrid& grid,
 [[nodiscard]] std::vector<double> processor_loads(const WorkGrid& grid,
                                                   const OwnerMap& owners);
 
-/// Per-processor storage (cells across levels).  Validates like
-/// processor_loads.
-[[nodiscard]] std::vector<double> processor_storage(const WorkGrid& grid,
-                                                    const OwnerMap& owners);
-
 /// Communication cost of one lattice face whose two sides share the levels
 /// in `mask`: a level-l face is (grain r^l)^2 cells, exchanged r^l times
 /// per coarse step.  Terms fold in ascending level order.  Every term is an
@@ -59,24 +54,23 @@ void validate_owners(const char* who, const WorkGrid& grid,
                                int ratio);
 
 /// face_cost of every level mask of `grid` (entry `mask`, 2^levels
-/// entries).  Empty for grids deeper than 16 levels, where the table stops
-/// paying for itself and callers fold face_cost per face.
+/// entries), the lookup ExecutionModel::map's sweep uses.  Empty for grids
+/// deeper than 16 levels, where the table stops paying for itself and the
+/// sweep folds face_cost per face.
 [[nodiscard]] std::vector<double> face_cost_table(const WorkGrid& grid);
 
-/// Total inter-processor communication volume (MIT-weighted ghost faces).
-/// The sweep is branchless and table-driven (per-face cost looked up by the
-/// shared level mask); its result is bitwise-identical to
-/// reference_communication_volume.
+/// Total inter-processor communication volume (MIT-weighted ghost faces):
+/// face_cost of every cut face, visited once from its lower cell in z,y,x
+/// order, x then y then z per cell.  ExecutionModel::map tallies the same
+/// faces in the same order, so MappedLoad::communication equals it bit for
+/// bit.  Throws std::invalid_argument when the owner map does not cover
+/// the grid.
 [[nodiscard]] double communication_volume(const WorkGrid& grid,
                                           const OwnerMap& owners);
 
-/// Bitwise equivalence oracle for communication_volume: the pre-SIMD
-/// serial sweep with the per-face scalar level fold.
-[[nodiscard]] double reference_communication_volume(const WorkGrid& grid,
-                                                    const OwnerMap& owners);
-
 /// Storage fraction that changed owner between two assignments over the
-/// same lattice.
+/// same lattice.  Throws std::invalid_argument unless both owner maps
+/// cover the grid.
 [[nodiscard]] double migration_fraction(const WorkGrid& grid,
                                         const OwnerMap& previous,
                                         const OwnerMap& current);

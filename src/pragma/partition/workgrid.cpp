@@ -224,9 +224,12 @@ WorkGrid::WorkGrid(const amr::GridHierarchy& hierarchy, int grain,
   }
 
   order_ = curve_order_shared(dims_, curve);
-  sequence_.reserve(order_->size());
-  for (std::uint32_t c : *order_) sequence_.push_back(work_[c]);
-  prefix_ = PrefixSums(sequence_);
+  {
+    std::vector<double> sequence;
+    sequence.reserve(order_->size());
+    for (std::uint32_t c : *order_) sequence.push_back(work_[c]);
+    prefix_ = PrefixSums(sequence);
+  }
 
   // Below the bound the curve-order total is exact, hence equal to the
   // lattice-order fold; past it the fold is kept (see work_sums_exact).

@@ -7,8 +7,10 @@
 // records, per grain cell:
 //   * the computational work (cell-updates per coarse step, MIT-weighted),
 //   * which levels are present (for communication weighting),
-//   * the storage volume (for migration cost).
-// Partitioners then assign each grain cell to a processor.
+//   * the storage volume (for migration cost),
+// and the prefix sums of the work along its space-filling curve, the view
+// every splitter divides.  Partitioners then assign each grain cell to a
+// processor.
 //
 // A grid is always rasterized whole from its hierarchy.  Per-box
 // contributions are integer-valued by construction (overlap volumes times
@@ -79,8 +81,8 @@ class WorkGrid {
   [[nodiscard]] std::uint32_t levels_present(std::size_t c) const {
     return levels_[c];
   }
-  /// The full per-cell level-mask array (the communication kernels stream
-  /// it; element c == levels_present(c)).
+  /// The full per-cell level-mask array (ExecutionModel::map's sweep
+  /// streams it; element c == levels_present(c)).
   [[nodiscard]] const std::vector<std::uint32_t>& levels() const {
     return levels_;
   }
@@ -92,12 +94,10 @@ class WorkGrid {
   [[nodiscard]] const std::vector<std::uint32_t>& order() const {
     return *order_;
   }
-  /// Work in SFC order (the 1-D sequence the splitters divide).
-  [[nodiscard]] const std::vector<double>& sequence() const {
-    return sequence_;
-  }
-  /// Prefix sums of sequence(), built once so every splitter invocation on
-  /// this grid shares the same O(1)-range-sum view.
+  /// Prefix sums of the work in SFC order (work(order()[k]) for rank k,
+  /// the 1-D sequence the splitters divide), built once so every splitter
+  /// invocation on this grid shares the same O(1)-range-sum view.  The
+  /// sequence itself is not kept.
   [[nodiscard]] const PrefixSums& prefix_sums() const { return prefix_; }
 
   /// Linear index from lattice coordinates.
@@ -127,7 +127,6 @@ class WorkGrid {
   std::vector<std::uint32_t> levels_;
   std::vector<double> storage_;
   std::shared_ptr<const std::vector<std::uint32_t>> order_;
-  std::vector<double> sequence_;
   PrefixSums prefix_;
   double total_work_ = 0.0;
 };

@@ -158,8 +158,6 @@ struct JournalConfig {
   double compact_tombstone_ratio = 0.5;
   /// Hint clients receive when the journal sheds on saturation.
   int shed_retry_after_ms = 100;
-  /// Runtime: resubmit recovered pending specs at startup.
-  bool auto_resubmit = true;
 
   // ---- test hooks (crash & fault injection; leave zero in production) --
   /// Simulate a crash during compact(): 1 = after writing the compacted

@@ -72,7 +72,10 @@ struct RunSpec : core::ManagedRunConfig {
 
   // ---- cluster ----------------------------------------------------------
   /// Multi-site federation: >1 builds a federated cluster of
-  /// nprocs/sites nodes per site joined by a wan_mbps WAN link.
+  /// nprocs/sites nodes per site joined by a wan_mbps WAN link, whose
+  /// cross-site ghost traffic a trace replay charges.  Managed runs and
+  /// the system-sensitive experiment build their own cluster and ignore
+  /// both fields.
   std::size_t sites = 1;
   double wan_mbps = 20.0;
 

@@ -49,7 +49,7 @@ Runtime::Runtime(Options options)
   // At-least-once: each run re-executes under its original journal seq;
   // checkpoint resume (forced on for persisting runs) and deterministic
   // seeded execution fence the rerun to an effectively-once outcome.
-  if (journal_ && journal_->config().auto_resubmit) {
+  if (journal_) {
     for (const RecoveredRun& run : recovery_.pending) {
       RunSpec spec = run.spec;
       if (spec.persist.enabled) spec.persist.resume = true;

@@ -8,6 +8,7 @@
 #include "pragma/service/executor.hpp"
 #include "pragma/service/journal.hpp"
 #include "pragma/util/logging.hpp"
+#include "pragma/util/stats.hpp"
 
 namespace pragma::service {
 
@@ -87,16 +88,6 @@ obs::Counter& budget_throttled_counter() {
   static obs::Counter& counter =
       obs::metrics().counter("service.runs.budget_throttled");
   return counter;
-}
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
 util::Status shutting_down_status() {
@@ -378,8 +369,8 @@ void Scheduler::drain() {
 SchedulerStats Scheduler::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   SchedulerStats out = stats_;
-  out.queue_p50_s = percentile(queue_latencies_s_, 0.50);
-  out.queue_p99_s = percentile(queue_latencies_s_, 0.99);
+  out.queue_p50_s = util::percentile(queue_latencies_s_, 50.0);
+  out.queue_p99_s = util::percentile(queue_latencies_s_, 99.0);
   return out;
 }
 

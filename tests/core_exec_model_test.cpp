@@ -170,7 +170,7 @@ TEST(ExecutionModel, StepTimePositiveAndBoundedByParts) {
   const partition::OwnerMap owners = split_by_curve(grid, 4);
   const grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
-  const StepTime step = model.step_time(grid, owners, cluster);
+  const StepTime step = model.time_of(model.map(grid, owners), cluster);
   EXPECT_GT(step.compute_s, 0.0);
   EXPECT_GT(step.comm_s, 0.0);
   EXPECT_GE(step.total_s, step.compute_s);
@@ -182,8 +182,10 @@ TEST(ExecutionModel, MoreProcessorsReduceComputeTime) {
   const partition::WorkGrid grid(test_hierarchy(), 2);
   const grid::Cluster big = grid::ClusterBuilder::homogeneous(16);
   const ExecutionModel model;
-  const StepTime few = model.step_time(grid, split_by_curve(grid, 2), big);
-  const StepTime many = model.step_time(grid, split_by_curve(grid, 16), big);
+  const StepTime few =
+      model.time_of(model.map(grid, split_by_curve(grid, 2)), big);
+  const StepTime many =
+      model.time_of(model.map(grid, split_by_curve(grid, 16)), big);
   EXPECT_LT(many.compute_s, few.compute_s);
 }
 
@@ -192,21 +194,10 @@ TEST(ExecutionModel, SlowNodeDominatesStepTime) {
   const partition::OwnerMap owners = split_by_curve(grid, 4);
   grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
-  const StepTime before = model.step_time(grid, owners, cluster);
+  const StepTime before = model.time_of(model.map(grid, owners), cluster);
   cluster.node(2).state().background_load = 0.9;  // 10x slower
-  const StepTime after = model.step_time(grid, owners, cluster);
+  const StepTime after = model.time_of(model.map(grid, owners), cluster);
   EXPECT_GT(after.total_s, before.total_s * 3.0);
-}
-
-TEST(ExecutionModel, MapSeparatesFromTiming) {
-  const partition::WorkGrid grid(test_hierarchy(), 2);
-  const partition::OwnerMap owners = split_by_curve(grid, 4);
-  grid::Cluster cluster = grid::ClusterBuilder::homogeneous(4);
-  const ExecutionModel model;
-  const MappedLoad mapped = model.map(grid, owners);
-  const StepTime direct = model.step_time(grid, owners, cluster);
-  const StepTime via_map = model.time_of(mapped, cluster);
-  EXPECT_DOUBLE_EQ(direct.total_s, via_map.total_s);
 }
 
 TEST(ExecutionModel, MappedWorkConserved) {
@@ -224,7 +215,8 @@ TEST(ExecutionModel, TooManyProcessorsThrow) {
   const partition::OwnerMap owners = split_by_curve(grid, 8);
   const grid::Cluster small = grid::ClusterBuilder::homogeneous(4);
   const ExecutionModel model;
-  EXPECT_THROW(model.step_time(grid, owners, small), std::invalid_argument);
+  EXPECT_THROW(model.time_of(model.map(grid, owners), small),
+               std::invalid_argument);
 }
 
 TEST(ExecutionModel, MigrationTimeZeroForIdenticalAssignments) {
@@ -454,8 +446,8 @@ amr::GridHierarchy deep_hierarchy() {
 // The table-driven map() against the oracle on RM3D snapshots across
 // consecutive regrids at grains 1-3, and on a grid too deep to tabulate:
 // contiguous and randomly perturbed owner maps, with and without a 3-site
-// federation.  Its communication total must equal the reference face
-// sweep's bit for bit.
+// federation.  Its communication total must equal
+// partition::communication_volume's fold bit for bit.
 TEST(ExecutionModel, MapMatchesReferenceBitwise) {
   amr::Rm3dConfig app;
   app.coarse_steps = 100;
@@ -504,7 +496,7 @@ TEST(ExecutionModel, MapMatchesReferenceBitwise) {
           EXPECT_TRUE(bitwise_equal(fast.wan_messages, slow.wan_messages));
           EXPECT_TRUE(bitwise_equal(
               fast.communication,
-              partition::reference_communication_volume(grid, *owners)));
+              partition::communication_volume(grid, *owners)));
           if (proc_sites != nullptr) {
             EXPECT_GT(fast.wan_messages, 0.0);
           }

@@ -266,6 +266,30 @@ TEST(TraceRunner, ReplayRequestsEachGridOnce) {
   }
 }
 
+// On a federated cluster a replay charges the ghost traffic between sites
+// to the shared WAN: the same partitions run slower over a slower WAN, and
+// only the communication time changes.
+TEST(TraceRunner, FederatedReplayChargesTheWan) {
+  amr::Rm3dConfig app;
+  app.coarse_steps = 64;
+  const amr::AdaptationTrace trace = amr::Rm3dEmulator(app).run();
+  TraceRunConfig config;
+  config.nprocs = 16;
+  config.modeled_partition_s_per_cell = 50e-9;
+  std::vector<RunSummary> runs;
+  for (const double wan_mbps : {1.0, 20.0, 10000.0}) {
+    const grid::Cluster cluster =
+        grid::ClusterBuilder::federated(2, 8, 1.0, 1000.0, wan_mbps);
+    runs.push_back(TraceRunner(trace, cluster, config).run_static("SFC"));
+  }
+  EXPECT_GT(runs[0].comm_s, runs[1].comm_s);
+  EXPECT_GT(runs[1].comm_s, runs[2].comm_s);
+  EXPECT_GT(runs[0].runtime_s, runs[1].runtime_s);
+  EXPECT_GT(runs[1].runtime_s, runs[2].runtime_s);
+  EXPECT_EQ(runs[0].compute_s, runs[2].compute_s);
+  EXPECT_EQ(runs[0].migration_s, runs[2].migration_s);
+}
+
 TEST(SystemSensitive, ImprovesOnHeterogeneousCluster) {
   SystemSensitiveConfig config;
   config.nprocs = 12;

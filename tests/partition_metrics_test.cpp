@@ -103,8 +103,15 @@ TEST(OwnerValidation, SizeMismatchThrows) {
   owners.nprocs = 2;
   owners.owner.assign(grid.cell_count() - 1, 0);  // one cell short
   EXPECT_THROW(processor_loads(grid, owners), std::invalid_argument);
-  EXPECT_THROW(processor_storage(grid, owners), std::invalid_argument);
   EXPECT_THROW(communication_volume(grid, owners), std::invalid_argument);
+  // Two maps that match each other but not the grid.
+  EXPECT_THROW(migration_fraction(grid, owners, owners),
+               std::invalid_argument);
+  OwnerMap one_cell;
+  one_cell.nprocs = 2;
+  one_cell.owner.assign(1, 0);
+  EXPECT_THROW(migration_fraction(grid, one_cell, one_cell),
+               std::invalid_argument);
   PartitionResult result;
   result.owners = owners;
   EXPECT_THROW(evaluate_pac(grid, result, equal_targets(2)),
@@ -116,7 +123,6 @@ TEST(OwnerValidation, OwnerOutOfRangeThrows) {
   OwnerMap owners = half_split(grid);
   owners.owner.front() = owners.nprocs;  // one past the last processor
   EXPECT_THROW(processor_loads(grid, owners), std::invalid_argument);
-  EXPECT_THROW(processor_storage(grid, owners), std::invalid_argument);
   owners.owner.front() = -1;
   EXPECT_THROW(processor_loads(grid, owners), std::invalid_argument);
   PartitionResult result;

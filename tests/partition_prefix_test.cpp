@@ -200,7 +200,8 @@ TEST(SplitterEquivalence, Rm3dSequence) {
   amr::Rm3dEmulator emulator(config);
   for (int s = 0; s < 40; ++s) emulator.advance();
   const WorkGrid grid(emulator.hierarchy(), 2);
-  const std::vector<double>& weights = grid.sequence();
+  std::vector<double> weights;
+  for (const std::uint32_t c : grid.order()) weights.push_back(grid.work(c));
   ASSERT_GT(weights.size(), 0u);
   for (const std::size_t p : {16u, 64u})
     expect_all_equivalent(weights, equal_targets(p), "rm3d");

@@ -77,9 +77,8 @@ void expect_bitwise_equal(const WorkGrid& actual, const WorkGrid& expected) {
     const double se = expected.storage(c);
     ASSERT_EQ(std::memcmp(&sa, &se, sizeof(double)), 0) << "storage @" << c;
   }
-  ASSERT_EQ(std::memcmp(actual.sequence().data(), expected.sequence().data(),
-                        n * sizeof(double)),
-            0);
+  // With equal work, an equal curve order gives an equal SFC sequence.
+  ASSERT_EQ(actual.order(), expected.order());
   for (std::size_t i = 0; i <= n; ++i) {
     const double pa = actual.prefix_sums().prefix(i);
     const double pe = expected.prefix_sums().prefix(i);
@@ -145,20 +144,30 @@ TEST(WorkGrid, StoragePositiveEverywhere) {
     EXPECT_GT(grid.storage(c), 0.0);
 }
 
+// The SFC sequence is the work in curve order; the prefix sums are its
+// left fold.
 TEST(WorkGrid, SequenceMatchesOrder) {
-  const WorkGrid grid(simple_hierarchy(), 4);
-  const auto& order = grid.order();
-  const auto& sequence = grid.sequence();
-  ASSERT_EQ(order.size(), sequence.size());
-  for (std::size_t rank = 0; rank < order.size(); ++rank)
-    EXPECT_DOUBLE_EQ(sequence[rank], grid.work(order[rank]));
+  for (const int grain : {2, 4}) {
+    SCOPED_TRACE(grain);
+    const WorkGrid grid(simple_hierarchy(), grain);
+    const auto& order = grid.order();
+    const PrefixSums& prefix = grid.prefix_sums();
+    ASSERT_EQ(prefix.size(), order.size());
+    EXPECT_EQ(prefix.prefix(0), 0.0);
+    double sum = 0.0;
+    for (std::size_t rank = 0; rank < order.size(); ++rank) {
+      sum += grid.work(order[rank]);
+      EXPECT_EQ(prefix.prefix(rank + 1), sum) << "rank " << rank;
+    }
+  }
 }
 
 TEST(WorkGrid, SequenceSumEqualsTotalWork) {
   const WorkGrid grid(simple_hierarchy(), 2);
   double total = 0.0;
-  for (double w : grid.sequence()) total += w;
+  for (std::uint32_t cell : grid.order()) total += grid.work(cell);
   EXPECT_NEAR(total, grid.total_work(), 1e-9);
+  EXPECT_NEAR(grid.prefix_sums().total(), grid.total_work(), 1e-9);
 }
 
 TEST(WorkGrid, CoordsRoundTrip) {
@@ -288,6 +297,9 @@ std::string workgrid_reference_text() {
           work[c] = grid.work(c);
           storage[c] = grid.storage(c);
         }
+        std::vector<double> sequence(n);
+        for (std::size_t k = 0; k < n; ++k)
+          sequence[k] = grid.work(grid.order()[k]);
         std::vector<double> prefix(n + 1);
         for (std::size_t k = 0; k <= n; ++k)
           prefix[k] = grid.prefix_sums().prefix(k);
@@ -296,7 +308,7 @@ std::string workgrid_reference_text() {
         crc = util::crc32(grid.levels().data(),
                           n * sizeof(std::uint32_t), crc);
         crc = util::crc32(storage.data(), n * sizeof(double), crc);
-        crc = util::crc32(grid.sequence().data(), n * sizeof(double), crc);
+        crc = util::crc32(sequence.data(), n * sizeof(double), crc);
         crc = util::crc32(prefix.data(), prefix.size() * sizeof(double), crc);
         crc = util::crc32(&total, sizeof(total), crc);
         std::snprintf(line, sizeof(line),
