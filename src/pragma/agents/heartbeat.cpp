@@ -22,6 +22,7 @@ std::string to_string(Liveness liveness) {
 
 HeartbeatDetector::HeartbeatDetector(sim::Simulator& simulator,
                                      MessageCenter& center,
+                                     const std::string& topic,
                                      HeartbeatConfig config, PortId port)
     : simulator_(simulator),
       center_(center),
@@ -31,7 +32,7 @@ HeartbeatDetector::HeartbeatDetector(sim::Simulator& simulator,
       center_.register_port(port_, [this](const Message& m) { on_beat(m); });
   if (!registered.is_ok())
     throw std::invalid_argument("HeartbeatDetector: " + registered.to_string());
-  center_.subscribe(config_.topic, port_);
+  center_.subscribe(topic, port_);
 }
 
 void HeartbeatDetector::watch(const PortId& member) {

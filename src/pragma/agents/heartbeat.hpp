@@ -1,13 +1,14 @@
 // Heartbeat failure detection for the control network.
 //
 // Component agents publish periodic heartbeats to a topic; this detector
-// subscribes and classifies each watched member by the number of missed
-// periods: alive -> suspected (after suspect_missed periods of silence) ->
-// confirmed dead (after confirm_missed).  A beat from a suspected member
-// un-suspects it (counted, so a soak harness can derive the false-suspect
-// rate); a beat from a confirmed-dead member counts as a recovery.  This
-// replaces the oracle liveness feed the ADM previously relied on: node
-// death is *detected* from silence, with latency the runtime must pay for.
+// subscribes to the topic it is constructed with and classifies each
+// watched member by the number of missed periods: alive -> suspected
+// (after suspect_missed periods of silence) -> confirmed dead (after
+// confirm_missed).  A beat from a suspected member un-suspects it
+// (counted, so a soak harness can derive the false-suspect rate); a beat
+// from a confirmed-dead member counts as a recovery.  This replaces the
+// oracle liveness feed the ADM previously relied on: node death is
+// *detected* from silence, with latency the runtime must pay for.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +20,8 @@
 
 namespace pragma::agents {
 
+/// Publishing and detection cadence.
 struct HeartbeatConfig {
-  std::string topic = "heartbeats";
   /// Expected publishing period; the sweep runs at the same cadence.
   double period_s = 1.0;
   /// Missed periods before a member is suspected.
@@ -38,8 +39,9 @@ class HeartbeatDetector {
  public:
   using Callback = std::function<void(const PortId& member, double time)>;
 
+  /// Listens on `topic` for the beats of its watched members.
   HeartbeatDetector(sim::Simulator& simulator, MessageCenter& center,
-                    HeartbeatConfig config = {},
+                    const std::string& topic, HeartbeatConfig config = {},
                     PortId port = "hb.detector");
 
   /// Start watching a member port (granted a full grace window from now).

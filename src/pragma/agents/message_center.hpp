@@ -25,9 +25,8 @@
 
 namespace pragma::agents {
 
-/// Fault model for the control channel.  Default-constructed = perfect
-/// channel (no random draws, identical behavior to the original center).
-struct ChannelFaults {
+/// The random part of the channel fault model.
+struct ChannelNoise {
   /// Probability an accepted message is silently lost in transit.
   double drop_probability = 0.0;
   /// Probability an accepted message is delivered twice.
@@ -35,6 +34,11 @@ struct ChannelFaults {
   /// Extra delivery latency, uniform in [0, jitter_s] per copy; values
   /// larger than the base latency reorder concurrent messages.
   double jitter_s = 0.0;
+};
+
+/// Fault model for the control channel.  Default-constructed = perfect
+/// channel (no random draws, identical behavior to the original center).
+struct ChannelFaults : ChannelNoise {
   /// When set, a message is dropped unless reachable(from, to) — used to
   /// model node death and network partitions.  Unreachability is charged
   /// to partition_dropped, not to the random-loss counter.

@@ -17,6 +17,13 @@
 
 namespace pragma::core {
 
+/// The canonical execution lattice: every run costs its assignments on the
+/// hierarchy rasterized at this grain (level-0 cells per grain-cell edge)
+/// in this order, and partitioners' owner maps are projected onto it.
+inline constexpr int kCanonicalGrain = 2;
+inline constexpr partition::CurveKind kCanonicalCurve =
+    partition::CurveKind::kHilbert;
+
 struct ExecModelConfig {
   /// Flops per cell-update of the RM3D kernel (hydro stencil + EOS).
   double flops_per_cell_update = 5000.0;

@@ -16,14 +16,8 @@ namespace pragma::core {
 ManagedRun::ManagedRun(ManagedRunConfig config, res::RunAccount* account)
     : config_(std::move(config)),
       account_(account),
-      cluster_(config_.capacity_spread > 0.0
-                   ? [&] {
-                       util::Rng rng(config_.seed, 1);
-                       return grid::ClusterBuilder::heterogeneous(
-                           config_.nprocs, rng, 0.5, 512.0, 100.0, 150e-6,
-                           config_.capacity_spread);
-                     }()
-                   : grid::ClusterBuilder::homogeneous(config_.nprocs)),
+      cluster_(grid::ClusterBuilder::for_spread(
+          config_.nprocs, config_.capacity_spread, util::Rng(config_.seed, 1))),
       calculator_(config_.weights),
       policies_(policy::standard_policy_base()),
       emulator_(config_.app),
@@ -139,16 +133,14 @@ void ManagedRun::wire_fault_tolerance() {
     port_node_[environment_->agent(c).port()] =
         static_cast<grid::NodeId>(c);
 
-  // Lossy channel, with the liveness overlay composed onto any
-  // user-supplied partition predicate.
-  agents::ChannelFaults faults = config_.ft.channel;
-  auto user_reachable = std::move(faults.reachable);
-  faults.reachable = [this, user_reachable](const agents::PortId& from,
-                                            const agents::PortId& to) {
-    if (user_reachable && !user_reachable(from, to)) return false;
-    return port_reachable(from) && port_reachable(to);
-  };
-  center.set_faults(std::move(faults), util::Rng(config_.seed, 7));
+  // Lossy channel, with the liveness overlay.
+  center.set_faults(
+      agents::ChannelFaults{
+          config_.ft.channel,
+          [this](const agents::PortId& from, const agents::PortId& to) {
+            return port_reachable(from) && port_reachable(to);
+          }},
+      util::Rng(config_.seed, 7));
 
   // Directives ride the request/reply protocol.
   reliable_ = std::make_unique<agents::ReliableChannel>(
@@ -164,17 +156,17 @@ void ManagedRun::wire_fault_tolerance() {
       });
 
   // Heartbeats from every component agent, gated on node liveness.
-  agents::HeartbeatConfig hb = config_.ft.heartbeat;
-  hb.topic = environment_->spec().name + ".hb";
+  const std::string topic = environment_->spec().name + ".hb";
   for (std::size_t c = 0; c < environment_->agent_count(); ++c) {
     agents::ComponentAgent& agent = environment_->agent(c);
     const auto node = static_cast<grid::NodeId>(c);
     agent.set_liveness(
         [this, node] { return cluster_.node(node).state().up; });
-    agent.enable_heartbeat(hb.topic, hb.period_s);
+    agent.enable_heartbeat(topic, config_.ft.heartbeat.period_s);
   }
   detector_ = std::make_unique<agents::HeartbeatDetector>(
-      simulator_, center, hb, environment_->spec().name + ".detector");
+      simulator_, center, topic, config_.ft.heartbeat,
+      environment_->spec().name + ".detector");
   for (const auto& [port, node] : port_node_) detector_->watch(port);
   detector_->set_on_suspect(
       [this](const agents::PortId& port, double now) {
@@ -287,7 +279,7 @@ void ManagedRun::take_checkpoint() {
   PRAGMA_SPAN_VAR(span, "core", "ManagedRun.take_checkpoint");
   // Save-state cost: every live processor writes its partition's state
   // over its uplink; the checkpoint completes when the slowest finishes.
-  double worst = 0.0;
+  double cost = 0.0;
   double total_bytes = 0.0;
   for (grid::NodeId p = 0; p < cluster_.size(); ++p) {
     if (p >= mapped_.work.size()) break;
@@ -296,11 +288,10 @@ void ManagedRun::take_checkpoint() {
     total_bytes += bytes;
     const double rate = cluster_.uplink(p).effective_bytes_per_s() /
                         config_.exec.redistribution_overhead;
-    if (rate > 0.0) worst = std::max(worst, bytes / rate);
+    if (rate > 0.0) cost = std::max(cost, bytes / rate);
   }
   if (account_ != nullptr)
     account_->charge_io(static_cast<std::uint64_t>(total_bytes));
-  const double cost = worst * config_.ft.checkpoint_cost_factor;
   ++report_.checkpoints;
   PRAGMA_FLIGHT(simulator_.now(), "checkpoint", "save-state #",
                 report_.checkpoints, " (", cost, " s modeled)");
@@ -367,8 +358,8 @@ bool ManagedRun::try_restore() {
                  snapshot.trace.empty()) {
         status = util::Status::invalid("checkpoint beyond configured run");
       } else {
-        canonical.emplace(snapshot.trace.snapshots().back().hierarchy, 2,
-                          partition::CurveKind::kHilbert);
+        canonical.emplace(snapshot.trace.snapshots().back().hierarchy,
+                          kCanonicalGrain, kCanonicalCurve);
         if (snapshot.owners.size() != canonical->cell_count())
           status = util::Status::invalid(
               "owner map size " + std::to_string(snapshot.owners.size()) +
@@ -501,8 +492,8 @@ void ManagedRun::repartition(bool count_as_regrid) {
   // repartition keeps the canonical grid rasterized at the last one, with
   // its snapshot's classification and native grid.
   if (count_as_regrid || !canonical_.has_value()) {
-    canonical_.emplace(emulator_.hierarchy(), 2,
-                       partition::CurveKind::kHilbert);
+    canonical_.emplace(emulator_.hierarchy(), kCanonicalGrain,
+                       kCanonicalCurve);
     regrid_state_.reset();
     native_.reset();
   }

@@ -58,19 +58,16 @@ namespace pragma::core {
 /// `enabled` is set; the fault-free path must stay byte-identical.
 struct FaultToleranceConfig {
   bool enabled = false;
-  /// Channel fault model for the control network.  A reachability overlay
-  /// is composed in automatically: ports living on a downed node can
-  /// neither send nor receive, independent of any user predicate.
-  agents::ChannelFaults channel;
+  /// Random faults of the control network.  The run adds a reachability
+  /// overlay: ports living on a downed node can neither send nor receive.
+  agents::ChannelNoise channel;
   /// Request/reply protocol used for ADM directives.
   agents::ReliableConfig reliable;
-  /// Heartbeat publishing/detection cadence.  The topic is derived from
-  /// the application name; what is set here is ignored.
+  /// Heartbeat publishing/detection cadence.  Beats go to the topic
+  /// "<app_name>.hb".
   agents::HeartbeatConfig heartbeat;
   /// Staleness handling for capacity readings from unreachable nodes.
   monitor::StalenessPolicy staleness;
-  /// Scale factor on the modeled checkpoint write cost.
-  double checkpoint_cost_factor = 1.0;
 };
 
 /// Durable checkpoint persistence: the paper's save-state actuator made

@@ -23,8 +23,7 @@ MetaPartitioner::MetaPartitioner(const policy::PolicyBase& policies,
                                  MetaPartitionerConfig config)
     : policies_(policies),
       config_(config),
-      classifier_(config.thresholds),
-      suite_(partition::standard_suite(config.partitioner_options)) {}
+      suite_(partition::standard_suite()) {}
 
 const partition::Partitioner& MetaPartitioner::by_name(
     const std::string& name) const {

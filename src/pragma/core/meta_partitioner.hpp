@@ -5,10 +5,12 @@
 //  configured with appropriate parameters such as partitioning granularity
 //  and threshold, and then invoked to partition the SAMR grid hierarchy."
 //
-// Selection is policy-driven: the classifier produces the octant, the
-// policy base maps octants to partitioners (Table 2), and the selected
-// partitioner from the suite is invoked.  Hysteresis avoids thrashing when
-// the application sits near an octant boundary.
+// Selection is policy-driven: the classifier (with the default
+// octant::OctantThresholds) produces the octant, the policy base maps
+// octants to partitioners (Table 2) and may attach a grain, and the
+// selected partitioner from partition::standard_suite() is invoked.
+// Hysteresis avoids thrashing when the application sits near an octant
+// boundary.
 #pragma once
 
 #include <memory>
@@ -22,8 +24,6 @@
 namespace pragma::core {
 
 struct MetaPartitionerConfig {
-  octant::OctantThresholds thresholds;
-  partition::PartitionerOptions partitioner_options;
   /// Keep the current partitioner unless the selection has differed for
   /// this many consecutive regrids (1 = switch immediately).
   int hysteresis = 1;

@@ -72,11 +72,10 @@ SystemSensitiveResult run_system_sensitive_experiment(
     // The canonical grid is the native one when the keys match.
     const auto grid_for = [&](int grain, partition::CurveKind curve) {
       return partition::shared_or_built(config.workgrid_cache, i,
-                                        snapshot.hierarchy, grain, curve,
-                                        config.threads);
+                                        snapshot.hierarchy, grain, curve);
     };
     const std::shared_ptr<const partition::WorkGrid> canonical =
-        grid_for(config.canonical_grain, partition::CurveKind::kHilbert);
+        grid_for(kCanonicalGrain, kCanonicalCurve);
     const int grain = partitioner->preferred_grain();
     const std::shared_ptr<const partition::WorkGrid> native =
         canonical->grain() == grain &&

@@ -10,7 +10,9 @@
 // The experiment compares the capacity-weighted partitioner against the
 // default equal-distribution scheme on a heterogeneous Linux-cluster model
 // carrying synthetic background load; relative capacities are computed once
-// before the simulation starts, exactly as in the paper.
+// before the simulation starts, exactly as in the paper.  Both schemes are
+// costed on the canonical execution lattice (kCanonicalGrain,
+// kCanonicalCurve), and every work grid is built serially.
 #pragma once
 
 #include <string>
@@ -50,8 +52,6 @@ struct SystemSensitiveConfig {
   ExecModelConfig exec;
   /// Partitioner used by both schemes.
   std::string partitioner = "G-MISP+SP";
-  /// Canonical execution lattice grain.
-  int canonical_grain = 2;
   /// Recompute capacities at every regrid instead of once at start (an
   /// extension the paper leaves to future work; off to match Table 5).
   bool dynamic_capacities = false;
@@ -60,8 +60,6 @@ struct SystemSensitiveConfig {
   /// one cache so each snapshot is rasterized once across all of them.
   /// Null builds each snapshot's grids once per call.
   partition::WorkGridCache* workgrid_cache = nullptr;
-  /// Worker threads for WorkGrid rasterization (see TraceRunConfig).
-  int threads = 1;
 };
 
 struct SystemSensitiveResult {

@@ -32,8 +32,7 @@ TraceRunner::TraceRunner(const amr::AdaptationTrace& trace,
 
 RunSummary TraceRunner::run_static(
     const std::string& partitioner_name) const {
-  const auto partitioner = partition::make_partitioner(
-      partitioner_name, config_.meta.partitioner_options);
+  const auto partitioner = partition::make_partitioner(partitioner_name);
   return replay(partitioner_name, partitioner.get(), nullptr);
 }
 
@@ -113,8 +112,7 @@ RunSummary TraceRunner::replay(const std::string& label,
 
     const std::shared_ptr<const partition::WorkGrid> canonical_ptr =
         next_canonical ? std::move(next_canonical)
-                       : grid(i, config_.canonical_grain,
-                              partition::CurveKind::kHilbert);
+                       : grid(i, kCanonicalGrain, kCanonicalCurve);
     const partition::WorkGrid& canonical = *canonical_ptr;
 
     // Agent-triggered repartitioning (adaptive runs only): keep the
@@ -173,8 +171,7 @@ RunSummary TraceRunner::replay(const std::string& label,
     const StepTime fresh = model_.time_of(mapped, cluster_);
     StepTime stale = fresh;
     if (i + 1 < trace_.size()) {
-      next_canonical =
-          grid(i + 1, config_.canonical_grain, partition::CurveKind::kHilbert);
+      next_canonical = grid(i + 1, kCanonicalGrain, kCanonicalCurve);
       carried = model_.map(*next_canonical, owners, sites);
       stale = model_.time_of(carried, cluster_);
     }

@@ -4,6 +4,10 @@
 // "The experiments consisted of measuring application execution times for
 //  different processor configurations, with the partitioning parameters
 //  switched on-the-fly during application execution."
+//
+// Every snapshot is costed on the canonical execution lattice
+// (kCanonicalGrain, kCanonicalCurve), onto which each partitioner's owner
+// map is projected.
 #pragma once
 
 #include <functional>
@@ -24,8 +28,6 @@ struct TraceRunConfig {
   MetaPartitionerConfig meta;
   /// Number of processors (cluster nodes used).
   std::size_t nprocs = 64;
-  /// Canonical metric/execution lattice grain (level-0 cells per edge).
-  int canonical_grain = 2;
   /// Per-processor target fractions; empty = equal shares.
   std::vector<double> targets;
   /// Fraction of each regrid interval's steps evaluated against the *next*
@@ -42,9 +44,9 @@ struct TraceRunConfig {
   double repartition_threshold = 0.20;
   /// Worker threads for WorkGrid rasterization.  Snapshots are costed by
   /// serial ExecutionModel::map sweeps, which also yield the communication
-  /// volume.  1 = the serial code path (the default, as in RunSpec and
-  /// SystemSensitiveConfig); 0 = hardware_concurrency.  RM3D work is
-  /// integer-valued, so every thread count builds bitwise-identical grids.
+  /// volume.  1 = the serial code path (the default, as in RunSpec);
+  /// 0 = hardware_concurrency.  RM3D work is integer-valued, so every
+  /// thread count builds bitwise-identical grids.
   int threads = 1;
   /// When > 0, charge partitioning as cells * this instead of the
   /// partitioner's wall-clock measurement (same knob as

@@ -107,6 +107,13 @@ Cluster ClusterBuilder::heterogeneous(std::size_t n, util::Rng& rng,
   return Cluster(std::move(nodes), std::move(links), fabric);
 }
 
+Cluster ClusterBuilder::for_spread(std::size_t n, double spread,
+                                   util::Rng rng) {
+  if (spread > 0.0)
+    return heterogeneous(n, rng, 0.5, 512.0, 100.0, 150e-6, spread);
+  return homogeneous(n);
+}
+
 Cluster ClusterBuilder::federated(std::size_t sites,
                                   std::size_t nodes_per_site,
                                   double peak_gflops,

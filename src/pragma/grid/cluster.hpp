@@ -100,6 +100,11 @@ class ClusterBuilder {
                                double spread = 0.35,
                                const std::string& arch = "linux-cluster");
 
+  /// The machine a run describes by its node-speed spread: heterogeneous
+  /// commodity nodes (the defaults above) drawn from `rng` when spread > 0,
+  /// else homogeneous(n).
+  static Cluster for_spread(std::size_t n, double spread, util::Rng rng);
+
   /// Federated grid: `sites` homogeneous clusters of `nodes_per_site`
   /// nodes each, joined by a shared WAN link (default: 20 Mb/s with 30 ms
   /// latency — a wide-area path of the paper's era).  Node i belongs to

@@ -14,6 +14,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// G-MISP's coarse starting block edge, in grain cells.
+constexpr std::size_t kGMispStartBlock = 8;
+/// A G-MISP block splits while its work exceeds this multiple of the mean
+/// per-processor target.
+constexpr double kGMispSplitFactor = 0.25;
+
 obs::Histogram& partition_seconds_histogram() {
   static obs::Histogram& histogram = obs::metrics().histogram(
       "partition.seconds", obs::default_histogram_options());
@@ -91,17 +97,15 @@ std::vector<std::size_t> GMispPartitioner::build_blocks(
   const std::size_t n = sums.size();
 
   // Mean per-processor goal; a block is split while it is heavier than
-  // split_factor * goal, down to single grain cells.  Runs are halved in
-  // rank space (Hilbert runs stay geometrically compact), which realizes
+  // kGMispSplitFactor * goal, down to single grain cells.  Runs are halved
+  // in rank space (Hilbert runs stay geometrically compact), which realizes
   // the "variable grain": dense regions end up with fine blocks, empty
   // regions with coarse ones.
   double goal = grid.total_work() / static_cast<double>(targets.size());
-  const double limit = std::max(1e-12, options_.gmisp_split_factor * goal);
+  const double limit = std::max(1e-12, kGMispSplitFactor * goal);
 
-  std::size_t start_len = 1;
-  const auto start_edge = static_cast<std::size_t>(options_.gmisp_start_block);
-  start_len = start_edge * start_edge * start_edge;
-  if (start_len > n) start_len = n;
+  const std::size_t start_len = std::min(
+      kGMispStartBlock * kGMispStartBlock * kGMispStartBlock, n);
 
   // Depth-first agenda popped from the back, seeded right-to-left so that
   // blocks are emitted in ascending rank order.
@@ -176,21 +180,19 @@ PartitionResult GMispPartitioner::partition(
   return result;
 }
 
-std::vector<std::unique_ptr<Partitioner>> standard_suite(
-    PartitionerOptions options) {
+std::vector<std::unique_ptr<Partitioner>> standard_suite() {
   std::vector<std::unique_ptr<Partitioner>> suite;
   suite.push_back(std::make_unique<SfcPartitioner>());
   suite.push_back(std::make_unique<IspPartitioner>());
-  suite.push_back(std::make_unique<GMispPartitioner>(options));
-  suite.push_back(std::make_unique<GMispSpPartitioner>(options));
+  suite.push_back(std::make_unique<GMispPartitioner>());
+  suite.push_back(std::make_unique<GMispSpPartitioner>());
   suite.push_back(std::make_unique<PBdIspPartitioner>());
   suite.push_back(std::make_unique<SpIspPartitioner>());
   return suite;
 }
 
-std::unique_ptr<Partitioner> make_partitioner(const std::string& name,
-                                              PartitionerOptions options) {
-  for (auto& partitioner : standard_suite(options))
+std::unique_ptr<Partitioner> make_partitioner(const std::string& name) {
+  for (auto& partitioner : standard_suite())
     if (partitioner->name() == name) return std::move(partitioner);
   throw std::invalid_argument("make_partitioner: unknown partitioner " +
                               name);

@@ -41,17 +41,6 @@ struct PartitionResult {
   std::size_t unit_count = 0;
 };
 
-/// Configuration shared by the suite.
-struct PartitionerOptions {
-  /// Grain (level-0 cells per grain-cell edge) used when rasterizing.
-  int grain = 4;
-  /// Coarse starting block edge (in grain cells) for the G-MISP family.
-  int gmisp_start_block = 8;
-  /// A G-MISP block splits while its work exceeds this multiple of the mean
-  /// per-processor target.
-  double gmisp_split_factor = 0.25;
-};
-
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
@@ -90,8 +79,6 @@ class IspPartitioner final : public Partitioner {
 /// chunking of the block sequence.
 class GMispPartitioner : public Partitioner {
  public:
-  explicit GMispPartitioner(PartitionerOptions options = {})
-      : options_(options) {}
   [[nodiscard]] PartitionResult partition(
       const WorkGrid& grid, std::span<const double> targets) const override;
   [[nodiscard]] std::string name() const override { return "G-MISP"; }
@@ -104,16 +91,12 @@ class GMispPartitioner : public Partitioner {
   [[nodiscard]] virtual Breaks split_blocks(
       std::span<const double> block_weights,
       std::span<const double> targets) const;
-
-  PartitionerOptions options_;
 };
 
 /// G-MISP+SP: G-MISP blocks, optimal sequence partitioning of the block
 /// sequence.
 class GMispSpPartitioner final : public GMispPartitioner {
  public:
-  explicit GMispSpPartitioner(PartitionerOptions options = {})
-      : GMispPartitioner(options) {}
   [[nodiscard]] std::string name() const override { return "G-MISP+SP"; }
 
  protected:
@@ -142,12 +125,11 @@ class SpIspPartitioner final : public Partitioner {
 };
 
 /// All partitioners of the suite, keyed by name.
-[[nodiscard]] std::vector<std::unique_ptr<Partitioner>> standard_suite(
-    PartitionerOptions options = {});
+[[nodiscard]] std::vector<std::unique_ptr<Partitioner>> standard_suite();
 
 /// Look up a partitioner by name in a freshly built suite ("SFC", "ISP",
 /// "G-MISP", "G-MISP+SP", "pBD-ISP", "SP-ISP"); throws on unknown names.
 [[nodiscard]] std::unique_ptr<Partitioner> make_partitioner(
-    const std::string& name, PartitionerOptions options = {});
+    const std::string& name);
 
 }  // namespace pragma::partition

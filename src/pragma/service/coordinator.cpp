@@ -54,7 +54,8 @@ Coordinator::Coordinator(sim::Simulator& simulator,
       reliable_(channel),
       config_(std::move(config)),
       port_(dist::kCoordinatorPort),
-      detector_(simulator, center, config_.heartbeat, "dist.hb.detector") {
+      detector_(simulator, center, dist::kHeartbeats, config_.heartbeat,
+                "dist.hb.detector") {
   center_.register_port(port_,
                         [this](const agents::Message& m) { on_message(m); });
   reliable_.make_endpoint(port_);

@@ -64,6 +64,8 @@ inline const std::string kFailed = "dist.failed";
 inline const std::string kFence = "dist.fence";
 inline const std::string kCoordinatorPort = "dist.coord";
 inline const std::string kWorkerPortPrefix = "dist.worker.";
+/// The topic workers publish their heartbeats to.
+inline const std::string kHeartbeats = "dist.heartbeats";
 }  // namespace dist
 
 /// The distributed-service knob set (DistributedService adds its workers
@@ -77,7 +79,7 @@ struct DistributedConfig {
   int shed_retry_after_ms = 50;
   /// Worker liveness: publish cadence and miss thresholds
   /// (suspect after 3 silent periods, confirm dead after 6).
-  agents::HeartbeatConfig heartbeat{"dist.heartbeats", 1.0, 3, 6};
+  agents::HeartbeatConfig heartbeat{1.0, 3, 6};
   /// Ack/retry/backoff protocol for every dispatch-path message.  Exposed
   /// through the one env/CLI merge path (--reliable-timeout,
   /// --reliable-backoff, --reliable-attempts; see add_run_flags).

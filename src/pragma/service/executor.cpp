@@ -31,8 +31,6 @@ std::unique_ptr<core::ManagedRun> make_managed_run(
   auto run = std::make_unique<core::ManagedRun>(std::move(config), account);
   for (const FailurePlan& plan : spec.failures)
     run->schedule_failure(plan.at_s, plan.node, plan.downtime_s);
-  if (spec.random_mtbf_s > 0.0 && spec.random_mttr_s > 0.0)
-    run->start_random_failures(spec.random_mtbf_s, spec.random_mttr_s);
   return run;
 }
 

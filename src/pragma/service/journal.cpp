@@ -263,10 +263,11 @@ JournalScan scan_journal_file(const std::vector<std::uint8_t>& bytes,
 
 namespace {
 
-/// Every persisted RunSpec field, once, in wire order and at its wire
-/// width.  io::FieldWriter encodes the list and io::FieldReader decodes
-/// it, so the two directions cannot disagree.  A change here changes the
-/// payload: bump kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
+/// Every RunSpec value field (all but trace, custom, workgrid_cache and
+/// obs), once, in wire order and at its wire width.  io::FieldWriter
+/// encodes the list and io::FieldReader decodes it, so the two directions
+/// cannot disagree.  A change here changes the payload: bump
+/// kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
 template <class Io, class Spec>
 void run_spec_fields(Io& io, Spec& spec) {
   const auto each_f64 = [&io](auto& value) { io.f64(value); };
@@ -335,14 +336,12 @@ void run_spec_fields(Io& io, Spec& spec) {
   io.f64(spec.ft.reliable.timeout_s);
   io.f64(spec.ft.reliable.backoff_factor);
   io.i32(spec.ft.reliable.max_attempts);
-  io.str(spec.ft.heartbeat.topic);
   io.f64(spec.ft.heartbeat.period_s);
   io.i32(spec.ft.heartbeat.suspect_missed);
   io.i32(spec.ft.heartbeat.confirm_missed);
   io.f64(spec.ft.staleness.fresh_age_s);
   io.f64(spec.ft.staleness.decay_tau_s);
   io.f64(spec.ft.staleness.prior_fraction);
-  io.f64(spec.ft.checkpoint_cost_factor);
 
   // persistence, checkpoint cadence and the modeled partitioner cost
   io.flag(spec.persist.enabled);
@@ -355,7 +354,6 @@ void run_spec_fields(Io& io, Spec& spec) {
 
   // replay / system-sensitive knobs
   io.str(spec.strategy);
-  io.i32(spec.canonical_grain);
   io.list(spec.targets, sizeof(double), 4096, each_f64);
   io.f64(spec.stale_weight);
   io.f64(spec.repartition_threshold);
@@ -369,8 +367,6 @@ void run_spec_fields(Io& io, Spec& spec) {
             io.u64(plan.node);
             io.f64(plan.downtime_s);
           });
-  io.f64(spec.random_mtbf_s);
-  io.f64(spec.random_mttr_s);
 
   // resource budget
   io.f64(spec.budget.cpu_s);

@@ -80,7 +80,7 @@ inline constexpr char kJournalRecordMagic[4] = {'P', 'J', 'R', '1'};
 inline constexpr std::size_t kJournalRecordHeaderBytes = 32;
 /// Version tag of the RunSpec payload encoding (first u32 of the payload).
 /// A payload of any other version fails to decode with kUnimplemented.
-inline constexpr std::uint32_t kRunSpecPayloadVersion = 3;
+inline constexpr std::uint32_t kRunSpecPayloadVersion = 4;
 inline constexpr std::uint64_t kDefaultJournalMaxPayloadBytes = 1ull << 20;
 
 enum class JournalRecordType : std::uint32_t {
@@ -130,12 +130,13 @@ struct JournalScan {
     const std::vector<JournalRecord>& items);
 
 /// Versioned RunSpec (de)serialization for pending payloads.  The
-/// encoding covers every field reachable through the RunSpec value
-/// surface; the non-value members — the custom callable, the shared
-/// trace, the work-grid cache pointer and the process-wide obs config —
-/// cannot be persisted, so only WorkloadKind::kManaged specs are
-/// recoverable (others journal for accounting and are reported as
-/// unrecoverable at recovery).
+/// encoding covers every RunSpec value field, so a decoded spec runs as
+/// the submitted one did and equal payloads mean equal runs.  The four
+/// non-value members — the custom callable, the shared trace, the
+/// work-grid cache pointer and the process-wide obs config — cannot be
+/// persisted, so only WorkloadKind::kManaged specs are recoverable
+/// (others journal for accounting and are reported as unrecoverable at
+/// recovery).
 [[nodiscard]] std::vector<std::uint8_t> encode_run_spec(const RunSpec& spec);
 [[nodiscard]] util::Expected<RunSpec> decode_run_spec(
     const std::vector<std::uint8_t>& payload);

@@ -1,5 +1,6 @@
 #include "pragma/service/run_spec.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -79,7 +80,6 @@ core::TraceRunConfig RunSpec::to_trace() const {
   config.exec = exec;
   config.meta = meta;
   config.nprocs = nprocs;
-  config.canonical_grain = canonical_grain;
   config.targets = targets;
   config.stale_weight = stale_weight;
   config.repartition_threshold = repartition_threshold;
@@ -100,10 +100,8 @@ core::SystemSensitiveConfig RunSpec::to_system_sensitive() const {
   config.exec = exec;
   if (strategy != "adaptive" && !strategy.empty())
     config.partitioner = strategy;
-  config.canonical_grain = canonical_grain;
   config.dynamic_capacities = dynamic_capacities;
   config.workgrid_cache = workgrid_cache;
-  config.threads = threads;
   return config;
 }
 
@@ -128,20 +126,16 @@ RunSpec RunSpec::derived(std::size_t index) const {
 
 grid::Cluster build_cluster(const RunSpec& spec) {
   if (spec.sites > 1) {
+    // Round up so that the federation holds at least nprocs nodes.
     const std::size_t per_site =
-        spec.nprocs / spec.sites > 0 ? spec.nprocs / spec.sites : 1;
+        std::max<std::size_t>(1, (spec.nprocs + spec.sites - 1) / spec.sites);
     return grid::ClusterBuilder::federated(spec.sites, per_site, 1.0,
                                            1000.0, spec.wan_mbps);
   }
-  if (spec.capacity_spread > 0.0) {
-    // Same stream layout as ManagedRun so a replay and a managed run of
-    // one spec see the same machine.
-    util::Rng rng(spec.seed, 1);
-    return grid::ClusterBuilder::heterogeneous(spec.nprocs, rng, 0.5, 512.0,
-                                               100.0, 150e-6,
-                                               spec.capacity_spread);
-  }
-  return grid::ClusterBuilder::homogeneous(spec.nprocs);
+  // Same stream as ManagedRun, so that a replay and a managed run of one
+  // spec see the same machine.
+  return grid::ClusterBuilder::for_spread(spec.nprocs, spec.capacity_spread,
+                                          util::Rng(spec.seed, 1));
 }
 
 void add_run_flags(util::CliFlags& flags, const RunSpec& defaults) {

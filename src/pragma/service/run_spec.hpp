@@ -17,6 +17,11 @@
 // and derived(i) stamps out per-run isolated variants (distinct seed
 // stream, checkpoint dir, obs artifact paths) so a batch of concurrent
 // runs stays deterministic and collision-free.
+//
+// Every value field is encoded by the admission journal's codec
+// (encode_run_spec); only the members trace, custom, workgrid_cache and
+// obs are not.  A value that no program varies is a constant of the
+// module that uses it, not a field here.
 #pragma once
 
 #include <cstdint>
@@ -93,11 +98,10 @@ struct RunSpec : core::ManagedRunConfig {
   std::shared_ptr<const amr::AdaptationTrace> trace;
   /// "adaptive" (octant-driven meta-partitioner) or a partitioner name.
   std::string strategy = "adaptive";
-  int canonical_grain = 2;
   std::vector<double> targets;  ///< empty = equal shares
   double stale_weight = 0.375;
   double repartition_threshold = 0.20;
-  /// Rasterization threads (1 = serial, bitwise-stable path).
+  /// Replay rasterization threads (1 = serial, bitwise-stable path).
   int threads = 1;
   bool dynamic_capacities = false;  ///< kSystemSensitive only
   /// Filled by the service (Runtime) so concurrent replays of the same
@@ -107,9 +111,6 @@ struct RunSpec : core::ManagedRunConfig {
 
   // ---- failure injection (kManaged) -----------------------------------
   std::vector<FailurePlan> failures;
-  /// >0 starts the random failure/recovery process (mtbf/mttr seconds).
-  double random_mtbf_s = 0.0;
-  double random_mttr_s = 0.0;
 
   // ---- custom workload -------------------------------------------------
   std::function<util::Status(RunContext&)> custom;

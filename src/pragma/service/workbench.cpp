@@ -45,22 +45,10 @@ std::vector<util::Expected<RunHandle>> submit_batch_with_retry(
   return results;
 }
 
-namespace {
-
-grid::Cluster bench_cluster(const RunSpec& spec) {
-  if (spec.capacity_spread > 0.0) {
-    util::Rng rng(spec.seed, 0);
-    return grid::ClusterBuilder::heterogeneous(
-        spec.nprocs, rng, 0.5, 512.0, 100.0, 150e-6, spec.capacity_spread);
-  }
-  return grid::ClusterBuilder::homogeneous(spec.nprocs);
-}
-
-}  // namespace
-
 Workbench::Workbench(RunSpec spec, policy::PolicyBase policies)
     : spec_(std::move(spec)),
-      cluster_(bench_cluster(spec_)),
+      cluster_(grid::ClusterBuilder::for_spread(
+          spec_.nprocs, spec_.capacity_spread, util::Rng(spec_.seed, 0))),
       failures_(simulator_, cluster_),
       monitor_(simulator_, cluster_, spec_.monitor, util::Rng(spec_.seed, 2)),
       policies_(std::move(policies)) {

@@ -83,9 +83,8 @@ void Worker::stall(double seconds) {
 
 void Worker::beat() {
   if (dead_ || simulator_.now() < stalled_until_) return;
-  center_.publish(coordinator_.config().heartbeat.topic,
-                  {port_, coordinator_.config().heartbeat.topic, "heartbeat",
-                   {}, simulator_.now()});
+  center_.publish(dist::kHeartbeats, {port_, dist::kHeartbeats, "heartbeat",
+                                      {}, simulator_.now()});
 }
 
 void Worker::on_message(const agents::Message& message) {

@@ -139,7 +139,6 @@ class HeartbeatDetectorTest : public ::testing::Test {
  protected:
   static HeartbeatConfig config() {
     HeartbeatConfig config;
-    config.topic = "hb";
     config.period_s = 1.0;
     config.suspect_missed = 3;
     config.confirm_missed = 6;
@@ -155,7 +154,7 @@ class HeartbeatDetectorTest : public ::testing::Test {
 
   sim::Simulator simulator_;
   MessageCenter center_{simulator_, 1e-3};
-  HeartbeatDetector detector_{simulator_, center_, config()};
+  HeartbeatDetector detector_{simulator_, center_, "hb", config()};
 };
 
 TEST_F(HeartbeatDetectorTest, SilenceEscalatesToSuspectThenConfirm) {

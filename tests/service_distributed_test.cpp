@@ -56,7 +56,6 @@ RunSpec managed_spec(const std::string& dir, int steps = 18,
 /// simulated (and real) seconds.
 DistributedConfig fast_config() {
   DistributedConfig config;
-  config.heartbeat.topic = "dist.heartbeats";
   config.heartbeat.period_s = 0.5;
   config.heartbeat.suspect_missed = 3;  // suspected after 1.5 s silence
   config.heartbeat.confirm_missed = 6;  // confirmed dead after 3 s

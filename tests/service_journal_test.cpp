@@ -108,17 +108,17 @@ RunSpec small_managed_spec(const std::string& name, std::uint64_t seed = 7) {
   X(ft.channel.drop_probability) X(ft.channel.duplicate_probability)        \
   X(ft.channel.jitter_s) X(ft.reliable.timeout_s)                           \
   X(ft.reliable.backoff_factor) X(ft.reliable.max_attempts)                 \
-  X(ft.heartbeat.topic) X(ft.heartbeat.period_s)                            \
+  X(ft.heartbeat.period_s)                                                  \
   X(ft.heartbeat.suspect_missed) X(ft.heartbeat.confirm_missed)             \
   X(ft.staleness.fresh_age_s) X(ft.staleness.decay_tau_s)                   \
-  X(ft.staleness.prior_fraction) X(ft.checkpoint_cost_factor)               \
+  X(ft.staleness.prior_fraction)                                            \
   X(persist.enabled) X(persist.dir) X(persist.resume)                       \
   X(persist.keep_last_n) X(persist.halt_after_steps)                        \
   X(checkpoint_interval_s) X(modeled_partition_s_per_cell) X(strategy)      \
-  X(canonical_grain) X(targets) X(stale_weight) X(repartition_threshold)    \
+  X(targets) X(stale_weight) X(repartition_threshold)                       \
   X(threads) X(dynamic_capacities) X(failures.at(0).at_s)                  \
   X(failures.at(0).node)                                                    \
-  X(failures.at(0).downtime_s) X(random_mtbf_s) X(random_mttr_s)            \
+  X(failures.at(0).downtime_s)                                              \
   X(budget.cpu_s) X(budget.mem_bytes) X(budget.io_bytes) X(budget.wall_s)  \
   X(budget.action) X(budget.throttle_factor)
 
@@ -173,14 +173,12 @@ RunSpec elaborate_spec() {
   spec.ft.reliable.timeout_s = 0.25;
   spec.ft.reliable.backoff_factor = 1.5;
   spec.ft.reliable.max_attempts = 5;
-  spec.ft.heartbeat.topic = "hb/elaborate";
   spec.ft.heartbeat.period_s = 0.5;
   spec.ft.heartbeat.suspect_missed = 4;
   spec.ft.heartbeat.confirm_missed = 9;
   spec.ft.staleness.fresh_age_s = 3.0;
   spec.ft.staleness.decay_tau_s = 8.0;
   spec.ft.staleness.prior_fraction = 0.1;
-  spec.ft.checkpoint_cost_factor = 1.25;
   spec.persist.enabled = true;
   spec.persist.dir = "ckpt/elaborate";
   spec.persist.resume = true;
@@ -188,15 +186,12 @@ RunSpec elaborate_spec() {
   spec.persist.halt_after_steps = 7;
   spec.checkpoint_interval_s = 12.5;
   spec.strategy = "GMISP+SP";
-  spec.canonical_grain = 4;
   spec.targets = {0.1, 0.2, 0.3};
   spec.stale_weight = 0.5;
   spec.repartition_threshold = 0.3;
   spec.threads = 2;
   spec.dynamic_capacities = true;
   spec.failures.push_back({60.0, 3, 120.0});
-  spec.random_mtbf_s = 1e6;
-  spec.random_mttr_s = 30.0;
   spec.budget.cpu_s = 12.5;
   spec.budget.mem_bytes = 1ull << 30;
   spec.budget.io_bytes = 1ull << 20;
@@ -231,8 +226,8 @@ TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
   payload.push_back(0);
   EXPECT_FALSE(decode_run_spec(payload).has_value());
 
-  // Payloads of the retired versions 1 and 2, and of an unknown one.
-  for (const std::uint32_t version : {1u, 2u, 0xFFu}) {
+  // Payloads of the retired versions 1 to 3, and of an unknown one.
+  for (const std::uint32_t version : {1u, 2u, 3u, 0xFFu}) {
     payload = encode_run_spec(small_managed_spec("a"));
     std::memcpy(payload.data(), &version, sizeof version);
     const util::Expected<RunSpec> decoded = decode_run_spec(payload);
@@ -243,13 +238,15 @@ TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
 }
 
 /// The libFuzzer seeds in fuzz/corpus/journal, written by the current
-/// encoder: valid.wal is two pending records of one spec (name "corpus",
-/// tenant "fuzz", 12 steps, 4 procs, thresholds {0.5}, targets {0.1, 0.2},
-/// one failure plan) and a tombstone for the first; batch.wal is one batch
-/// frame of that spec and its "corpus-1" twin (seed + 1000) and a
-/// tombstone; torn.wal cuts valid.wal halfway into the second payload;
-/// bitflip.wal flips bit 4 of the first payload's byte 24.  A payload
-/// version bump must regenerate them, or the fuzzer explores stale bytes.
+/// encoder: valid.wal is two pending records (seqs 1 and 2) of one spec
+/// (name "corpus", tenant "fuzz", 12 steps, 4 procs, thresholds {0.5},
+/// targets {0.1, 0.2}, the failure plan {60 s, node 3, 120 s}, all else
+/// default) and a tombstone for seq 1; batch.wal is one batch frame of
+/// that spec (seq 1) and its "corpus-1" twin (seed + 1000, seq 2) and a
+/// tombstone for seq 2; torn.wal cuts valid.wal halfway into the second
+/// payload; bitflip.wal flips bit 4 of the first payload's byte 24.  A
+/// payload version bump must regenerate them, or the fuzzer explores
+/// stale bytes.
 TEST(JournalCorpus, SeedsDecodeWithCurrentCodec) {
   const std::string corpus = std::string(PRAGMA_SOURCE_DIR) +
                              "/fuzz/corpus/journal/";

@@ -47,7 +47,6 @@ TEST(RunSpecConversion, DefaultSpecReproducesLegacyDefaults) {
   const core::TraceRunConfig trace = spec.to_trace();
   const core::TraceRunConfig legacy_trace;
   EXPECT_EQ(trace.nprocs, 16u);
-  EXPECT_EQ(trace.canonical_grain, legacy_trace.canonical_grain);
   EXPECT_DOUBLE_EQ(trace.stale_weight, legacy_trace.stale_weight);
   EXPECT_EQ(trace.threads, 1u);
   EXPECT_EQ(trace.shared_cache, nullptr);
@@ -116,6 +115,26 @@ TEST(RunSpecCluster, BuildsTheDescribedMachine) {
   const grid::Cluster federated = build_cluster(spec);
   EXPECT_EQ(federated.size(), 8u);
   EXPECT_NE(federated.site_of(0), federated.site_of(7));
+}
+
+// A federation whose sites cannot split nprocs evenly still holds at least
+// nprocs nodes (three sites of four for ten processors), and a replay of
+// it runs on the first nprocs of them.
+TEST(RunSpecCluster, FederatedReplayRunsWhenSitesDoNotDivideProcs) {
+  util::ThreadPool pool(1);
+  auto runtime = Runtime::Builder{}.pool(&pool).build();
+  RunSpec spec = runtime.spec();
+  spec.kind = WorkloadKind::kTraceReplay;
+  spec.trace = small_trace(24);
+  spec.strategy = "SFC";
+  spec.nprocs = 10;
+  spec.sites = 3;
+  spec.modeled_partition_s_per_cell = 50e-9;
+  EXPECT_EQ(build_cluster(spec).size(), 12u);
+  const RunOutcome outcome = runtime.run(spec);
+  ASSERT_EQ(outcome.state, RunState::kCompleted)
+      << outcome.status.to_string();
+  EXPECT_GT(outcome.replay.runtime_s, 0.0);
 }
 
 class RunFlagsTest : public ::testing::Test {
