@@ -70,7 +70,7 @@ service::RunSpec managed_run(const BenchConfig& config, int index,
   spec.kind = service::WorkloadKind::kManaged;
   spec.app.coarse_steps = config.steps;
   spec.nprocs = config.nprocs;
-  spec.modeled_partition_s_per_cell = 50e-9;
+  spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
   spec.seed = config.seed + 1000 * static_cast<std::uint64_t>(index);
   return spec;
 }

@@ -411,7 +411,7 @@ int main(int argc, char** argv) {
     spec.nprocs = 4;
     spec.capacity_spread = 0.3;
     spec.seed = soak.seed + 77ull * static_cast<unsigned>(index);
-    spec.modeled_partition_s_per_cell = 50e-9;
+    spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
     return spec;
   };
 
@@ -544,7 +544,7 @@ int main(int argc, char** argv) {
     spec.nprocs = 4;
     spec.capacity_spread = 0.3;
     spec.seed = soak.seed + 31ull * static_cast<unsigned>(index);
-    spec.modeled_partition_s_per_cell = 50e-9;
+    spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
     return spec;
   };
 

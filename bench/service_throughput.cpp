@@ -145,7 +145,7 @@ service::RunSpec managed_base(const BenchConfig& config) {
   spec.capacity_spread = 0.3;
   spec.with_background_load = true;
   spec.system_sensitive = true;
-  spec.modeled_partition_s_per_cell = 50e-9;
+  spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
   return spec;
 }
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   spec.app.coarse_steps = static_cast<int>(flags.get_int("steps"));
   spec.with_background_load = true;
   spec.system_sensitive = true;
-  spec.modeled_partition_s_per_cell = 50e-9;
+  spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
 
   // 3. Submit the whole batch in one call.  derived(i) gives each run its
   //    own seed and artifact paths, so runs are isolated and the batch is

@@ -1,25 +1,24 @@
-// libFuzzer harness for the adaptation-trace text parser.
+// libFuzzer harness for the adaptation-trace decoder.
 //
-// try_load_trace consumes untrusted bytes (trace files shipped between
-// sites); the contract is: any input yields either a valid trace or a
-// structured Status — never a crash, throw, or unbounded allocation.
+// io::decode_trace reads the trace inside every checkpoint payload, which
+// is untrusted bytes on resume; the contract is: any input yields either a
+// valid trace or a structured Status — never a crash, throw, or unbounded
+// allocation.
 #include <cstddef>
 #include <cstdint>
-#include <sstream>
-#include <string>
 
-#include "pragma/amr/trace_io.hpp"
+#include "pragma/io/snapshot.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(data), size));
+  pragma::io::ByteReader reader(data, size);
   pragma::util::Expected<pragma::amr::AdaptationTrace> trace =
-      pragma::amr::try_load_trace(is);
+      pragma::io::decode_trace(reader);
   if (trace) {
-    // Exercise the accepted path: round-trip back through the writer.
-    std::ostringstream os;
-    pragma::amr::save_trace(os, trace.value());
+    // A trace the decoder accepts shares one configuration, so it must
+    // re-encode without throwing.
+    pragma::io::ByteWriter writer;
+    pragma::io::encode_trace(writer, trace.value());
   } else {
     // Error messages must be materializable and size-bounded.
     volatile std::size_t sink = trace.status().to_string().size();

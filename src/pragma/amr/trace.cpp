@@ -17,6 +17,13 @@ std::size_t AdaptationTrace::index_for_step(int step) const {
   return index;
 }
 
+int AdaptationTrace::steps_covered(std::size_t i) const {
+  if (i + 1 < snapshots_.size())
+    return snapshots_[i + 1].step - snapshots_[i].step;
+  if (i > 0) return snapshots_[i].step - snapshots_[i - 1].step;
+  return 1;
+}
+
 double AdaptationTrace::churn(std::size_t i) const {
   if (i == 0 || i >= snapshots_.size()) return 0.0;
   const GridHierarchy& prev = snapshots_[i - 1].hierarchy;

@@ -40,6 +40,11 @@ class AdaptationTrace {
   /// snapshot with snapshot.step <= step).
   [[nodiscard]] std::size_t index_for_step(int step) const;
 
+  /// Coarse steps snapshot i's partition stays in effect: the next
+  /// snapshot's step minus this one's, the previous gap for the last
+  /// snapshot, and 1 for a lone snapshot.
+  [[nodiscard]] int steps_covered(std::size_t i) const;
+
   /// Refinement churn between snapshot i-1 and i: the symmetric-difference
   /// volume of refined regions across all levels, normalized by the union
   /// of refined volumes (0 = static refinement, ~2 = complete turnover).

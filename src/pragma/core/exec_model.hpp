@@ -24,6 +24,11 @@ inline constexpr int kCanonicalGrain = 2;
 inline constexpr partition::CurveKind kCanonicalCurve =
     partition::CurveKind::kHilbert;
 
+/// The deterministic partitioner cost, in seconds per work-grid cell: what
+/// `--deterministic` runs, fault-tolerant runs and persisted runs charge
+/// instead of the measured wall clock, so that they replay byte-identically.
+inline constexpr double kModeledPartitionSPerCell = 50e-9;
+
 struct ExecModelConfig {
   /// Flops per cell-update of the RM3D kernel (hydro stencil + EOS).
   double flops_per_cell_update = 5000.0;

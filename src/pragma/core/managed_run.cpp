@@ -519,14 +519,13 @@ void ManagedRun::repartition(bool count_as_regrid) {
 
   // The measured partitioner cost is wall clock — fine for the ideal runs,
   // but nondeterministic; the fault-tolerant and persistent paths model it
-  // (by default at kDurablePartitionSPerCell) so chaos runs and checkpoint
+  // (by default at kModeledPartitionSPerCell) so chaos runs and checkpoint
   // resumes replay byte-identically under a fixed seed.
-  constexpr double kDurablePartitionSPerCell = 50e-9;
   double partition_seconds = result.partition_seconds;
   double modeled_s_per_cell = config_.modeled_partition_s_per_cell;
   if (modeled_s_per_cell <= 0.0 &&
       (config_.ft.enabled || config_.persist.enabled))
-    modeled_s_per_cell = kDurablePartitionSPerCell;
+    modeled_s_per_cell = kModeledPartitionSPerCell;
   if (modeled_s_per_cell > 0.0)
     partition_seconds =
         static_cast<double>(native.cell_count()) * modeled_s_per_cell;

@@ -136,8 +136,9 @@ struct ManagedRunConfig {
   /// cost would be).  Replaces the wall-clock measurement so that runs
   /// replay byte-identically — required for the CI observability smoke
   /// test's committed reference output.  <= 0 keeps the wall clock,
-  /// except that `ft` and `persist` runs then model 50e-9 s per cell:
-  /// fault-injected runs and checkpoint resumes must replay exactly.
+  /// except that `ft` and `persist` runs then model
+  /// kModeledPartitionSPerCell: fault-injected runs and checkpoint resumes
+  /// must replay exactly.
   double modeled_partition_s_per_cell = 0.0;
   /// Observability knobs (tracing/metrics/flight recorder).  Merge-enabled
   /// into the process-wide obs facilities at construction; the default

@@ -1,10 +1,7 @@
 #include "pragma/core/run_snapshot.hpp"
 
-#include <bit>
-
 #include "pragma/io/serial.hpp"
 #include "pragma/io/snapshot.hpp"
-#include "pragma/util/rng.hpp"
 
 namespace pragma::core {
 
@@ -19,14 +16,6 @@ constexpr std::uint32_t kPayloadFormat = 2;
 constexpr std::uint32_t kMaxSelectCalls = 1u << 20;
 constexpr std::uint32_t kMaxOwners = 1u << 26;
 constexpr std::uint32_t kMaxRecords = 1u << 20;
-
-void mix(std::uint64_t& state, std::uint64_t value) {
-  state = util::splitmix64(state) ^ value;
-}
-
-void mix(std::uint64_t& state, double value) {
-  mix(state, std::bit_cast<std::uint64_t>(value));
-}
 
 /// Every persisted ManagedStepRecord field, in wire order and at its wire
 /// width; io::FieldWriter encodes the list and io::FieldReader decodes it.
@@ -148,25 +137,16 @@ util::Status expand_owner_runs(const std::vector<OwnerRun>& runs,
 }  // namespace
 
 std::uint64_t config_fingerprint(const ManagedRunConfig& c) {
-  std::uint64_t state = 0x70726167'6d613031ULL;  // "pragma01"
-  mix(state, c.seed);
-  mix(state, static_cast<std::uint64_t>(c.nprocs));
-  mix(state, static_cast<std::uint64_t>(c.app.coarse_steps));
-  mix(state, static_cast<std::uint64_t>(c.app.regrid_interval));
-  mix(state, static_cast<std::uint64_t>(c.app.base_dims.x));
-  mix(state, static_cast<std::uint64_t>(c.app.base_dims.y));
-  mix(state, static_cast<std::uint64_t>(c.app.base_dims.z));
-  mix(state, static_cast<std::uint64_t>(c.app.max_levels));
-  mix(state, static_cast<std::uint64_t>(c.app.ratio));
-  mix(state, c.app.seed);
-  mix(state, c.capacity_spread);
-  mix(state, static_cast<std::uint64_t>(c.with_background_load));
-  mix(state, static_cast<std::uint64_t>(c.system_sensitive));
-  mix(state, static_cast<std::uint64_t>(c.proactive));
-  mix(state, c.agent_period_s);
-  mix(state, c.load_event_threshold);
-  mix(state, static_cast<std::uint64_t>(c.ft.enabled));
-  return util::splitmix64(state);
+  io::FieldWriter io;
+  run_fields(io, c);
+  // FNV-1a over the encoding: each step is a bijection of the state, so
+  // two encodings of one length that differ in a single byte never collide.
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : io.out.bytes()) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snapshot) {

@@ -55,14 +55,7 @@ SystemSensitiveResult run_system_sensitive_experiment(
   // back-to-back runs).
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const amr::Snapshot& snapshot = trace.at(i);
-    int steps_covered;
-    if (i + 1 < trace.size()) {
-      steps_covered = trace.at(i + 1).step - snapshot.step;
-    } else if (i > 0) {
-      steps_covered = snapshot.step - trace.at(i - 1).step;
-    } else {
-      steps_covered = 1;
-    }
+    const int steps_covered = trace.steps_covered(i);
 
     if (config.dynamic_capacities)
       capacities = calculator.from_current(nws);

@@ -97,15 +97,7 @@ RunSummary TraceRunner::replay(const std::string& label,
     const amr::Snapshot& snapshot = trace_.at(i);
     const amr::GridHierarchy& hierarchy = snapshot.hierarchy;
 
-    // Steps this snapshot's partition stays in effect.
-    int steps_covered;
-    if (i + 1 < trace_.size()) {
-      steps_covered = trace_.at(i + 1).step - snapshot.step;
-    } else if (i > 0) {
-      steps_covered = snapshot.step - trace_.at(i - 1).step;
-    } else {
-      steps_covered = 1;
-    }
+    const int steps_covered = trace_.steps_covered(i);
 
     const partition::Partitioner& partitioner =
         meta != nullptr ? meta->select(trace_, i) : *fixed;

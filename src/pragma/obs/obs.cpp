@@ -1,28 +1,10 @@
 #include "pragma/obs/obs.hpp"
 
-#include <cstdlib>
 #include <string>
 
 #include "pragma/util/cli.hpp"
 
 namespace pragma::obs {
-
-namespace {
-
-bool env_truthy(const char* name, bool fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const std::string text(value);
-  return !(text == "0" || text == "false" || text == "off" || text == "no");
-}
-
-std::string env_string(const char* name, std::string fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  return value;
-}
-
-}  // namespace
 
 void apply(const ObsConfig& config) {
   if (config.tracing) Tracer::instance().set_enabled(true);
@@ -35,47 +17,33 @@ void apply(const ObsConfig& config) {
   }
 }
 
-ObsConfig config_from_env(ObsConfig base) {
-  base.tracing = env_truthy("PRAGMA_OBS_TRACE", base.tracing);
-  base.metrics = env_truthy("PRAGMA_OBS_METRICS", base.metrics);
-  base.flight = env_truthy("PRAGMA_OBS_FLIGHT", base.flight);
-  base.trace_path = env_string("PRAGMA_OBS_TRACE_PATH", base.trace_path);
-  base.metrics_path =
-      env_string("PRAGMA_OBS_METRICS_PATH", base.metrics_path);
-  if (const char* capacity = std::getenv("PRAGMA_OBS_FLIGHT_CAPACITY");
-      capacity != nullptr && *capacity != '\0') {
-    const long value = std::strtol(capacity, nullptr, 10);
-    if (value > 0) base.flight_capacity = static_cast<std::size_t>(value);
-  }
-  return base;
-}
-
 void add_cli_flags(util::CliFlags& flags) {
-  flags.add_bool("obs-trace", false,
+  const ObsConfig defaults;
+  flags.add_bool("obs-trace", defaults.tracing,
                  "record spans and export chrome://tracing JSON");
-  flags.add_string("obs-trace-path", "pragma-trace.json",
+  flags.add_string("obs-trace-path", defaults.trace_path,
                    "trace export path");
-  flags.add_bool("obs-metrics", false,
+  flags.add_bool("obs-metrics", defaults.metrics,
                  "collect metrics and export BENCH-schema JSON");
-  flags.add_string("obs-metrics-path", "pragma-metrics.json",
+  flags.add_string("obs-metrics-path", defaults.metrics_path,
                    "metrics export path");
-  flags.add_bool("obs-flight", false,
+  flags.add_bool("obs-flight", defaults.flight,
                  "record control-plane events in the flight recorder");
-  flags.add_int("obs-flight-capacity", 256, "flight recorder ring size");
+  flags.add_int("obs-flight-capacity",
+                static_cast<long long>(defaults.flight_capacity),
+                "flight recorder ring size");
 }
 
 ObsConfig config_from_flags(const util::CliFlags& flags, ObsConfig base) {
   if (flags.get_bool("obs-trace")) base.tracing = true;
   if (flags.get_bool("obs-metrics")) base.metrics = true;
   if (flags.get_bool("obs-flight")) base.flight = true;
-  if (const std::string& path = flags.get_string("obs-trace-path");
-      path != "pragma-trace.json")
-    base.trace_path = path;
-  if (const std::string& path = flags.get_string("obs-metrics-path");
-      path != "pragma-metrics.json")
-    base.metrics_path = path;
+  if (flags.explicitly_set("obs-trace-path"))
+    base.trace_path = flags.get_string("obs-trace-path");
+  if (flags.explicitly_set("obs-metrics-path"))
+    base.metrics_path = flags.get_string("obs-metrics-path");
   if (const long long capacity = flags.get_int("obs-flight-capacity");
-      capacity > 0 && capacity != 256)
+      flags.explicitly_set("obs-flight-capacity") && capacity > 0)
     base.flight_capacity = static_cast<std::size_t>(capacity);
   return base;
 }

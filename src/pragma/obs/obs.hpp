@@ -1,5 +1,5 @@
 // Observability facade: one config struct gating the tracer, the metrics
-// registry and the flight recorder, with env-var and CLI wiring.
+// registry and the flight recorder, with CLI wiring.
 //
 // Everything is off by default.  ObsConfig is carried inside
 // core::ManagedRunConfig / core::TraceRunConfig and *applied* when the
@@ -7,7 +7,8 @@
 // (merge-enable), so a default-constructed config embedded in a run never
 // clobbers an obs setup the embedding process enabled globally.
 //
-// Knobs (CLI flag / environment variable):
+// Knobs (CLI flag / the environment variable CliFlags::merge_env("PRAGMA")
+// maps onto it):
 //   --obs-trace            PRAGMA_OBS_TRACE=1        span tracer
 //   --obs-trace-path=P     PRAGMA_OBS_TRACE_PATH=P   export path
 //   --obs-metrics          PRAGMA_OBS_METRICS=1      metrics registry
@@ -44,14 +45,14 @@ struct ObsConfig {
 /// Turn on every facility the config requests (never turns one off).
 void apply(const ObsConfig& config);
 
-/// Overlay the PRAGMA_OBS_* environment variables onto `base`.
-[[nodiscard]] ObsConfig config_from_env(ObsConfig base = {});
-
-/// Register the --obs-* flags on a CliFlags set.
+/// Register the --obs-* flags on a CliFlags set, defaulting to ObsConfig's
+/// defaults.
 void add_cli_flags(util::CliFlags& flags);
 
-/// Read the --obs-* flags back (layered over `base`, which callers will
-/// usually have pre-filled with config_from_env so env and CLI compose).
+/// Read the --obs-* flags back over `base`: a boolean flag only turns its
+/// facility on, and a path or capacity flag replaces `base`'s value
+/// whenever it was set explicitly (on the command line or through
+/// CliFlags::merge_env), even to its default.
 [[nodiscard]] ObsConfig config_from_flags(const util::CliFlags& flags,
                                           ObsConfig base = {});
 

@@ -11,6 +11,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "pragma/core/run_snapshot.hpp"
 #include "pragma/io/checkpoint.hpp"
 #include "pragma/io/serial.hpp"
 #include "pragma/obs/flight_recorder.hpp"
@@ -264,10 +265,12 @@ JournalScan scan_journal_file(const std::vector<std::uint8_t>& bytes,
 namespace {
 
 /// Every RunSpec value field (all but trace, custom, workgrid_cache and
-/// obs), once, in wire order and at its wire width.  io::FieldWriter
-/// encodes the list and io::FieldReader decodes it, so the two directions
-/// cannot disagree.  A change here changes the payload: bump
-/// kRunSpecPayloadVersion and regenerate fuzz/corpus/journal.
+/// obs), once, in wire order and at its wire width: the run-shaping
+/// ManagedRunConfig values are core::run_fields, the list the checkpoint
+/// fingerprint hashes.  io::FieldWriter encodes the list and
+/// io::FieldReader decodes it, so the two directions cannot disagree.  A
+/// change here changes the payload: bump kRunSpecPayloadVersion and
+/// regenerate fuzz/corpus/journal.
 template <class Io, class Spec>
 void run_spec_fields(Io& io, Spec& spec) {
   const auto each_f64 = [&io](auto& value) { io.f64(value); };
@@ -278,79 +281,18 @@ void run_spec_fields(Io& io, Spec& spec) {
   io.i32(spec.priority);
   io.code(spec.kind, WorkloadKind::kCustom, "workload kind");
 
-  // application & cluster
-  io.i32(spec.app.base_dims.x);
-  io.i32(spec.app.base_dims.y);
-  io.i32(spec.app.base_dims.z);
-  io.i32(spec.app.max_levels);
-  io.i32(spec.app.ratio);
-  io.i32(spec.app.regrid_interval);
-  io.i32(spec.app.coarse_steps);
-  io.u64(spec.app.seed);
-  io.list(spec.app.thresholds, sizeof(double), 64, each_f64);
-  io.f64(spec.app.cluster.efficiency);
-  io.i32(spec.app.cluster.min_width);
-  io.i64(spec.app.cluster.max_box_cells);
-  io.i32(spec.app.cluster.max_depth);
-  io.str(spec.app_name);
-  io.u64(spec.nprocs);
-  io.f64(spec.capacity_spread);
-  io.u64(spec.sites);
-  io.f64(spec.wan_mbps);
-  io.flag(spec.with_background_load);
-  io.f64(spec.load.update_period_s);
-  io.f64(spec.load.mean_cpu_load);
-  io.f64(spec.load.reversion);
-  io.f64(spec.load.volatility);
-  io.f64(spec.load.burst_probability);
-  io.f64(spec.load.burst_load);
-  io.f64(spec.load.burst_duration_s);
-  io.f64(spec.load.mean_link_utilization);
-  io.f64(spec.load.node_bias_spread);
+  core::run_fields(io, spec);
 
-  // management policy
-  io.flag(spec.system_sensitive);
-  io.flag(spec.proactive);
-  io.f64(spec.weights.cpu);
-  io.f64(spec.weights.memory);
-  io.f64(spec.weights.bandwidth);
-  io.f64(spec.monitor.period_s);
-  io.f64(spec.monitor.noise);
-  io.u64(spec.monitor.history);
-  io.f64(spec.exec.flops_per_cell_update);
-  io.f64(spec.exec.bytes_per_face_cell);
-  io.f64(spec.exec.bytes_per_cell);
-  io.f64(spec.exec.message_latency_s);
-  io.f64(spec.exec.partition_time_scale);
-  io.f64(spec.exec.redistribution_overhead);
-  io.i32(spec.meta.hysteresis);
-  io.f64(spec.agent_period_s);
-  io.f64(spec.load_event_threshold);
-  io.u64(spec.seed);
-
-  // fault tolerance
-  io.flag(spec.ft.enabled);
-  io.f64(spec.ft.channel.drop_probability);
-  io.f64(spec.ft.channel.duplicate_probability);
-  io.f64(spec.ft.channel.jitter_s);
-  io.f64(spec.ft.reliable.timeout_s);
-  io.f64(spec.ft.reliable.backoff_factor);
-  io.i32(spec.ft.reliable.max_attempts);
-  io.f64(spec.ft.heartbeat.period_s);
-  io.i32(spec.ft.heartbeat.suspect_missed);
-  io.i32(spec.ft.heartbeat.confirm_missed);
-  io.f64(spec.ft.staleness.fresh_age_s);
-  io.f64(spec.ft.staleness.decay_tau_s);
-  io.f64(spec.ft.staleness.prior_fraction);
-
-  // persistence, checkpoint cadence and the modeled partitioner cost
+  // persistence
   io.flag(spec.persist.enabled);
   io.str(spec.persist.dir);
   io.flag(spec.persist.resume);
   io.i32(spec.persist.keep_last_n);
   io.i32(spec.persist.halt_after_steps);
-  io.f64(spec.checkpoint_interval_s);
-  io.f64(spec.modeled_partition_s_per_cell);
+
+  // federation
+  io.u64(spec.sites);
+  io.f64(spec.wan_mbps);
 
   // replay / system-sensitive knobs
   io.str(spec.strategy);

@@ -208,7 +208,7 @@ RunSpec spec_from_flags(const util::CliFlags& flags, RunSpec base) {
   base.proactive = flags.get_bool("proactive");
   if (flags.get_bool("deterministic")) {
     if (base.modeled_partition_s_per_cell <= 0.0)
-      base.modeled_partition_s_per_cell = 50e-9;
+      base.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
   } else {
     base.modeled_partition_s_per_cell = 0.0;
   }

@@ -48,13 +48,13 @@ std::vector<util::Expected<RunHandle>> submit_batch_with_retry(
 Workbench::Workbench(RunSpec spec, policy::PolicyBase policies)
     : spec_(std::move(spec)),
       cluster_(grid::ClusterBuilder::for_spread(
-          spec_.nprocs, spec_.capacity_spread, util::Rng(spec_.seed, 0))),
+          spec_.nprocs, spec_.capacity_spread, util::Rng(spec_.seed, 1))),
       failures_(simulator_, cluster_),
-      monitor_(simulator_, cluster_, spec_.monitor, util::Rng(spec_.seed, 2)),
+      monitor_(simulator_, cluster_, spec_.monitor, util::Rng(spec_.seed, 3)),
       policies_(std::move(policies)) {
   if (spec_.with_background_load) {
     loadgen_ = std::make_unique<grid::LoadGenerator>(
-        simulator_, cluster_, spec_.load, util::Rng(spec_.seed, 1));
+        simulator_, cluster_, spec_.load, util::Rng(spec_.seed, 2));
     loadgen_->start();
   }
 }

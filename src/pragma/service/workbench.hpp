@@ -6,11 +6,10 @@
 // rules at runtime, read monitor series directly.  Workbench owns the
 // standard wiring (simulator, cluster, background load, failure injector,
 // NWS monitor, and a lazily built agent environment) and hands out
-// references, replacing the per-example copies of that boilerplate.
-//
-// RNG stream layout (all keyed off spec.seed): 0 = cluster build,
-// 1 = background load, 2 = monitor noise — matching the historical
-// interactive examples, not ManagedRun's layout.
+// references, replacing the per-example copies of that boilerplate.  It
+// draws its cluster, background load and monitor noise from the same Rng
+// streams of spec.seed as core::ManagedRun, so a spec's bench, replay and
+// managed run share one machine.
 #pragma once
 
 #include <memory>

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-#include <string>
+#include <cstdint>
+#include <vector>
 
-#include "pragma/amr/trace_io.hpp"
+#include "pragma/io/snapshot.hpp"
 #include "pragma/octant/octant.hpp"
 #include "pragma/util/crc32.hpp"
 
@@ -144,17 +144,17 @@ TEST(GalaxyEmulator, OctantTrajectoryOppositeToShockProblem) {
 }
 
 TEST(GalaxyEmulator, PinnedTraceBytes) {
-  // Galaxy regrids share cluster_flags with RM3D: its save_trace bytes are
-  // pinned from before the one-pass node scan.
+  // Galaxy regrids share cluster_flags with RM3D, so its io::encode_trace
+  // bytes are pinned too.
   GalaxyConfig config;
   config.coarse_steps = 80;
   const AdaptationTrace trace = GalaxyEmulator(config).run();
-  std::ostringstream os;
-  save_trace(os, trace);
-  const std::string text = os.str();
+  io::ByteWriter writer;
+  io::encode_trace(writer, trace);
+  const std::vector<std::uint8_t>& bytes = writer.bytes();
   EXPECT_EQ(trace.size(), 21u);
-  EXPECT_EQ(text.size(), 12210u);
-  EXPECT_EQ(util::crc32(text.data(), text.size()), 0xbb58d025u);
+  EXPECT_EQ(bytes.size(), 11564u);
+  EXPECT_EQ(util::crc32(bytes.data(), bytes.size()), 0x0184086bu);
 }
 
 }  // namespace

@@ -4,11 +4,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "pragma/amr/trace_io.hpp"
+#include "pragma/io/snapshot.hpp"
 #include "pragma/util/crc32.hpp"
 
 // EXPECT_THROW intentionally discards nodiscard results.
@@ -358,8 +357,8 @@ TEST(Rm3dRegridEquivalence, ThresholdsOnPeaksOfSlabAndCore) {
   expect_thresholds_match_brute_force({1.55, 2.6});
 }
 
-// Golden save_trace bytes, pinned from earlier flagging kernels: any
-// change to the hierarchies shows up here.
+// Golden io::encode_trace bytes of the emulator's hierarchies: any change
+// to the hierarchies shows up here.
 struct TraceDigest {
   std::size_t snapshots;
   std::size_t bytes;
@@ -367,21 +366,21 @@ struct TraceDigest {
 };
 
 TraceDigest digest(const AdaptationTrace& trace) {
-  std::ostringstream os;
-  save_trace(os, trace);
-  const std::string text = os.str();
-  return {trace.size(), text.size(), util::crc32(text.data(), text.size())};
+  io::ByteWriter writer;
+  io::encode_trace(writer, trace);
+  const std::vector<std::uint8_t>& bytes = writer.bytes();
+  return {trace.size(), bytes.size(), util::crc32(bytes.data(), bytes.size())};
 }
 
 TEST(Rm3dEmulator, PinnedTraceBytes200Steps) {
   const TraceDigest d = digest(Rm3dEmulator(short_config(200)).run());
   EXPECT_EQ(d.snapshots, 51u);
-  EXPECT_EQ(d.bytes, 48625u);
-  EXPECT_EQ(d.crc, 0x6db36a22u);
+  EXPECT_EQ(d.bytes, 46816u);
+  EXPECT_EQ(d.crc, 0xd763043du);
 }
 
 TEST(Rm3dEmulator, PinnedTraceBytes64Steps) {
-  EXPECT_EQ(digest(Rm3dEmulator(short_config(64)).run()).crc, 0x233ea3f7u);
+  EXPECT_EQ(digest(Rm3dEmulator(short_config(64)).run()).crc, 0x50741247u);
 }
 
 // The canonical trace (default config, 800 steps) that Tables 2-4,
@@ -389,8 +388,8 @@ TEST(Rm3dEmulator, PinnedTraceBytes64Steps) {
 TEST(Rm3dEmulator, PinnedTraceBytes800Steps) {
   const TraceDigest d = digest(Rm3dEmulator().run());
   EXPECT_EQ(d.snapshots, 201u);
-  EXPECT_EQ(d.bytes, 189176u);
-  EXPECT_EQ(d.crc, 0xadf5dbd6u);
+  EXPECT_EQ(d.bytes, 181996u);
+  EXPECT_EQ(d.crc, 0x4250ba8du);
 }
 
 }  // namespace

@@ -29,6 +29,20 @@ TEST(AdaptationTrace, IndexForStepFindsLatest) {
   EXPECT_EQ(trace.index_for_step(1000), trace.size() - 1);
 }
 
+TEST(AdaptationTrace, StepsCoveredBySnapshot) {
+  const GridHierarchy h({16, 8, 8}, 2, 3);
+  AdaptationTrace trace;
+  trace.add(Snapshot{0, h});
+  // A lone snapshot holds for one step.
+  EXPECT_EQ(trace.steps_covered(0), 1);
+  trace.add(Snapshot{4, h});
+  trace.add(Snapshot{10, h});
+  // Up to the next snapshot's step; the last one repeats the previous gap.
+  EXPECT_EQ(trace.steps_covered(0), 4);
+  EXPECT_EQ(trace.steps_covered(1), 6);
+  EXPECT_EQ(trace.steps_covered(2), 6);
+}
+
 TEST(AdaptationTrace, ChurnZeroForStaticRefinement) {
   AdaptationTrace trace = make_trace(6, 0.0);
   for (std::size_t i = 1; i < trace.size(); ++i)

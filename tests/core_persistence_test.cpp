@@ -205,19 +205,64 @@ TEST(Persistence, CorruptNewestGenerationFallsBackAndStillMatches) {
 }
 
 TEST(Persistence, MismatchedConfigStartsFresh) {
-  const std::string dir = test_dir("mismatch");
+  // Same directory, one run-shaping value changed: the fingerprint must
+  // reject the checkpoint rather than blend state across configurations.
+  struct Case {
+    const char* what;
+    void (*change)(ManagedRunConfig&);
+  };
+  const Case cases[] = {
+      {"seed", [](ManagedRunConfig& c) { c.seed = 4141; }},
+      {"exec.flops_per_cell_update",
+       [](ManagedRunConfig& c) { c.exec.flops_per_cell_update = 6000.0; }},
+      {"load.mean_cpu_load",
+       [](ManagedRunConfig& c) { c.load.mean_cpu_load = 0.6; }},
+      {"weights", [](ManagedRunConfig& c) { c.weights = {1.0, 0.0, 0.0}; }},
+      {"checkpoint_interval_s",
+       [](ManagedRunConfig& c) { c.checkpoint_interval_s = 5.0; }},
+      {"app.thresholds",
+       [](ManagedRunConfig& c) { c.app.thresholds[0] *= 1.5; }},
+  };
+  for (const Case& c : cases) {
+    const std::string dir = test_dir("mismatch");
+    ManagedRunConfig killed = persist_config(dir);
+    killed.persist.halt_after_steps = 11;
+    ASSERT_TRUE(ManagedRun(killed).run().halted) << c.what;
+
+    ManagedRunConfig resume = persist_config(dir);
+    resume.persist.resume = true;
+    c.change(resume);
+    EXPECT_NE(config_fingerprint(resume), config_fingerprint(killed))
+        << c.what;
+    const ManagedRunReport report = ManagedRun(resume).run();
+    EXPECT_FALSE(report.resumed) << c.what;
+    EXPECT_GE(report.checkpoint_generations_rejected, 1u) << c.what;
+    EXPECT_FALSE(report.halted) << c.what;
+    fs::remove_all(dir);
+  }
+}
+
+// The persistence knobs are not part of the fingerprint: a resume may
+// keep a different number of generations.
+TEST(Persistence, ResumeWithOtherRetentionMatchesUninterruptedBitwise) {
+  const std::string dir_ref = test_dir("keep_ref");
+  const std::string dir = test_dir("keep");
+  const ManagedRunReport uninterrupted =
+      ManagedRun(persist_config(dir_ref)).run();
+
   ManagedRunConfig killed = persist_config(dir);
-  killed.persist.halt_after_steps = 11;
+  killed.persist.halt_after_steps = 17;
   ASSERT_TRUE(ManagedRun(killed).run().halted);
 
-  // Same directory, different seed: the fingerprint must reject the
-  // checkpoint rather than blend state across configurations.
   ManagedRunConfig resume = persist_config(dir);
   resume.persist.resume = true;
-  resume.seed = 4141;
-  const ManagedRunReport report = ManagedRun(resume).run();
-  EXPECT_FALSE(report.resumed);
-  EXPECT_FALSE(report.halted);
+  resume.persist.keep_last_n = 3;
+  const ManagedRunReport resumed = ManagedRun(resume).run();
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.checkpoint_generations_rejected, 0u);
+  expect_reports_bit_identical(uninterrupted, resumed);
+
+  fs::remove_all(dir_ref);
   fs::remove_all(dir);
 }
 
@@ -337,8 +382,8 @@ TEST(RunSnapshotCodec, RejectsMalformedOwnerRuns) {
   }
 }
 
-// The checkpoint codec shares the text loader's box check, so a restore
-// never rasterizes a box outside its level's domain.
+// The checkpoint codec checks every trace box against its level's domain,
+// so a restore never rasterizes a box outside it.
 TEST(RunSnapshotCodec, RejectsBoxOutsideLevelDomain) {
   RunSnapshot snapshot;
   snapshot.owners = {0, 1};
@@ -488,7 +533,8 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 /// of the run ci/managed_report_reference.out pins (a full 16,384-cell
 /// owner map); torn.ckpt cuts valid.ckpt to 100 bytes; bitflip.ckpt flips
 /// bit 6 of valid.ckpt's byte 200, inside the payload.  A payload format
-/// change must regenerate them, or the fuzzer explores stale bytes.
+/// change must regenerate them, or the fuzzer explores stale bytes; so
+/// must a config_fingerprint change, which the two real-run seeds carry.
 TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
   const std::string corpus = std::string(PRAGMA_SOURCE_DIR) +
                              "/fuzz/corpus/checkpoint/";
@@ -506,10 +552,22 @@ TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
               bytes)
         << name;
   }
+  ManagedRunConfig lossy;
+  lossy.capacity_spread = 0.35;
+  lossy.with_background_load = true;
+  lossy.system_sensitive = true;
+  lossy.ft.enabled = true;
+  lossy.ft.channel.drop_probability = 0.05;
   const util::Expected<RunSnapshot> managed = decode_run_snapshot(
       io::decode_envelope(read_file(corpus + "managed.ckpt")).value());
   EXPECT_GE(managed.value().report.records.size(), 2u);
   EXPECT_GE(managed.value().trace.size(), 3u);
+  ManagedRunConfig small = lossy;
+  small.app.base_dims = {64, 16, 16};
+  small.app.coarse_steps = 24;
+  small.nprocs = 4;
+  small.checkpoint_interval_s = 5.0;
+  EXPECT_EQ(managed.value().config_fingerprint, config_fingerprint(small));
   // The whole 200-step checkpoint fits the fuzz-smoke job's -max_len.
   const std::vector<std::uint8_t> full = read_file(corpus + "managed200.ckpt");
   EXPECT_LE(full.size(), 65536u);
@@ -517,6 +575,11 @@ TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
       decode_run_snapshot(io::decode_envelope(full).value());
   EXPECT_EQ(managed200.value().owners.size(), 16384u);
   EXPECT_GE(managed200.value().report.records.size(), 40u);
+  ManagedRunConfig full_run = lossy;
+  full_run.app.coarse_steps = 200;
+  full_run.modeled_partition_s_per_cell = kModeledPartitionSPerCell;
+  EXPECT_EQ(managed200.value().config_fingerprint,
+            config_fingerprint(full_run));
 
   for (const char* name : {"torn.ckpt", "bitflip.ckpt"}) {
     const util::Expected<std::vector<std::uint8_t>> payload =

@@ -226,8 +226,8 @@ TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
   payload.push_back(0);
   EXPECT_FALSE(decode_run_spec(payload).has_value());
 
-  // Payloads of the retired versions 1 to 3, and of an unknown one.
-  for (const std::uint32_t version : {1u, 2u, 3u, 0xFFu}) {
+  // Payloads of the retired versions 1 to 4, and of an unknown one.
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 0xFFu}) {
     payload = encode_run_spec(small_managed_spec("a"));
     std::memcpy(payload.data(), &version, sizeof version);
     const util::Expected<RunSpec> decoded = decode_run_spec(payload);

@@ -356,5 +356,39 @@ TEST(WorkbenchTest, AssemblesTheStandardWiring) {
   EXPECT_EQ(&environment, &bench.environment()) << "built once, then cached";
 }
 
+// A spec's bench runs on the machine its replay and managed run see.
+TEST(WorkbenchTest, RunsOnTheSpecsMachine) {
+  RunSpec spec;
+  spec.nprocs = 4;
+  spec.capacity_spread = 0.35;
+  spec.seed = 40;
+  Workbench bench(spec);
+  const grid::Cluster machine = build_cluster(spec);
+  ASSERT_EQ(bench.cluster().size(), machine.size());
+  for (grid::NodeId id = 0; id < machine.size(); ++id)
+    EXPECT_EQ(bench.cluster().node(id).spec().peak_gflops,
+              machine.node(id).spec().peak_gflops)
+        << "node " << id;
+}
+
+// An explicit obs path or capacity flag wins over the spec's value, even
+// when it equals the flag's default.
+TEST(RunSpecFlags, ExplicitObsFlagAtItsDefaultOverridesTheSpec) {
+  RunSpec base;
+  base.obs.trace_path = "custom.json";
+  base.obs.metrics_path = "custom-metrics.json";
+  base.obs.flight_capacity = 64;
+  util::CliFlags flags;
+  add_run_flags(flags, base);
+  const char* argv[] = {"prog", "--obs-trace-path=pragma-trace.json",
+                        "--obs-flight-capacity=256"};
+  ASSERT_TRUE(flags.parse(3, argv));
+  const RunSpec spec = spec_from_flags(flags, base);
+  EXPECT_EQ(spec.obs.trace_path, "pragma-trace.json");
+  EXPECT_EQ(spec.obs.flight_capacity, 256u);
+  // A flag left unset keeps the spec's value.
+  EXPECT_EQ(spec.obs.metrics_path, "custom-metrics.json");
+}
+
 }  // namespace
 }  // namespace pragma::service
