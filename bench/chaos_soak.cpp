@@ -20,12 +20,12 @@
 //     the partitioner cost is modeled, not measured).
 //
 // A second, durability phase exercises the crash-consistent checkpoint
-// files: a persist-enabled run is killed mid-flight (SIGKILL-style, via
-// the halt_after_steps hook), its newest on-disk generation is corrupted
-// and a torn ".tmp" orphan is planted, and the resumed run must still
-// recover — falling back to the previous valid generation — and finish
-// with a final report bit-identical to an uninterrupted run at the same
-// seed.
+// files: a persist-enabled run is killed mid-flight (SIGKILL-style: run
+// to a step with run_until, then destroyed), its newest on-disk
+// generation is corrupted and a torn ".tmp" orphan is planted, and the
+// resumed run must still recover — falling back to the previous valid
+// generation — and finish with a final report bit-identical to an
+// uninterrupted run at the same seed.
 //
 // A third, worker-churn phase deploys the elastic coordinator/worker
 // control plane (service::DistributedService): a small burst of managed
@@ -266,9 +266,14 @@ int main(int argc, char** argv) {
   const core::ManagedRunReport durable_ref =
       core::ManagedRun(durable_config(soak, ckpt_dir + "-ref")).run();
   std::printf("durability kill at step %d ...\n", halt_step);
-  core::ManagedRunConfig killed = durable_config(soak, ckpt_dir);
-  killed.persist.halt_after_steps = halt_step;
-  const core::ManagedRunReport halted = core::ManagedRun(killed).run();
+  // SIGKILL-style: run to the kill step, then destroy the run, which keeps
+  // only the generations already written.
+  bool halted = false;
+  {
+    core::ManagedRun killed(durable_config(soak, ckpt_dir));
+    halted = killed.run_until(halt_step) &&
+             killed.completed_steps() == halt_step;
+  }
 
   // Inject the failure modes a crash can leave behind: a torn ".tmp"
   // orphan and a bit-flipped newest generation.
@@ -292,7 +297,7 @@ int main(int argc, char** argv) {
   const core::ManagedRunReport recovered = core::ManagedRun(resume).run();
 
   std::printf("\ndurability invariants:\n");
-  check(halted.halted && halted.checkpoints_persisted > 0,
+  check(halted && !gens.empty(),
         "killed run halted after writing durable generations");
   check(gens.size() >= 2, "multiple checkpoint generations on disk");
   check(recovered.resumed, "restart resumed from a checkpoint");
@@ -649,7 +654,6 @@ int main(int argc, char** argv) {
       .field("recomputed_cells", chaos.recomputed_cells, 0);
   json.entry("chaos_soak/durability")
       .field("halt_step", halt_step)
-      .field("checkpoints_persisted", halted.checkpoints_persisted)
       .field("generations_on_disk", gens.size())
       .field("generations_rejected",
              recovered.checkpoint_generations_rejected)

@@ -83,7 +83,7 @@ service::DistributedConfig control_plane() {
 }
 
 /// The bit-identity contract: every persisted report field, minus the
-/// ones that describe this process's own lifecycle (halted/resumed/
+/// ones that describe this process's own lifecycle (resumed and the
 /// checkpoint counters).
 bool reports_bit_identical(const core::ManagedRunReport& a,
                            const core::ManagedRunReport& b) {

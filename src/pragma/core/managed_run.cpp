@@ -557,115 +557,115 @@ const partition::WorkGrid& ManagedRun::native_grid(
   return *native_;
 }
 
+void ManagedRun::start() {
+  started_ = true;
+  if (config_.persist.enabled && config_.persist.resume && try_restore())
+    return;
+  repartition(/*count_as_regrid=*/true);
+  last_checkpoint_time_ = simulator_.now();
+  cells_since_checkpoint_.assign(config_.nprocs, 0.0);
+}
+
+bool ManagedRun::step_once() {
+  if (emulator_.step() >= config_.app.coarse_steps) return false;
+  // Cooperative cancellation (service layer): stop at the step boundary;
+  // run() still does the final accounting, so the partial report is
+  // internally consistent.
+  if (cancel_.load(std::memory_order_relaxed)) return false;
+  PRAGMA_SPAN_VAR(step_span, "core", "ManagedRun.step");
+  step_span.annotate("step", static_cast<std::int64_t>(emulator_.step()));
+  const bool regridded = emulator_.advance();
+  if (regridded) {
+    trace_.add(amr::Snapshot{emulator_.step(), emulator_.hierarchy()});
+    ++report_.regrids;
+    repartition(/*count_as_regrid=*/true);
+
+    ManagedStepRecord record;
+    record.step = emulator_.step();
+    const Selection& selection = meta_->history().back();
+    record.octant = octant::to_string(selection.state.octant());
+    record.partitioner = selection.partitioner;
+    record.sim_time_s = simulator_.now();
+    record.live_nodes = cluster_.up_count();
+    record.repartitioned = true;
+    // Imbalance against the targets the repartition just partitioned
+    // for, from the per-processor work it just mapped.
+    const double total_work = canonical_->total_work();
+    double worst = 0.0;
+    for (std::size_t p = 0; p < mapped_.work.size(); ++p)
+      if (targets_[p] > 0.0)
+        worst = std::max(worst, mapped_.work[p] / (targets_[p] * total_work));
+    record.imbalance = std::max(0.0, worst - 1.0);
+    report_.records.push_back(record);
+  }
+
+  // Cost this coarse step against the current cluster state.  If a node
+  // holding work has failed, the application stalls until the control
+  // network reacts (sensing or heartbeat timeout, consolidation, migrate
+  // directive) — detection latency is paid right here.
+  StepTime step = model_.time_of(mapped_, cluster_);
+  int stall_guard = 0;
+  while (!std::isfinite(step.total_s) && stall_guard < 600) {
+    const double before = simulator_.now();
+    simulator_.run(before + 1.0);  // let agents/ADM make progress
+    report_.total_time_s += simulator_.now() - before;
+    step = model_.time_of(mapped_, cluster_);
+    ++stall_guard;
+  }
+  if (!std::isfinite(step.total_s)) {
+    PRAGMA_FLIGHT(simulator_.now(), "failure", "unrecoverable stall at step ",
+                  emulator_.step(), "; aborting run");
+    if (obs::flight_enabled()) obs::FlightRecorder::instance().dump_to_log();
+    util::log_error("managed run: unrecoverable stall; aborting run");
+    return false;
+  }
+  // A throttled violator pays the slowdown in modeled step time — the
+  // report, the simulator clock, and the account all see the same
+  // inflated cost.
+  if (account_ != nullptr && account_->throttled() &&
+      account_->budget().throttle_factor > 1.0)
+    step.total_s *= account_->budget().throttle_factor;
+  report_.total_time_s += step.total_s;
+  if (!report_.records.empty())
+    report_.records.back().step_time_s = step.total_s;
+  simulator_.run(simulator_.now() + step.total_s);
+  ++completed_steps_;
+  if (account_ != nullptr) {
+    account_->charge_cpu(step.total_s);
+    if (canonical_)
+      account_->sample_memory(static_cast<std::uint64_t>(
+          canonical_->total_work() * config_.exec.bytes_per_cell));
+  }
+  if (config_.ft.enabled || config_.persist.enabled) {
+    report_.cells_advanced += canonical_->total_work();
+    for (std::size_t p = 0;
+         p < mapped_.work.size() && p < cells_since_checkpoint_.size(); ++p)
+      cells_since_checkpoint_[p] += mapped_.work[p];
+    if (simulator_.now() - last_checkpoint_time_ >=
+            config_.checkpoint_interval_s ||
+        checkpoint_requested_) {
+      checkpoint_requested_ = false;
+      take_checkpoint();
+    }
+  }
+  // Budget kill: stop at the boundary exactly like a cancel; the caller
+  // reads the account's verdict.
+  return account_ == nullptr || !account_->should_stop();
+}
+
+bool ManagedRun::run_until(int steps) {
+  if (!started_) start();
+  while (!ended_ && completed_steps_ < steps) ended_ = !step_once();
+  if (emulator_.step() >= config_.app.coarse_steps) ended_ = true;
+  return !ended_;
+}
+
 ManagedRunReport ManagedRun::run() {
   PRAGMA_SPAN_VAR(run_span, "core", "ManagedRun.run");
   run_span.annotate("nprocs", config_.nprocs);
   run_span.annotate("coarse_steps",
                     static_cast<std::int64_t>(config_.app.coarse_steps));
-  const bool durable = config_.ft.enabled || config_.persist.enabled;
-  bool resumed = false;
-  if (config_.persist.enabled && config_.persist.resume)
-    resumed = try_restore();
-  if (!resumed) {
-    repartition(/*count_as_regrid=*/true);
-    last_checkpoint_time_ = simulator_.now();
-    cells_since_checkpoint_.assign(config_.nprocs, 0.0);
-  }
-
-  while (emulator_.step() < config_.app.coarse_steps) {
-    // Cooperative cancellation (service layer): break out at the step
-    // boundary but fall through to the final accounting below, so the
-    // partial report is internally consistent.
-    if (cancel_.load(std::memory_order_relaxed)) break;
-    // Crash injection for the kill-restart soak: abandon the run the way
-    // SIGKILL would — no final accounting, no flushing.  Only checkpoints
-    // already durably written survive.
-    if (config_.persist.halt_after_steps >= 0 &&
-        completed_steps_ >= config_.persist.halt_after_steps) {
-      report_.halted = true;
-      return report_;
-    }
-    PRAGMA_SPAN_VAR(step_span, "core", "ManagedRun.step");
-    step_span.annotate("step", static_cast<std::int64_t>(emulator_.step()));
-    const bool regridded = emulator_.advance();
-    if (regridded) {
-      trace_.add(amr::Snapshot{emulator_.step(), emulator_.hierarchy()});
-      ++report_.regrids;
-      repartition(/*count_as_regrid=*/true);
-
-      ManagedStepRecord record;
-      record.step = emulator_.step();
-      const Selection& selection = meta_->history().back();
-      record.octant = octant::to_string(selection.state.octant());
-      record.partitioner = selection.partitioner;
-      record.sim_time_s = simulator_.now();
-      record.live_nodes = cluster_.up_count();
-      record.repartitioned = true;
-      // Imbalance against the targets the repartition just partitioned
-      // for, from the per-processor work it just mapped.
-      const double total_work = canonical_->total_work();
-      double worst = 0.0;
-      for (std::size_t p = 0; p < mapped_.work.size(); ++p)
-        if (targets_[p] > 0.0)
-          worst = std::max(worst, mapped_.work[p] / (targets_[p] * total_work));
-      record.imbalance = std::max(0.0, worst - 1.0);
-      report_.records.push_back(record);
-    }
-
-    // Cost this coarse step against the current cluster state.  If a node
-    // holding work has failed, the application stalls until the control
-    // network reacts (sensing or heartbeat timeout, consolidation, migrate
-    // directive) — detection latency is paid right here.
-    StepTime step = model_.time_of(mapped_, cluster_);
-    int stall_guard = 0;
-    while (!std::isfinite(step.total_s) && stall_guard < 600) {
-      const double before = simulator_.now();
-      simulator_.run(before + 1.0);  // let agents/ADM make progress
-      report_.total_time_s += simulator_.now() - before;
-      step = model_.time_of(mapped_, cluster_);
-      ++stall_guard;
-    }
-    if (!std::isfinite(step.total_s)) {
-      PRAGMA_FLIGHT(simulator_.now(), "failure", "unrecoverable stall at step ",
-                    emulator_.step(), "; aborting run");
-      if (obs::flight_enabled()) obs::FlightRecorder::instance().dump_to_log();
-      util::log_error("managed run: unrecoverable stall; aborting run");
-      break;
-    }
-    // A throttled violator pays the slowdown in modeled step time — the
-    // report, the simulator clock, and the account all see the same
-    // inflated cost.
-    if (account_ != nullptr && account_->throttled() &&
-        account_->budget().throttle_factor > 1.0)
-      step.total_s *= account_->budget().throttle_factor;
-    report_.total_time_s += step.total_s;
-    if (!report_.records.empty())
-      report_.records.back().step_time_s = step.total_s;
-    simulator_.run(simulator_.now() + step.total_s);
-    ++completed_steps_;
-    if (account_ != nullptr) {
-      account_->charge_cpu(step.total_s);
-      if (canonical_)
-        account_->sample_memory(static_cast<std::uint64_t>(
-            canonical_->total_work() * config_.exec.bytes_per_cell));
-    }
-    if (durable) {
-      report_.cells_advanced += canonical_->total_work();
-      for (std::size_t p = 0;
-           p < mapped_.work.size() && p < cells_since_checkpoint_.size(); ++p)
-        cells_since_checkpoint_[p] += mapped_.work[p];
-      if (simulator_.now() - last_checkpoint_time_ >=
-              config_.checkpoint_interval_s ||
-          checkpoint_requested_) {
-        checkpoint_requested_ = false;
-        take_checkpoint();
-      }
-    }
-    // Budget kill: stop at the boundary exactly like a cancel — fall
-    // through to the final accounting so the partial report is
-    // internally consistent; the caller reads the account's verdict.
-    if (account_ != nullptr && account_->should_stop()) break;
-  }
+  (void)run_until(config_.app.coarse_steps);
 
   report_.partitioner_switches = meta_->switch_count();
   std::size_t events = 0;

@@ -77,13 +77,13 @@ struct FaultToleranceConfig {
 /// *valid* generation — torn writes and bit-flips are detected and the
 /// loader falls back to the previous generation.
 ///
-/// Resume is byte-identical to an uninterrupted run of the same seed as
-/// long as `ft.enabled` is off (the lossy-channel RNG draws depend on
-/// in-flight protocol state that is deliberately not persisted).  The
-/// restart fast-forwards the periodic control plane (monitor, agents,
-/// load generator) to the checkpoint's simulator clock, which replays the
-/// exact event and RNG-draw sequence of the original run, then restores
-/// the application state on top.
+/// A resume's final report is bit-identical to an uninterrupted run of the
+/// same seed, `ft` runs included: the restart fast-forwards the whole
+/// control plane (monitor, agents, load generator, and with `ft` the lossy
+/// channel, the request/reply protocol and the heartbeat detector) to the
+/// checkpoint's simulator clock, which replays the exact event and
+/// RNG-draw sequence of the original run, then restores the application
+/// state on top (Persistence.FtKillResumeMatchesUninterruptedBitwise).
 struct PersistenceConfig {
   bool enabled = false;
   /// Directory for checkpoint generations (created on first write).
@@ -94,11 +94,6 @@ struct PersistenceConfig {
   /// Retention window: generations kept on disk (>= 2 keeps a fallback).
   /// GC never deletes the latest recoverable generation regardless.
   int keep_last_n = 2;
-  /// Crash-injection hook for the kill-restart soak: abandon run() once
-  /// this many coarse steps have completed (-1 = never), as an abrupt
-  /// SIGKILL would — no final accounting, nothing flushed beyond the
-  /// checkpoints already written.
-  int halt_after_steps = -1;
 };
 
 struct ManagedRunConfig {
@@ -197,11 +192,10 @@ struct ManagedRunReport {
   std::size_t duplicates_suppressed = 0;
   std::size_t heartbeats_received = 0;
 
-  // Persistence telemetry.  These four fields describe *this process's*
+  // Persistence telemetry.  These three fields describe *this process's*
   // run and are never serialized into a checkpoint.
   std::size_t checkpoints_persisted = 0;
   std::size_t checkpoint_generations_rejected = 0;  ///< corrupt, skipped
-  bool halted = false;   ///< run() abandoned by the crash-injection hook
   bool resumed = false;  ///< state restored from a checkpoint
 };
 
@@ -226,7 +220,16 @@ class ManagedRun {
   /// dedicated RNG stream of the run's seed.  Call before run().
   void start_random_failures(double mtbf_s, double mttr_s);
 
-  /// Execute the whole configured application run.
+  /// Run coarse steps until `steps` of them are complete or the run ends
+  /// (every step done, a cancel, a budget kill, or an unrecoverable
+  /// stall); true while the run can continue.  The first call starts the
+  /// run: it restores from the store when persist.resume is set, else
+  /// makes the initial partition.  Destroying a run between calls is a
+  /// SIGKILL: only the checkpoint generations already written survive.
+  bool run_until(int steps);
+
+  /// Execute the rest of the configured application run, then the final
+  /// accounting.
   [[nodiscard]] ManagedRunReport run();
 
   /// Ask a run in progress (possibly on another thread) to stop at the
@@ -239,8 +242,8 @@ class ManagedRun {
 
   [[nodiscard]] const grid::Cluster& cluster() const { return cluster_; }
   [[nodiscard]] const ManagedRunConfig& config() const { return config_; }
-  /// Coarse steps completed so far (includes restored steps after a
-  /// resume); lets a sliced executor track progress across halted runs.
+  /// Coarse steps completed so far, restored steps included; a sliced
+  /// executor reports it as the run's progress.
   [[nodiscard]] int completed_steps() const { return completed_steps_; }
   /// Present only when ft.enabled; valid for the object's lifetime.
   [[nodiscard]] const agents::HeartbeatDetector* detector() const {
@@ -253,6 +256,10 @@ class ManagedRun {
  private:
   [[nodiscard]] std::vector<double> current_targets();
   [[nodiscard]] bool port_reachable(const agents::PortId& port) const;
+  /// The first run_until's set-up: restore, else the initial partition.
+  void start();
+  /// One coarse step; false when the run ends instead of continuing.
+  bool step_once();
   void repartition(bool count_as_regrid);
   /// The current hierarchy rasterized at (`grain`, `curve`): the canonical
   /// grid when it has that key (G-MISP+SP's), else native_, rebuilt when
@@ -306,6 +313,8 @@ class ManagedRun {
   std::map<agents::PortId, grid::NodeId> port_node_;
   std::vector<grid::NodeId> pending_victims_;
   double pending_detection_s_ = 0.0;
+  bool started_ = false;
+  bool ended_ = false;
   int completed_steps_ = 0;
   double last_checkpoint_time_ = 0.0;
   /// Per-node cell updates performed since the last checkpoint — exactly

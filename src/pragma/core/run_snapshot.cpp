@@ -35,8 +35,8 @@ void record_fields(Io& io, Record& record) {
 }
 
 /// Every persisted ManagedRunReport field.  The per-process fields
-/// (checkpoints_persisted, checkpoint_generations_rejected, halted,
-/// resumed) are not persisted.
+/// (checkpoints_persisted, checkpoint_generations_rejected, resumed) are
+/// not persisted.
 template <class Io, class Report>
 void report_fields(Io& io, Report& report) {
   io.f64(report.total_time_s);

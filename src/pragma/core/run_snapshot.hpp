@@ -48,10 +48,10 @@ struct RunSnapshot {
 /// its wire width: every value but `persist` and `obs`.  io::FieldWriter
 /// encodes the list and io::FieldReader decodes it.  The admission
 /// journal's RunSpec payload embeds it, and config_fingerprint hashes it.
-/// `persist` is left out because journal recovery, worker slices and
-/// kill-resume change `resume` and `halt_after_steps` on the run they
-/// continue; `obs` because a run with obs on is byte-identical to one with
-/// obs off.  A change here changes the journal payload and every
+/// `persist` is left out because a failover, journal recovery and a
+/// kill-resume continue the run with `resume` set, and may keep a
+/// different number of generations; `obs` because a run with obs on is
+/// byte-identical to one with obs off.  A change here changes the journal payload and every
 /// checkpoint's fingerprint: bump service::kRunSpecPayloadVersion and
 /// regenerate fuzz/corpus/journal and the real-run checkpoint seeds.
 template <class Io, class Config>
@@ -135,7 +135,7 @@ void run_fields(Io& io, Config& config) {
 
 /// Every persisted field of a report, encoded as in a checkpoint: two
 /// reports agree on all of them exactly when their encodings are equal.
-/// The four per-process fields are left out.
+/// The three per-process fields are left out.
 [[nodiscard]] std::vector<std::uint8_t> encode_report(
     const ManagedRunReport& report);
 

@@ -93,8 +93,9 @@ struct DistributedConfig {
   /// queued tail is what work stealing rebalances).
   std::size_t worker_queue_depth = 2;
   /// Managed runs execute in slices of this many coarse steps so worker
-  /// death can land mid-run; each slice halts SIGKILL-style and the next
-  /// resumes from the durable checkpoint store.  <= 0 = one slice.
+  /// death can land mid-run: the worker pauses its live run between
+  /// slices, and only a failover resumes from the durable checkpoint
+  /// store.  <= 0 = one slice.
   int slice_steps = 8;
   /// Modeled control-plane seconds a slice occupies (the real
   /// computation runs inside the slice event; this is the simulated

@@ -8,9 +8,10 @@
 // flag (the distributed plane fences instead of cancelling), and a way
 // to reach the live core::ManagedRun so a cancel can be forwarded to it.
 //
-// The worker's sliced managed runs build their core::ManagedRun through
-// make_managed_run() and settle through conclude_run(), so a slice and a
-// whole run share the same setup and the same terminal classification.
+// The worker's sliced managed runs build their core::ManagedRun once per
+// attempt through make_managed_run(), advance it slice by slice, and settle
+// through conclude_run(), so a sliced and a whole run share the same setup
+// and the same terminal classification.
 #pragma once
 
 #include <atomic>

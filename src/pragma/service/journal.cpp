@@ -288,7 +288,6 @@ void run_spec_fields(Io& io, Spec& spec) {
   io.str(spec.persist.dir);
   io.flag(spec.persist.resume);
   io.i32(spec.persist.keep_last_n);
-  io.i32(spec.persist.halt_after_steps);
 
   // federation
   io.u64(spec.sites);

@@ -80,7 +80,7 @@ inline constexpr char kJournalRecordMagic[4] = {'P', 'J', 'R', '1'};
 inline constexpr std::size_t kJournalRecordHeaderBytes = 32;
 /// Version tag of the RunSpec payload encoding (first u32 of the payload).
 /// A payload of any other version fails to decode with kUnimplemented.
-inline constexpr std::uint32_t kRunSpecPayloadVersion = 5;
+inline constexpr std::uint32_t kRunSpecPayloadVersion = 6;
 inline constexpr std::uint64_t kDefaultJournalMaxPayloadBytes = 1ull << 20;
 
 enum class JournalRecordType : std::uint32_t {

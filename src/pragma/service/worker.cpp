@@ -156,7 +156,6 @@ void Worker::maybe_start() {
   active.assignment = assigned_.front();
   assigned_.pop_front();
   active.steps_done = active.assignment.steps_hint;
-  active.resume_next = active.assignment.resume;
   active_ = std::move(active);
   // Claim the run before the first slice lands: a progress report moves
   // it to kRunning on the coordinator, taking it off the steal table.
@@ -190,40 +189,34 @@ void Worker::run_slice() {
   hooks.accountant = coordinator_.config().accountant;
   hooks.budget_retry_after_ms = kBudgetShedRetryAfterMs;
   const int slice_steps = coordinator_.config().slice_steps;
-  if (spec->kind != WorkloadKind::kManaged || !spec->persist.enabled ||
-      slice_steps <= 0) {
+  if (spec->kind != WorkloadKind::kManaged || slice_steps <= 0) {
     // The coordinator fences instead of cancelling: no cancel hooks.
     finish_active(execute_run(*spec, hooks));
     return;
   }
 
   Active& active = *active_;
-  // Accounts are find-or-create by run name: a run's usage accumulates
-  // across slices and across failovers to another worker.
-  const std::shared_ptr<res::RunAccount> account = open_account(*spec, hooks);
-  core::PersistenceConfig persist = spec->persist;
-  const bool resume = active.resume_next || active.steps_done > 0;
-  persist.resume = resume;
-  const int target = active.steps_done + slice_steps;
-  persist.halt_after_steps = target >= spec->app.coarse_steps ? -1 : target;
-  if (resume) ++stats_.resumes;
-
   PRAGMA_SPAN_VAR(span, "service", "Worker.slice");
   span.annotate("run", static_cast<std::int64_t>(active.assignment.id));
   RunOutcome outcome;
   util::Status status = util::Status::ok();
   try {
-    const std::unique_ptr<core::ManagedRun> run =
-        make_managed_run(*spec, account.get(), persist);
-    core::ManagedRunReport report = run->run();
+    if (!active.run) {
+      // Accounts are find-or-create by run name: a run's usage accumulates
+      // across failovers to another worker.
+      active.account = open_account(*spec, hooks);
+      core::PersistenceConfig persist = spec->persist;
+      persist.resume = active.assignment.resume || active.steps_done > 0;
+      if (persist.resume) ++stats_.resumes;
+      active.run = make_managed_run(*spec, active.account.get(), persist);
+    }
+    const int target = active.steps_done + slice_steps;
+    const bool paused =
+        target < spec->app.coarse_steps && active.run->run_until(target);
     ++stats_.slices;
     obs::metrics().counter("service.dist.slices").add();
-    // A kill-action budget violation stops the run at a step boundary
-    // inside this slice: conclude_run sheds it, no further slices.
-    const bool killed = account != nullptr && account->should_stop();
-    if (report.halted && !killed) {
-      active.steps_done = run->completed_steps();
-      active.resume_next = true;
+    if (paused) {
+      active.steps_done = active.run->completed_steps();
       agents::Message progress{port_, coordinator_.port(), dist::kProgress,
                                {}, simulator_.now()};
       progress.payload["run"] = static_cast<double>(active.assignment.id);
@@ -236,11 +229,15 @@ void Worker::run_slice() {
                                           [this] { run_slice(); });
       return;
     }
-    if (!killed) outcome.managed = std::move(report);
+    core::ManagedRunReport report = active.run->run();
+    // A kill-action budget violation stops the run at a step boundary:
+    // conclude_run sheds it.
+    if (active.account == nullptr || !active.account->should_stop())
+      outcome.managed = std::move(report);
   } catch (const std::exception& error) {
     status = run_threw(*spec, error);
   }
-  conclude_run(*spec, hooks, account, std::move(status), outcome);
+  conclude_run(*spec, hooks, active.account, std::move(status), outcome);
   finish_active(std::move(outcome));
 }
 

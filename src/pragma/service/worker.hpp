@@ -4,15 +4,14 @@
 //
 // A Worker registers with the coordinator, proves liveness by publishing
 // heartbeats, and executes leased runs one at a time (extra leases queue
-// locally — the backlog work stealing rebalances).  Managed runs with a
-// durable checkpoint store execute in *slices*: each slice constructs a
-// core::ManagedRun that halts after a fixed number of coarse steps
-// (SIGKILL-style, nothing flushed beyond the checkpoints already sealed)
-// and the next slice resumes from the newest valid generation.  Between
-// slices the worker yields control-plane time, which is exactly where
-// churn lands: kill() between two slices leaves durable generations
-// behind for another worker to resume from — the byte-identical failover
-// path the PR-3 persistence layer guarantees.
+// locally — the backlog work stealing rebalances).  Managed runs execute
+// in *slices*: the attempt's first slice builds one core::ManagedRun, and
+// each slice advances it a fixed number of coarse steps with run_until()
+// and pauses.  Between slices the worker yields control-plane time, which
+// is exactly where churn lands: kill() or a fence between two slices
+// destroys the live run, leaving only its durable checkpoint generations
+// for the next assignee to resume from — the byte-identical failover path
+// of the persistence layer.  Only a failover resumes from disk.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +32,7 @@ struct WorkerStats {
   std::size_t slices = 0;       ///< managed-run slices executed
   std::size_t completions = 0;  ///< runs finished and reported
   std::size_t failures = 0;     ///< runs that ended in an error status
-  std::size_t resumes = 0;      ///< slices started with resume-from-store
+  std::size_t resumes = 0;      ///< attempts that resumed from the store
   std::size_t revoked = 0;      ///< queued leases handed back (steal)
   std::size_t revoke_refused = 0;  ///< revoke of an already-started run
   std::size_t fences = 0;       ///< fence directives honoured
@@ -85,7 +84,10 @@ class Worker {
   struct Active {
     Assignment assignment;
     int steps_done = 0;
-    bool resume_next = false;  ///< restore from the store on the next slice
+    /// The sliced managed run, live across the attempt's slices (null
+    /// before the first slice), and the account it charges.
+    std::unique_ptr<core::ManagedRun> run;
+    std::shared_ptr<res::RunAccount> account;
   };
 
   void on_message(const agents::Message& message);

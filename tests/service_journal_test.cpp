@@ -113,7 +113,7 @@ RunSpec small_managed_spec(const std::string& name, std::uint64_t seed = 7) {
   X(ft.staleness.fresh_age_s) X(ft.staleness.decay_tau_s)                   \
   X(ft.staleness.prior_fraction)                                            \
   X(persist.enabled) X(persist.dir) X(persist.resume)                       \
-  X(persist.keep_last_n) X(persist.halt_after_steps)                        \
+  X(persist.keep_last_n)                                                    \
   X(checkpoint_interval_s) X(modeled_partition_s_per_cell) X(strategy)      \
   X(targets) X(stale_weight) X(repartition_threshold)                       \
   X(threads) X(dynamic_capacities) X(failures.at(0).at_s)                  \
@@ -183,7 +183,6 @@ RunSpec elaborate_spec() {
   spec.persist.dir = "ckpt/elaborate";
   spec.persist.resume = true;
   spec.persist.keep_last_n = 3;
-  spec.persist.halt_after_steps = 7;
   spec.checkpoint_interval_s = 12.5;
   spec.strategy = "GMISP+SP";
   spec.targets = {0.1, 0.2, 0.3};
@@ -226,8 +225,8 @@ TEST(JournalCodec, RejectsTrailingBytesAndBadVersion) {
   payload.push_back(0);
   EXPECT_FALSE(decode_run_spec(payload).has_value());
 
-  // Payloads of the retired versions 1 to 4, and of an unknown one.
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 0xFFu}) {
+  // Payloads of the retired versions 1 to 5, and of an unknown one.
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 0xFFu}) {
     payload = encode_run_spec(small_managed_spec("a"));
     std::memcpy(payload.data(), &version, sizeof version);
     const util::Expected<RunSpec> decoded = decode_run_spec(payload);
