@@ -114,7 +114,6 @@ class MessageCenter {
   }
   /// Extra copies injected by the duplication fault.
   [[nodiscard]] std::size_t duplicated_count() const { return duplicated_; }
-  [[nodiscard]] double delivery_latency() const { return latency_; }
 
  private:
   struct Port {

@@ -78,12 +78,15 @@ struct FaultToleranceConfig {
 /// loader falls back to the previous generation.
 ///
 /// A resume's final report is bit-identical to an uninterrupted run of the
-/// same seed, `ft` runs included: the restart fast-forwards the whole
-/// control plane (monitor, agents, load generator, and with `ft` the lossy
-/// channel, the request/reply protocol and the heartbeat detector) to the
-/// checkpoint's simulator clock, which replays the exact event and
-/// RNG-draw sequence of the original run, then restores the application
-/// state on top (Persistence.FtKillResumeMatchesUninterruptedBitwise).
+/// same seed: the restart fast-forwards the whole control plane (monitor,
+/// agents, load generator, and with `ft` the lossy channel, the
+/// request/reply protocol and the heartbeat detector) to the checkpoint's
+/// simulator clock, which replays the exact event and RNG-draw sequence of
+/// the original run, then restores the application state on top.  With
+/// `ft` that holds for runs with drop and one node failure
+/// (Persistence.FtKillResumeMatchesUninterruptedBitwise), but not once a
+/// failure confirmed before the checkpoint is followed by another migrate:
+/// the replayed confirmation's pending rollback state is not persisted.
 struct PersistenceConfig {
   bool enabled = false;
   /// Directory for checkpoint generations (created on first write).

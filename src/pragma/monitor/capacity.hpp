@@ -51,7 +51,6 @@ class CapacityCalculator {
       : weights_(weights) {}
 
   [[nodiscard]] const CapacityWeights& weights() const { return weights_; }
-  void set_weights(CapacityWeights weights) { weights_ = weights; }
 
   /// Compute capacities from the monitor's *current* readings.
   [[nodiscard]] RelativeCapacities from_current(

@@ -47,8 +47,6 @@ class Mlp {
   [[nodiscard]] std::unique_ptr<PerfFunction> as_pf(
       const std::string& name) const;
 
-  [[nodiscard]] std::size_t input_dim() const { return inputs_; }
-
  private:
   struct Layer {
     std::size_t in = 0;

@@ -134,13 +134,6 @@ std::vector<Match> PolicyBase::query(const AttributeSet& attributes,
   return matches;
 }
 
-std::optional<AttributeSet> PolicyBase::best_action(
-    const AttributeSet& attributes) const {
-  const std::vector<Match> matches = query(attributes);
-  if (matches.empty()) return std::nullopt;
-  return matches.front().policy->action;
-}
-
 std::optional<Value> PolicyBase::decide(const AttributeSet& attributes,
                                         const std::string& key) const {
   for (const Match& match : query(attributes)) {

@@ -92,10 +92,6 @@ class PolicyBase {
   [[nodiscard]] std::vector<Match> query(const AttributeSet& attributes,
                                          double min_score = 0.05) const;
 
-  /// The action of the best match, if any.
-  [[nodiscard]] std::optional<AttributeSet> best_action(
-      const AttributeSet& attributes) const;
-
   /// Convenience: the value a best-matching policy assigns to `key`.
   [[nodiscard]] std::optional<Value> decide(const AttributeSet& attributes,
                                             const std::string& key) const;
