@@ -1,14 +1,13 @@
 // Standalone driver for the fuzz harnesses, for toolchains without
 // libFuzzer (GCC).  It feeds LLVMFuzzerTestOneInput every file of a corpus
-// directory, then a fixed-seed budget of mutations of those files:
-// truncations, byte flips and splices of two files.  A crash, an uncaught
-// exception or a sanitizer report fails the run.
+// directory, then a fixed-seed budget of kMutations mutations of those
+// files: truncations, byte flips and splices of two files.  A crash, an
+// uncaught exception or a sanitizer report fails the run.
 //
-//   fuzz_<name> <corpus-dir> [mutations]     (default 20000 mutations)
+//   fuzz_<name> <corpus-dir>
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -23,6 +22,8 @@ namespace {
 
 using Bytes = std::vector<std::uint8_t>;
 
+constexpr long kMutations = 20000;
+
 Bytes read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   return Bytes(std::istreambuf_iterator<char>(in),
@@ -36,8 +37,8 @@ void feed(const Bytes& input) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <corpus-dir> [mutations]\n", argv[0]);
+  if (argc != 2) {
+    std::fprintf(stderr, "usage: %s <corpus-dir>\n", argv[0]);
     return 2;
   }
   std::vector<std::filesystem::path> paths;
@@ -52,13 +53,11 @@ int main(int argc, char** argv) {
   for (const auto& path : paths) corpus.push_back(read_file(path));
   for (const Bytes& input : corpus) feed(input);
 
-  const long mutations =
-      argc > 2 ? std::strtol(argv[2], nullptr, 10) : 20000;
   std::mt19937_64 rng(0x5eedf00dULL);
   const auto below = [&rng](std::size_t n) {
     return n == 0 ? std::size_t{0} : static_cast<std::size_t>(rng() % n);
   };
-  for (long i = 0; i < mutations; ++i) {
+  for (long i = 0; i < kMutations; ++i) {
     const Bytes& base = corpus[below(corpus.size())];
     Bytes input = base;
     switch (rng() % 3) {
@@ -84,6 +83,6 @@ int main(int argc, char** argv) {
     feed(input);
   }
   std::printf("%s: %zu corpus files, %ld mutations\n", argv[0], corpus.size(),
-              mutations);
+              kMutations);
   return 0;
 }

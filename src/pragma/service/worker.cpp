@@ -207,7 +207,6 @@ void Worker::run_slice() {
       active.account = open_account(*spec, hooks);
       core::PersistenceConfig persist = spec->persist;
       persist.resume = active.assignment.resume || active.steps_done > 0;
-      if (persist.resume) ++stats_.resumes;
       active.run = make_managed_run(*spec, active.account.get(), persist);
     }
     const int target = active.steps_done + slice_steps;

@@ -32,7 +32,6 @@ struct WorkerStats {
   std::size_t slices = 0;       ///< managed-run slices executed
   std::size_t completions = 0;  ///< runs finished and reported
   std::size_t failures = 0;     ///< runs that ended in an error status
-  std::size_t resumes = 0;      ///< attempts that resumed from the store
   std::size_t revoked = 0;      ///< queued leases handed back (steal)
   std::size_t revoke_refused = 0;  ///< revoke of an already-started run
   std::size_t fences = 0;       ///< fence directives honoured
