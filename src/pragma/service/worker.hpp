@@ -83,10 +83,11 @@ class Worker {
   struct Active {
     Assignment assignment;
     int steps_done = 0;
-    /// The sliced managed run, live across the attempt's slices (null
-    /// before the first slice), and the account it charges.
-    std::unique_ptr<core::ManagedRun> run;
+    /// The account the sliced managed run charges, and the run, live
+    /// across the attempt's slices (null before the first slice).  The
+    /// run is declared last so it is destroyed before its account.
     std::shared_ptr<res::RunAccount> account;
+    std::unique_ptr<core::ManagedRun> run;
   };
 
   void on_message(const agents::Message& message);
