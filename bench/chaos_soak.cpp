@@ -20,12 +20,13 @@
 //     the partitioner cost is modeled, not measured).
 //
 // A second, durability phase exercises the crash-consistent checkpoint
-// files: a persist-enabled run is killed mid-flight (SIGKILL-style: run
-// to a step with run_until, then destroyed), its newest on-disk
-// generation is corrupted and a torn ".tmp" orphan is planted, and the
-// resumed run must still recover — falling back to the previous valid
-// generation — and finish with a final report bit-identical to an
-// uninterrupted run at the same seed.
+// log under the same chaos (lossy channel, random node failures), saving
+// state at every coarse step: the run is killed mid-flight (SIGKILL-style:
+// run to a step with run_until, then destroyed), the newest record on
+// disk is bit-flipped, a torn partial frame is appended after it and a
+// torn ".tmp" orphan is planted, and the resumed run must still recover
+// — falling back to the previous valid record — and finish with a final
+// report bit-identical to an uninterrupted run at the same seed.
 //
 // A third, worker-churn phase deploys the elastic coordinator/worker
 // control plane (service::DistributedService): a small burst of managed
@@ -68,6 +69,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -136,6 +138,17 @@ core::ManagedRunReport run_one(const SoakConfig& soak, bool chaos) {
   return managed.run();
 }
 
+/// The chaos configuration, persisted with a save-state at every coarse
+/// step boundary so the kill point always has recent records behind it.
+core::ManagedRunConfig durable_config(const SoakConfig& soak,
+                                      const std::string& dir) {
+  core::ManagedRunConfig config = managed_config(soak, /*chaos=*/true);
+  config.persist.enabled = true;
+  config.persist.dir = dir;
+  config.checkpoint_interval_s = 1e-3;
+  return config;
+}
+
 int failures = 0;
 void check(bool ok, const std::string& what) {
   std::printf("  [%s] %s\n", ok ? "PASS" : "FAIL", what.c_str());
@@ -152,22 +165,6 @@ bool same_bits(double a, double b) {
 bool reports_bit_identical(const core::ManagedRunReport& a,
                            const core::ManagedRunReport& b) {
   return core::encode_report(a) == core::encode_report(b);
-}
-
-core::ManagedRunConfig durable_config(const SoakConfig& soak,
-                                      const std::string& dir) {
-  core::ManagedRunConfig config;
-  config.app.coarse_steps = soak.steps;
-  config.nprocs = soak.procs;
-  config.with_background_load = true;
-  config.system_sensitive = true;
-  config.seed = soak.seed;
-  config.persist.enabled = true;
-  config.persist.dir = dir;
-  // Checkpoint at every coarse-step boundary so the kill point always has
-  // recent generations behind it.
-  config.checkpoint_interval_s = 1e-3;
-  return config;
 }
 
 }  // namespace
@@ -242,13 +239,7 @@ int main(int argc, char** argv) {
   check(lost_work_fraction < 0.2, "lost-work fraction bounded (< 20%)");
   check(overhead_fraction < 0.75,
         "recovery overhead bounded (< 75% slowdown)");
-  check(same_bits(chaos.total_time_s, replay.total_time_s) &&
-            same_bits(chaos.cells_advanced, replay.cells_advanced) &&
-            chaos.detected_failures == replay.detected_failures &&
-            chaos.messages_lost == replay.messages_lost &&
-            chaos.directive_retries == replay.directive_retries &&
-            chaos.heartbeats_received == replay.heartbeats_received &&
-            chaos.adm_decisions == replay.adm_decisions,
+  check(reports_bit_identical(chaos, replay),
         "deterministic: replay at the same seed is bit-identical");
 
   // ---- durability phase: kill-restart with torn-write injection ----
@@ -262,47 +253,59 @@ int main(int argc, char** argv) {
       static_cast<int>(soak.seed % static_cast<std::uint64_t>(
                                        std::max(1, soak.steps / 3)));
 
+  const auto durable_run = [&soak](core::ManagedRunConfig config) {
+    auto run = std::make_unique<core::ManagedRun>(std::move(config));
+    run->start_random_failures(soak.mtbf_s, soak.mttr_s);
+    return run;
+  };
   std::printf("\ndurability reference (persist, uninterrupted) ...\n");
   const core::ManagedRunReport durable_ref =
-      core::ManagedRun(durable_config(soak, ckpt_dir + "-ref")).run();
+      durable_run(durable_config(soak, ckpt_dir + "-ref"))->run();
   std::printf("durability kill at step %d ...\n", halt_step);
   // SIGKILL-style: run to the kill step, then destroy the run, which keeps
-  // only the generations already written.
-  bool halted = false;
-  {
-    core::ManagedRun killed(durable_config(soak, ckpt_dir));
-    halted = killed.run_until(halt_step) &&
-             killed.completed_steps() == halt_step;
-  }
+  // only the records already written.
+  const bool halted = [&] {
+    const auto killed = durable_run(durable_config(soak, ckpt_dir));
+    return killed->run_until(halt_step) &&
+           killed->completed_steps() == halt_step;
+  }();
 
-  // Inject the failure modes a crash can leave behind: a torn ".tmp"
-  // orphan and a bit-flipped newest generation.
+  // Inject the failure modes a crash can leave behind: a bit-flipped
+  // newest record, a torn partial frame after it (a crash mid-append) and
+  // a torn ".tmp" orphan (a crash mid-publish).
   io::CheckpointStoreOptions store_options;
   store_options.dir = ckpt_dir;
   const io::CheckpointStore store(store_options);
-  const std::vector<std::uint64_t> gens = store.generations();
-  if (!gens.empty()) {
-    std::ofstream(store.path_for(gens.back() + 1) + ".tmp")
+  const std::vector<io::CheckpointRecord> records = store.records();
+  if (!records.empty()) {
+    const io::CheckpointRecord& newest = records.front();
+    std::ofstream(store.path_for(newest.generation + 1) + ".tmp")
         << "torn write: crashed before fsync+rename";
-    std::fstream newest(store.path_for(gens.back()),
-                        std::ios::in | std::ios::out | std::ios::binary);
-    newest.seekp(static_cast<std::streamoff>(io::kCheckpointHeaderBytes + 5));
+    std::fstream file(store.path_for(newest.generation),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(newest.offset +
+                                           io::kLogFrameHeaderBytes + 5));
     const char garbage = '\x5a';
-    newest.write(&garbage, 1);
+    file.write(&garbage, 1);
+    const std::vector<std::uint8_t> frame = io::encode_log_frame(
+        io::kCheckpointRecordType, 0, newest.payload);
+    file.seekp(0, std::ios::end);
+    file.write(reinterpret_cast<const char*>(frame.data()),
+               static_cast<std::streamsize>(frame.size() / 2));
   }
 
-  std::printf("durability resume from last valid generation ...\n");
+  std::printf("durability resume from last valid record ...\n");
   core::ManagedRunConfig resume = durable_config(soak, ckpt_dir);
   resume.persist.resume = true;
-  const core::ManagedRunReport recovered = core::ManagedRun(resume).run();
+  const core::ManagedRunReport recovered = durable_run(resume)->run();
 
   std::printf("\ndurability invariants:\n");
-  check(halted && !gens.empty(),
-        "killed run halted after writing durable generations");
-  check(gens.size() >= 2, "multiple checkpoint generations on disk");
+  check(halted && !records.empty(),
+        "killed run halted after writing durable records");
+  check(records.size() >= 2, "more than one checkpoint record on disk");
   check(recovered.resumed, "restart resumed from a checkpoint");
   check(recovered.checkpoint_generations_rejected >= 1,
-        "corrupted newest generation was detected and skipped");
+        "corrupted newest record was detected and skipped");
   check(reports_bit_identical(durable_ref, recovered),
         "resumed run is bit-identical to the uninterrupted run");
   fs::remove_all(ckpt_dir);
@@ -654,7 +657,7 @@ int main(int argc, char** argv) {
       .field("recomputed_cells", chaos.recomputed_cells, 0);
   json.entry("chaos_soak/durability")
       .field("halt_step", halt_step)
-      .field("generations_on_disk", gens.size())
+      .field("records_on_disk", records.size())
       .field("generations_rejected",
              recovered.checkpoint_generations_rejected)
       .field("resumed", recovered.resumed ? 1 : 0)

@@ -1,10 +1,12 @@
 // libFuzzer harness for the checkpoint loader.
 //
 // Two layers are fuzzed together:
-//   1. decode_envelope — magic/version/CRC validation over raw bytes;
-//   2. decode_run_snapshot — the payload decoder, driven both through a
-//      valid envelope (re-wrapping the input so mutations do not have to
-//      forge a CRC) and through whatever payload the envelope yields.
+//   1. scan_checkpoint_log — the record log's header / frame validation
+//      (magic, CRCs, types, declared sizes) over raw bytes, as
+//      CheckpointStore::records() runs it on each generation file;
+//   2. decode_run_snapshot — the payload decoder, driven both through
+//      the records a scan accepts and through the raw input directly so
+//      coverage is not gated behind a correct frame CRC.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -17,11 +19,11 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   // Keep allocations modest so the fuzzer explores structure, not OOM.
   constexpr std::uint64_t kMaxPayload = 1u << 22;
 
-  pragma::util::Expected<std::vector<std::uint8_t>> payload =
-      pragma::io::decode_envelope(data, size, kMaxPayload);
-  if (payload) {
+  std::vector<pragma::io::CheckpointRecord> records;
+  (void)pragma::io::scan_checkpoint_log(data, size, kMaxPayload, records);
+  for (const pragma::io::CheckpointRecord& record : records) {
     pragma::util::Expected<pragma::core::RunSnapshot> snapshot =
-        pragma::core::decode_run_snapshot(payload.value());
+        pragma::core::decode_run_snapshot(record.payload);
     if (!snapshot) {
       volatile std::size_t sink = snapshot.status().to_string().size();
       (void)sink;

@@ -84,7 +84,6 @@ void ComponentAgent::heartbeat() {
   beat.from = port_;
   beat.type = "heartbeat";
   center_.publish(heartbeat_topic_, std::move(beat));
-  ++heartbeats_;
 }
 
 std::optional<double> ComponentAgent::last_reading(

@@ -80,7 +80,6 @@ class ComponentAgent {
   [[nodiscard]] ComponentState state() const { return state_; }
   [[nodiscard]] std::size_t events_published() const { return events_; }
   [[nodiscard]] std::size_t directives_applied() const { return directives_; }
-  [[nodiscard]] std::size_t heartbeats_sent() const { return heartbeats_; }
 
   /// Latest reading of a sensor (sampled at the last tick), if any.
   [[nodiscard]] std::optional<double> last_reading(
@@ -110,7 +109,6 @@ class ComponentAgent {
   std::string heartbeat_topic_;
   double heartbeat_period_s_ = 0.0;
   sim::EventHandle heartbeat_tick_;
-  std::size_t heartbeats_ = 0;
 };
 
 }  // namespace pragma::agents

@@ -320,11 +320,13 @@ void ManagedRun::persist_checkpoint() {
   snapshot.owners_nprocs = owners_.nprocs;
   snapshot.trace = trace_;
   snapshot.report = report_;
+  snapshot.pending_victims = pending_victims_;
+  snapshot.pending_detection_s = pending_detection_s_;
   const util::Status status =
       store_->write(encode_run_snapshot(snapshot));
   if (status.is_ok()) {
     ++report_.checkpoints_persisted;
-    PRAGMA_FLIGHT(simulator_.now(), "checkpoint", "persisted generation #",
+    PRAGMA_FLIGHT(simulator_.now(), "checkpoint", "persisted record #",
                   report_.checkpoints_persisted, " at step ",
                   completed_steps_);
   } else {
@@ -337,16 +339,14 @@ void ManagedRun::persist_checkpoint() {
 bool ManagedRun::try_restore() {
   PRAGMA_SPAN("core", "ManagedRun.try_restore");
   const std::uint64_t want = config_fingerprint(config_);
-  std::vector<std::uint64_t> generations = store_->generations();
-  for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
+  std::size_t torn = 0;
+  const std::vector<io::CheckpointRecord> records = store_->records(&torn);
+  report_.checkpoint_generations_rejected += torn;
+  for (const io::CheckpointRecord& record : records) {
     // Validate a candidate completely before mutating any run state: once
     // the simulator has been fast-forwarded there is no rewinding for an
-    // older generation.
-    util::Expected<io::LoadedCheckpoint> loaded =
-        store_->load_generation(*it);
-    util::Expected<RunSnapshot> decoded =
-        loaded ? decode_run_snapshot(loaded.value().payload)
-               : util::Expected<RunSnapshot>(loaded.status());
+    // older record.
+    util::Expected<RunSnapshot> decoded = decode_run_snapshot(record.payload);
     util::Status status = decoded.status();
     std::optional<partition::WorkGrid> canonical;
     if (decoded) {
@@ -369,10 +369,11 @@ bool ManagedRun::try_restore() {
     }
     if (!status.is_ok()) {
       ++report_.checkpoint_generations_rejected;
-      PRAGMA_FLIGHT(0.0, "checkpoint", "generation ", *it, " rejected: ",
+      PRAGMA_FLIGHT(0.0, "checkpoint", "generation ", record.generation,
+                    " record ", record.offset, " rejected: ",
                     status.to_string());
-      util::log_warn("persist: generation ", *it, " rejected: ",
-                     status.to_string());
+      util::log_warn("persist: generation ", record.generation, " record ",
+                     record.offset, " rejected: ", status.to_string());
       continue;
     }
     const RunSnapshot& snapshot = decoded.value();
@@ -382,7 +383,8 @@ bool ManagedRun::try_restore() {
     // the exact event and RNG-draw sequence the original run produced up
     // to this time, which is what makes the resumed continuation
     // byte-identical.  The ADM directive hook is inert during the replay
-    // because no assignment exists yet.
+    // because no assignment exists yet, so replayed confirmations leave
+    // pending rollback state behind; the checkpoint's replaces it below.
     if (snapshot.sim_clock > 0.0) simulator_.run(snapshot.sim_clock);
 
     // Application state on top of the replayed control plane.
@@ -416,11 +418,14 @@ bool ManagedRun::try_restore() {
     completed_steps_ = snapshot.completed_steps;
     last_checkpoint_time_ = snapshot.sim_clock;
     cells_since_checkpoint_.assign(config_.nprocs, 0.0);
+    pending_victims_ = snapshot.pending_victims;
+    pending_detection_s_ = snapshot.pending_detection_s;
     PRAGMA_FLIGHT(snapshot.sim_clock, "recovery", "resumed from generation ",
-                  *it, " at step ", completed_steps_);
+                  record.generation, " at step ", completed_steps_);
     if (obs::flight_enabled()) obs::FlightRecorder::instance().dump_to_log();
-    util::log_info("persist: resumed from generation ", *it, " at step ",
-                   completed_steps_, " (t=", snapshot.sim_clock, "s)");
+    util::log_info("persist: resumed from generation ", record.generation,
+                   " at step ", completed_steps_, " (t=", snapshot.sim_clock,
+                   "s)");
     return true;
   }
   util::log_info("persist: no usable checkpoint; starting fresh");

@@ -71,22 +71,22 @@ struct FaultToleranceConfig {
 };
 
 /// Durable checkpoint persistence: the paper's save-state actuator made
-/// real.  When enabled, every save-state checkpoint also writes a
-/// versioned, CRC-checksummed snapshot file (tmp + fsync + rename) under
-/// `dir`, and a run constructed with `resume` restores from the newest
-/// *valid* generation — torn writes and bit-flips are detected and the
-/// loader falls back to the previous generation.
+/// real.  When enabled, every save-state checkpoint also appends a
+/// versioned, CRC-sealed snapshot record to the run's log of generations
+/// under `dir` (io::CheckpointStore) and fsyncs it, and a run constructed
+/// with `resume` restores from the newest *valid* record — torn tails and
+/// bit-flips are detected and the loader falls back to the previous
+/// record.
 ///
 /// A resume's final report is bit-identical to an uninterrupted run of the
 /// same seed: the restart fast-forwards the whole control plane (monitor,
 /// agents, load generator, and with `ft` the lossy channel, the
 /// request/reply protocol and the heartbeat detector) to the checkpoint's
 /// simulator clock, which replays the exact event and RNG-draw sequence of
-/// the original run, then restores the application state on top.  With
-/// `ft` that holds for runs with drop and one node failure
-/// (Persistence.FtKillResumeMatchesUninterruptedBitwise), but not once a
-/// failure confirmed before the checkpoint is followed by another migrate:
-/// the replayed confirmation's pending rollback state is not persisted.
+/// the original run, then restores the application state, the pending
+/// rollback state included, on top.  With `ft` that holds under drop and
+/// any number of node failures
+/// (Persistence.FtKillResumeMatchesUninterruptedBitwise).
 struct PersistenceConfig {
   bool enabled = false;
   /// Directory for checkpoint generations (created on first write).
@@ -94,8 +94,9 @@ struct PersistenceConfig {
   /// Restore from the newest valid checkpoint in `dir` (fresh start when
   /// none validates).
   bool resume = false;
-  /// Retention window: generations kept on disk (>= 2 keeps a fallback).
-  /// GC never deletes the latest recoverable generation regardless.
+  /// Retention window: generations kept on disk, each holding up to about
+  /// io::kCheckpointGenerationMultiple records.  >= 2 keeps a fallback
+  /// record when the newest generation holds only one.
   int keep_last_n = 2;
 };
 
@@ -198,7 +199,7 @@ struct ManagedRunReport {
   // Persistence telemetry.  These three fields describe *this process's*
   // run and are never serialized into a checkpoint.
   std::size_t checkpoints_persisted = 0;
-  std::size_t checkpoint_generations_rejected = 0;  ///< corrupt, skipped
+  std::size_t checkpoint_generations_rejected = 0;  ///< torn, or bad records
   bool resumed = false;  ///< state restored from a checkpoint
 };
 
@@ -228,7 +229,7 @@ class ManagedRun {
   /// stall); true while the run can continue.  The first call starts the
   /// run: it restores from the store when persist.resume is set, else
   /// makes the initial partition.  Destroying a run between calls is a
-  /// SIGKILL: only the checkpoint generations already written survive.
+  /// SIGKILL: only the checkpoint records already written survive.
   bool run_until(int steps);
 
   /// Execute the rest of the configured application run, then the final
@@ -276,8 +277,8 @@ class ManagedRun {
   void rollback_recovery();
   void take_checkpoint();
   void persist_checkpoint();
-  /// Restore from the newest fully valid checkpoint generation; false
-  /// (fresh start) when none decodes, validates, and matches this config.
+  /// Restore from the newest fully valid checkpoint record; false (fresh
+  /// start) when none decodes, validates, and matches this config.
   bool try_restore();
 
   ManagedRunConfig config_;

@@ -7,15 +7,17 @@ namespace pragma::core {
 
 namespace {
 
-/// Payload-internal format tag (the envelope versions the container; this
-/// versions the RunSnapshot layout inside it).  Format 2 stores the owner
-/// map as runs; format 1 (one i32 per cell) is no longer decoded.
-constexpr std::uint32_t kPayloadFormat = 2;
+/// Payload-internal format tag (the log versions the container; this
+/// versions the RunSnapshot layout inside it).  Format 3 adds the pending
+/// rollback state; formats 1 (one i32 per owner cell) and 2 (no pending
+/// state) are no longer decoded.
+constexpr std::uint32_t kPayloadFormat = 3;
 
 /// Caps on decoded sequence lengths, far above anything a real run emits.
 constexpr std::uint32_t kMaxSelectCalls = 1u << 20;
 constexpr std::uint32_t kMaxOwners = 1u << 26;
 constexpr std::uint32_t kMaxRecords = 1u << 20;
+constexpr std::uint32_t kMaxPendingVictims = 1u << 20;
 
 /// Every persisted ManagedStepRecord field, in wire order and at its wire
 /// width; io::FieldWriter encodes the list and io::FieldReader decodes it.
@@ -76,6 +78,14 @@ void progress_fields(Io& io, Snapshot& snapshot) {
   io.i32(snapshot.emulator_step);
   io.f64(snapshot.sim_clock);
   io.i64(snapshot.max_box_cells);
+}
+
+/// Failures confirmed since the last rollback.
+template <class Io, class Snapshot>
+void pending_fields(Io& io, Snapshot& snapshot) {
+  io.list(snapshot.pending_victims, sizeof(std::uint32_t), kMaxPendingVictims,
+          [&io](auto& node) { io.u32(node); });
+  io.f64(snapshot.pending_detection_s);
 }
 
 /// A maximal run of equal owners in lattice order.  A canonical owner
@@ -157,6 +167,7 @@ std::vector<std::uint8_t> encode_run_snapshot(const RunSnapshot& snapshot) {
   assignment_fields(io, snapshot, runs);
   io::encode_trace(io.out, snapshot.trace);
   report_fields(io, snapshot.report);
+  pending_fields(io, snapshot);
   return io.out.take();
 }
 
@@ -202,7 +213,10 @@ util::Expected<RunSnapshot> decode_run_snapshot(
           " beyond trace of " + std::to_string(snapshot.trace.size()));
 
   report_fields(io, snapshot.report);
+  pending_fields(io, snapshot);
   if (!r.ok()) return r.status();
+  if (!(snapshot.pending_detection_s >= 0.0))
+    return util::Status::invalid("negative pending detection seconds");
   if (!r.at_end())
     return util::Status::invalid("trailing bytes after run snapshot");
   return snapshot;

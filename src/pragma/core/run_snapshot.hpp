@@ -12,7 +12,10 @@
 //   * the report accumulated so far, including per-regrid records;
 //   * the simulator clock, so the periodic control plane (monitor
 //     sampling, agent ticks, load generator) can be fast-forwarded to the
-//     exact event sequence position it had when the checkpoint was taken.
+//     exact event sequence position it had when the checkpoint was taken;
+//   * the pending rollback state: node failures confirmed but not yet
+//     rolled back.  The fast-forward replays every confirmation, whose
+//     rollback the replay cannot perform, so it cannot rebuild this.
 //
 // A config fingerprint over every run-shaping value guards against
 // resuming with a different configuration — valid bytes in the wrong
@@ -42,6 +45,9 @@ struct RunSnapshot {
   std::int32_t owners_nprocs = 0;
   amr::AdaptationTrace trace;
   ManagedRunReport report;
+  /// Confirmed failures and their detection seconds awaiting rollback.
+  std::vector<grid::NodeId> pending_victims;
+  double pending_detection_s = 0.0;
 };
 
 /// Every run-shaping ManagedRunConfig value, once, in wire order and at

@@ -1,36 +1,44 @@
-// Durable, crash-consistent checkpoint files.
+// Durable files: the record log and the checkpoint store.
 //
-// The paper's CA actuators can "save component execution state"; this is
-// the layer that makes that actuator real.  A checkpoint is an opaque
-// payload wrapped in a fixed 32-byte envelope:
+// The record log is the one durable file format.  The admission journal
+// (service/journal.hpp) and the checkpoint store keep their state as logs
+// of CRC-sealed frames in a GenerationDir of numbered files:
 //
-//   offset  size  field
-//   ------  ----  -----------------------------------------------
-//        0     8  magic "PRGMCKP1"
-//        8     4  format version (little-endian u32, currently 1)
-//       12     4  flags (reserved, must be zero)
-//       16     8  payload size in bytes (u64)
-//       24     4  CRC-32 of the payload (IEEE)
-//       28     4  CRC-32 of bytes [0, 28) — seals the header itself
-//       32     …  payload
+//   file header:  "PRGMWAL1" | u32 version | u32 CRC-32 of bytes [0,12)
+//   record frame: "PJR1" | u32 type | u64 seq | u64 payload size
+//                 | u32 payload CRC | u32 header CRC of bytes [0,28)
+//                 | payload...
 //
-// A file is accepted only when *every* check passes: size, magic, header
-// CRC, version, declared-vs-actual payload size, payload CRC.  Torn
-// writes (short file), bit-flips (either CRC) and future versions are all
-// detected before a byte of payload is interpreted.
+// Frame types 1-3 are the journal's (pending, tombstone, batch) and 4 is
+// a checkpoint record; each reader names the types it knows.  A scan
+// accepts the longest valid prefix of a file: the first frame that fails
+// any check (magic, header CRC, a type its reader does not know, a
+// declared size above the cap or past the remaining bytes, payload CRC,
+// or the reader's own check) ends the scan.  A torn tail from a crash
+// mid-append is therefore expected and costs only the frames after it.
 //
-// CheckpointStore manages a GenerationDir of numbered generations
-// (ckpt-00000001.pragma, ckpt-00000002.pragma, …) written via the
-// classic crash-consistent sequence: write to a ".tmp" name, fsync the
-// file, rename() into place, fsync the directory.  A crash mid-write
-// leaves only a ".tmp" orphan which the loader never reads;
-// load_latest_valid() walks generations newest-first and returns the
-// first one that validates, so a corrupted newest generation falls back
-// to its predecessor instead of taking the run down.  The service's
-// admission journal keeps its generations in a GenerationDir too.
+// The paper's CA actuators can "save component execution state";
+// CheckpointStore makes that actuator real.  A run's checkpoints are one
+// log of generations (ckpt-00000001.pragma, …).  Each write() appends the
+// whole payload as one record (seq 0) to the active generation and
+// fsyncs it, so it returns only once the record is durable.  It starts a
+// new generation instead, the log header plus this record written as tmp
+// + fsync + rename + directory fsync, on the store's first write, after a
+// failed write, and when the append would take the generation past
+// kCheckpointGenerationMultiple times this record's size; then it deletes
+// the generations beyond keep_last_n.  Every record is a full payload, so
+// starting a generation is the whole compaction, and a store never
+// appends after a tail it did not write.
+//
+// records() returns the valid records newest first: a torn tail or a
+// bit-flipped newest record falls back to the record before it, and a bad
+// generation header to the previous generation.  A crash mid-publish
+// leaves only a ".tmp" orphan, which nothing reads.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,14 +46,45 @@
 
 namespace pragma::io {
 
-/// Envelope constants, exposed for tests and fuzzers.
-inline constexpr char kCheckpointMagic[8] = {'P', 'R', 'G', 'M',
-                                             'C', 'K', 'P', '1'};
-inline constexpr std::uint32_t kCheckpointVersion = 1;
-inline constexpr std::size_t kCheckpointHeaderBytes = 32;
-/// Default cap on accepted payload size: a hostile header cannot make the
-/// loader allocate more than this.
-inline constexpr std::uint64_t kDefaultMaxPayloadBytes = 64ull << 20;
+inline constexpr char kLogMagic[8] = {'P', 'R', 'G', 'M', 'W', 'A', 'L', '1'};
+inline constexpr std::uint32_t kLogVersion = 1;
+inline constexpr std::size_t kLogHeaderBytes = 16;
+inline constexpr char kLogFrameMagic[4] = {'P', 'J', 'R', '1'};
+inline constexpr std::size_t kLogFrameHeaderBytes = 32;
+
+/// A frame that passed every check of the format.  `payload` points into
+/// the scanned image; `offset` is where the frame starts in it.
+struct LogFrame {
+  std::uint32_t type = 0;
+  std::uint64_t seq = 0;
+  const std::uint8_t* payload = nullptr;
+  std::size_t size = 0;
+  std::size_t offset = 0;
+};
+
+/// Where a scan stopped: `valid_bytes` ends the longest valid prefix and
+/// `tail` says why (ok when the image ended exactly on a frame edge).
+struct LogScan {
+  std::size_t valid_bytes = 0;
+  util::Status tail = util::Status::ok();
+};
+
+/// The sealed 16-byte header of a fresh log file.
+[[nodiscard]] std::vector<std::uint8_t> encode_log_header();
+/// One frame (header + payload), ready to append.
+[[nodiscard]] std::vector<std::uint8_t> encode_log_frame(
+    std::uint32_t type, std::uint64_t seq,
+    const std::vector<std::uint8_t>& payload);
+
+/// Scan a log image.  `types` are the frame types the reader knows;
+/// `take` sees each frame that passed every check, in order, and a
+/// non-ok status from it ends the scan at that frame.  Never trusts a
+/// length it just read: a hostile header cannot make a reader allocate
+/// more than `max_payload_bytes`.
+[[nodiscard]] LogScan scan_log(
+    const std::uint8_t* bytes, std::size_t size,
+    std::uint64_t max_payload_bytes, std::span<const std::uint32_t> types,
+    const std::function<util::Status(const LogFrame&)>& take);
 
 /// EINTR-safe full write of `size` bytes to `fd`; `what` names the file
 /// in the error.
@@ -72,94 +111,81 @@ struct GenerationDir {
   /// Rename the tmp file into place and fsync the directory; the tmp
   /// file is removed when the rename fails.
   util::Status publish(std::uint64_t generation) const;
-  /// The whole file: kNotFound when it cannot be opened, kOutOfRange when
-  /// it is larger than `max_bytes` (checked before reading), kInternal
-  /// when it cannot be stat'ed or read in full.
+  /// Append `bytes` to the published generation and fsync it.
+  util::Status append(std::uint64_t generation,
+                      const std::vector<std::uint8_t>& bytes) const;
+  /// The whole file: kNotFound when it cannot be opened, kInternal when it
+  /// cannot be stat'ed or read in full.
   [[nodiscard]] util::Expected<std::vector<std::uint8_t>> read(
-      std::uint64_t generation,
-      std::uint64_t max_bytes = UINT64_MAX) const;
+      std::uint64_t generation) const;
 };
 
-/// Wrap `payload` in the checkpoint envelope.
-[[nodiscard]] std::vector<std::uint8_t> encode_envelope(
-    const std::vector<std::uint8_t>& payload);
+/// The frame type of a checkpoint record; the journal's types are 1-3.
+inline constexpr std::uint32_t kCheckpointRecordType = 4;
+/// A generation ends before an append would take it past this many times
+/// the appended record's size.
+inline constexpr std::uint64_t kCheckpointGenerationMultiple = 8;
+/// Default cap on accepted payload size: a hostile header cannot make the
+/// loader allocate more than this.
+inline constexpr std::uint64_t kDefaultMaxPayloadBytes = 64ull << 20;
 
-/// Validate `bytes` and extract the payload.  Pure function over memory —
-/// the fuzzer entry point for the checkpoint loader.
-[[nodiscard]] util::Expected<std::vector<std::uint8_t>> decode_envelope(
-    const std::uint8_t* bytes, std::size_t size,
-    std::uint64_t max_payload_bytes = kDefaultMaxPayloadBytes);
-[[nodiscard]] util::Expected<std::vector<std::uint8_t>> decode_envelope(
-    const std::vector<std::uint8_t>& bytes,
-    std::uint64_t max_payload_bytes = kDefaultMaxPayloadBytes);
+/// One checkpoint record: its payload, the generation that holds it and
+/// where its frame starts in that generation's file.
+struct CheckpointRecord {
+  std::uint64_t generation = 0;
+  std::size_t offset = 0;
+  std::vector<std::uint8_t> payload;
+};
+
+/// The checkpoint records of one generation image, oldest first, appended
+/// to `records` (with generation 0).  Pure function over memory — the
+/// fuzzer entry point for the checkpoint loader.
+LogScan scan_checkpoint_log(const std::uint8_t* bytes, std::size_t size,
+                            std::uint64_t max_payload_bytes,
+                            std::vector<CheckpointRecord>& records);
 
 struct CheckpointStoreOptions {
   std::string dir;
-  /// Retention window: generations kept on disk; older ones are garbage-
-  /// collected after a successful write (or an explicit gc() call).
-  /// Minimum 1; keep ≥ 2 so a corrupted newest generation still has a
-  /// fallback.  GC never deletes the newest generation that validates,
-  /// even when it falls outside the window.
+  /// Retention window: generations kept on disk, each holding up to about
+  /// kCheckpointGenerationMultiple records.  Minimum 1; older generations
+  /// are deleted when a new one is published.
   int keep_last_n = 2;
   std::uint64_t max_payload_bytes = kDefaultMaxPayloadBytes;
-};
-
-/// A loaded checkpoint: which generation it came from plus its payload.
-struct LoadedCheckpoint {
-  std::uint64_t generation = 0;
-  std::vector<std::uint8_t> payload;
 };
 
 class CheckpointStore {
  public:
   explicit CheckpointStore(CheckpointStoreOptions options);
 
-  /// Durably write `payload` as the next generation (tmp + fsync + rename
-  /// + directory fsync), then trim generations beyond keep_last_n.  The
-  /// new generation is the newest and the window keeps at least one, so
-  /// the trim needs none of gc()'s validation.
+  /// Durably write `payload` as the newest record (see above).
   util::Status write(const std::vector<std::uint8_t>& payload);
 
-  /// Trim the directory to the keep_last_n retention window, oldest
-  /// first.  The newest generation that passes full validation is always
-  /// retained — GC can never delete the latest recoverable state, no
-  /// matter how the window is set or how many newer torn/corrupt files
-  /// exist.  Best-effort (a failed unlink only wastes disk); returns the
-  /// number of files removed.
-  int gc();
-
-  /// Newest generation that passes full validation.  Generations that
-  /// fail are logged and skipped (and reported via `rejected` when
-  /// non-null); kNotFound when none validates.
-  [[nodiscard]] util::Expected<LoadedCheckpoint> load_latest_valid(
-      int* rejected = nullptr) const;
-
-  /// Read + validate one specific generation.
-  [[nodiscard]] util::Expected<LoadedCheckpoint> load_generation(
-      std::uint64_t generation) const;
+  /// Every valid record on disk, newest first across generations.  A
+  /// generation whose scan stopped early (or could not be read) is logged
+  /// and counted in `*torn` when non-null; its valid prefix still counts.
+  [[nodiscard]] std::vector<CheckpointRecord> records(
+      std::size_t* torn = nullptr) const;
 
   /// Generations present on disk (validated or not), ascending.
   [[nodiscard]] std::vector<std::uint64_t> generations() const {
     return files_.list();
   }
-
-  /// Next generation number a write() would use.
-  [[nodiscard]] std::uint64_t next_generation() const;
-
   [[nodiscard]] std::string path_for(std::uint64_t generation) const {
     return files_.path_for(generation);
-  }
-  [[nodiscard]] const CheckpointStoreOptions& options() const {
-    return options_;
   }
 
  private:
   util::Status write_impl(const std::vector<std::uint8_t>& payload);
-  /// Delete the oldest of `existing` beyond keep_last_n, never `spared`.
-  int trim(const std::vector<std::uint64_t>& existing, std::uint64_t spared);
+  /// Publish a generation holding only `frame`, then trim the oldest
+  /// generations beyond keep_last_n.
+  util::Status start_generation(const std::vector<std::uint8_t>& frame);
 
   CheckpointStoreOptions options_;
   GenerationDir files_;
+  /// The generation this store appends to; 0 until its first write and
+  /// after a failed one.
+  std::uint64_t active_ = 0;
+  std::uint64_t active_bytes_ = 0;
 };
 
 }  // namespace pragma::io

@@ -12,12 +12,10 @@
 #include <unordered_map>
 
 #include "pragma/core/run_snapshot.hpp"
-#include "pragma/io/checkpoint.hpp"
 #include "pragma/io/serial.hpp"
 #include "pragma/obs/flight_recorder.hpp"
 #include "pragma/obs/metrics.hpp"
 #include "pragma/service/admission.hpp"
-#include "pragma/util/crc32.hpp"
 #include "pragma/util/logging.hpp"
 
 namespace pragma::service {
@@ -75,32 +73,13 @@ obs::Histogram& fsync_histogram() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// File / record framing
+// Journal records in io's log frames
 // ---------------------------------------------------------------------------
-
-std::vector<std::uint8_t> encode_journal_file_header() {
-  std::vector<std::uint8_t> out(kJournalFileHeaderBytes);
-  std::memcpy(out.data(), kJournalMagic, sizeof kJournalMagic);
-  put_u32(out.data() + 8, kJournalVersion);
-  put_u32(out.data() + 12, util::crc32(out.data(), 12));
-  return out;
-}
 
 std::vector<std::uint8_t> encode_journal_record(
     JournalRecordType type, std::uint64_t seq,
     const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out(kJournalRecordHeaderBytes + payload.size());
-  std::memcpy(out.data(), kJournalRecordMagic, sizeof kJournalRecordMagic);
-  put_u32(out.data() + 4, static_cast<std::uint32_t>(type));
-  put_u64(out.data() + 8, seq);
-  put_u64(out.data() + 16, payload.size());
-  put_u32(out.data() + 24, util::crc32(payload.data(), payload.size()));
-  put_u32(out.data() + 28, util::crc32(out.data(), 28));
-  // An empty payload's data() may be null, which memcpy must not see.
-  if (!payload.empty())
-    std::memcpy(out.data() + kJournalRecordHeaderBytes, payload.data(),
-                payload.size());
-  return out;
+  return io::encode_log_frame(static_cast<std::uint32_t>(type), seq, payload);
 }
 
 std::vector<std::uint8_t> encode_journal_batch_record(
@@ -124,132 +103,57 @@ std::vector<std::uint8_t> encode_journal_batch_record(
                                payload);
 }
 
+namespace {
+
+constexpr std::uint32_t kJournalRecordTypes[] = {
+    static_cast<std::uint32_t>(JournalRecordType::kPending),
+    static_cast<std::uint32_t>(JournalRecordType::kTombstone),
+    static_cast<std::uint32_t>(JournalRecordType::kBatch)};
+
+/// Append a batch frame's pending records.  The frame passed both CRCs,
+/// so a malformed interior means a corrupted-yet-CRC-consistent image (or
+/// an encoder bug): the scan stops at this frame's edge without surfacing
+/// any of its partial records.
+util::Status expand_batch(const io::LogFrame& frame,
+                          std::vector<JournalRecord>& records) {
+  const std::size_t first = records.size();
+  std::size_t pos = 4;
+  bool well_formed = frame.size >= pos;
+  const std::uint32_t count = well_formed ? get_u32(frame.payload) : 0;
+  for (std::uint32_t k = 0; well_formed && k < count; ++k) {
+    const std::uint8_t* item = frame.payload + pos;
+    well_formed = frame.size - pos >= 16 &&
+                  get_u64(item + 8) <= frame.size - pos - 16;
+    if (!well_formed) break;
+    const auto size = static_cast<std::size_t>(get_u64(item + 8));
+    records.push_back(
+        JournalRecord{JournalRecordType::kPending, get_u64(item),
+                      std::vector<std::uint8_t>(item + 16, item + 16 + size)});
+    pos += 16 + size;
+  }
+  if (well_formed && pos == frame.size) return util::Status::ok();
+  records.resize(first);
+  return util::Status::data_loss("malformed batch record interior at offset " +
+                                 std::to_string(frame.offset));
+}
+
+}  // namespace
+
 JournalScan scan_journal_file(const std::uint8_t* bytes, std::size_t size,
                               std::uint64_t max_payload_bytes) {
   JournalScan scan;
-  if (size < kJournalFileHeaderBytes) {
-    scan.tail = util::Status::data_loss(
-        "journal file shorter than its 16-byte header (" +
-        std::to_string(size) + " bytes)");
-    return scan;
-  }
-  if (std::memcmp(bytes, kJournalMagic, sizeof kJournalMagic) != 0) {
-    scan.tail = util::Status::invalid("bad journal file magic");
-    return scan;
-  }
-  if (util::crc32(bytes, 12) != get_u32(bytes + 12)) {
-    scan.tail = util::Status::data_loss("journal file header CRC mismatch");
-    return scan;
-  }
-  if (get_u32(bytes + 8) != kJournalVersion) {
-    scan.tail = util::Status::unimplemented(
-        "journal format version " + std::to_string(get_u32(bytes + 8)));
-    return scan;
-  }
-  std::size_t pos = kJournalFileHeaderBytes;
-  scan.valid_bytes = pos;
-  while (pos < size) {
-    const std::size_t remaining = size - pos;
-    if (remaining < kJournalRecordHeaderBytes) {
-      scan.tail = util::Status::data_loss("torn record header at offset " +
-                                          std::to_string(pos));
-      return scan;
-    }
-    const std::uint8_t* frame = bytes + pos;
-    if (std::memcmp(frame, kJournalRecordMagic, sizeof kJournalRecordMagic) !=
-        0) {
-      scan.tail = util::Status::data_loss("bad record magic at offset " +
-                                          std::to_string(pos));
-      return scan;
-    }
-    if (util::crc32(frame, 28) != get_u32(frame + 28)) {
-      scan.tail = util::Status::data_loss("record header CRC mismatch at "
-                                          "offset " +
-                                          std::to_string(pos));
-      return scan;
-    }
-    const std::uint32_t raw_type = get_u32(frame + 4);
-    if (raw_type != static_cast<std::uint32_t>(JournalRecordType::kPending) &&
-        raw_type !=
-            static_cast<std::uint32_t>(JournalRecordType::kTombstone) &&
-        raw_type != static_cast<std::uint32_t>(JournalRecordType::kBatch)) {
-      scan.tail = util::Status::invalid("unknown record type " +
-                                        std::to_string(raw_type));
-      return scan;
-    }
-    const std::uint64_t declared = get_u64(frame + 16);
-    if (declared > max_payload_bytes) {
-      scan.tail = util::Status::out_of_range(
-          "declared record payload of " + std::to_string(declared) +
-          " bytes exceeds cap of " + std::to_string(max_payload_bytes));
-      return scan;
-    }
-    if (declared > remaining - kJournalRecordHeaderBytes) {
-      scan.tail = util::Status::data_loss(
-          "torn record payload at offset " + std::to_string(pos) +
-          " (declared " + std::to_string(declared) + " bytes)");
-      return scan;
-    }
-    const std::uint8_t* payload = frame + kJournalRecordHeaderBytes;
-    if (util::crc32(payload, declared) != get_u32(frame + 24)) {
-      scan.tail = util::Status::data_loss(
-          "record payload CRC mismatch at offset " + std::to_string(pos));
-      return scan;
-    }
-    if (raw_type == static_cast<std::uint32_t>(JournalRecordType::kBatch)) {
-      // Expand the batch into its individual pending records.  The frame
-      // passed both CRCs, so a malformed interior means a corrupted-yet-
-      // CRC-consistent image (or an encoder bug): stop the scan at this
-      // frame's edge without surfacing any of its partial records.
-      std::vector<JournalRecord> items;
-      const std::uint8_t* cursor = payload;
-      std::size_t left = static_cast<std::size_t>(declared);
-      bool well_formed = left >= 4;
-      std::uint32_t count = 0;
-      if (well_formed) {
-        count = get_u32(cursor);
-        cursor += 4;
-        left -= 4;
-      }
-      for (std::uint32_t k = 0; well_formed && k < count; ++k) {
-        if (left < 16) {
-          well_formed = false;
-          break;
-        }
-        const std::uint64_t item_seq = get_u64(cursor);
-        const std::uint64_t item_size = get_u64(cursor + 8);
-        cursor += 16;
-        left -= 16;
-        if (item_size > left) {
-          well_formed = false;
-          break;
-        }
-        JournalRecord item;
-        item.type = JournalRecordType::kPending;
-        item.seq = item_seq;
-        item.payload.assign(cursor, cursor + item_size);
-        items.push_back(std::move(item));
-        cursor += item_size;
-        left -= static_cast<std::size_t>(item_size);
-      }
-      if (!well_formed || left != 0) {
-        scan.tail = util::Status::data_loss(
-            "malformed batch record interior at offset " +
-            std::to_string(pos));
-        return scan;
-      }
-      for (JournalRecord& item : items)
-        scan.records.push_back(std::move(item));
-    } else {
-      JournalRecord record;
-      record.type = static_cast<JournalRecordType>(raw_type);
-      record.seq = get_u64(frame + 8);
-      record.payload.assign(payload, payload + declared);
-      scan.records.push_back(std::move(record));
-    }
-    pos += kJournalRecordHeaderBytes + static_cast<std::size_t>(declared);
-    scan.valid_bytes = pos;
-  }
+  static_cast<io::LogScan&>(scan) = io::scan_log(
+      bytes, size, max_payload_bytes, kJournalRecordTypes,
+      [&scan](const io::LogFrame& frame) {
+        const auto type = static_cast<JournalRecordType>(frame.type);
+        if (type == JournalRecordType::kBatch)
+          return expand_batch(frame, scan.records);
+        scan.records.push_back(JournalRecord{
+            type, frame.seq,
+            std::vector<std::uint8_t>(frame.payload,
+                                      frame.payload + frame.size)});
+        return util::Status::ok();
+      });
   return scan;
 }
 
@@ -677,7 +581,7 @@ util::Status Journal::compact_locked() {
     return util::Status::unavailable("journal degraded; compaction skipped");
 
   // Serialize the live set into a fresh generation image.
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   for (const auto& [seq, live] : live_) {
     if (live.payload.empty()) continue;  // degraded-era record, not durable
     const std::vector<std::uint8_t> frame =

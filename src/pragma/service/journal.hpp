@@ -15,33 +15,23 @@
 // forced on recovered specs with persistence enabled) fence the replay to
 // effectively-once.
 //
-// On-disk layout: an io::GenerationDir of generation files, written with
-// the same tmp/fsync/rename publish as io::CheckpointStore:
+// On-disk layout: an io::GenerationDir of record logs (io/checkpoint.hpp),
+// published with the same tmp/fsync/rename as io::CheckpointStore:
 //
 //   wal-00000001.pragma-wal
 //   wal-00000002.pragma-wal     <- active generation, append-only
 //
-// Each file starts with a 16-byte sealed header and then holds
-// self-delimiting records:
-//
-//   file header:  "PRGMWAL1" | u32 version | u32 CRC-32 of bytes [0,12)
-//   record frame: "PJR1" | u32 type | u64 seq | u64 payload size
-//                 | u32 payload CRC | u32 header CRC of bytes [0,28)
-//                 | payload...
-//
-// type 1 = pending (payload: versioned RunSpec encoding), type 2 =
+// Frame types: 1 = pending (payload: versioned RunSpec encoding), 2 =
 // tombstone (empty payload; the seq names the pending record it kills),
-// type 3 = batch (payload: u32 count, then per item u64 seq | u64 size |
+// 3 = batch (payload: u32 count, then per item u64 seq | u64 size |
 // RunSpec encoding — one frame, one payload CRC, one fsync for a whole
 // submit_batch; the frame header's seq is the first item's).  A scan
-// accepts the longest valid prefix of a file: the first frame that fails
-// any check (magic, CRCs, declared size vs remaining bytes) ends the
-// scan — torn tails from a crash mid-append are expected and benign.
-// Batch frames expand into their individual pending records at scan
-// time, so recovery replays them identically to single appends; a crash
-// mid-batch loses the whole frame (its payload CRC cannot match),
-// never half of it.  Compaction rewrites survivors as plain pending
-// frames.
+// accepts the longest valid prefix of a file, so torn tails from a crash
+// mid-append are expected and benign.  Batch frames expand into their
+// individual pending records at scan time, so recovery replays them
+// identically to single appends; a crash mid-batch loses the whole frame
+// (its payload CRC cannot match), never half of it.  Compaction rewrites
+// survivors as plain pending frames.
 //
 // Degradation ladder (loudest first):
 //   1. saturation — the active generation exceeds max_active_bytes and
@@ -71,13 +61,6 @@
 
 namespace pragma::service {
 
-/// Envelope constants, exposed for tests and the fuzzer.
-inline constexpr char kJournalMagic[8] = {'P', 'R', 'G', 'M',
-                                          'W', 'A', 'L', '1'};
-inline constexpr std::uint32_t kJournalVersion = 1;
-inline constexpr std::size_t kJournalFileHeaderBytes = 16;
-inline constexpr char kJournalRecordMagic[4] = {'P', 'J', 'R', '1'};
-inline constexpr std::size_t kJournalRecordHeaderBytes = 32;
 /// Version tag of the RunSpec payload encoding (first u32 of the payload).
 /// A payload of any other version fails to decode with kUnimplemented.
 inline constexpr std::uint32_t kRunSpecPayloadVersion = 6;
@@ -98,18 +81,15 @@ struct JournalRecord {
   std::vector<std::uint8_t> payload;  ///< empty for tombstones
 };
 
-/// Result of scanning one journal file image.  `records` is the longest
-/// valid prefix; `valid_bytes` is where it ends; `tail` explains why the
-/// scan stopped early (ok when the file ended exactly on a frame edge).
-struct JournalScan {
+/// Result of scanning one journal file image: the records of its longest
+/// valid prefix, batches expanded.
+struct JournalScan : io::LogScan {
   std::vector<JournalRecord> records;
-  std::size_t valid_bytes = 0;
-  util::Status tail = util::Status::ok();
 };
 
+/// io::scan_log with the journal's record types, batch frames expanded.
 /// Pure function over memory — the fuzzer entry point for the journal
-/// loader.  Never trusts a length it just read; a hostile header cannot
-/// demand more than `max_payload_bytes`.
+/// loader.
 [[nodiscard]] JournalScan scan_journal_file(
     const std::uint8_t* bytes, std::size_t size,
     std::uint64_t max_payload_bytes = kDefaultJournalMaxPayloadBytes);
@@ -117,9 +97,7 @@ struct JournalScan {
     const std::vector<std::uint8_t>& bytes,
     std::uint64_t max_payload_bytes = kDefaultJournalMaxPayloadBytes);
 
-/// Sealed 16-byte file header for a fresh generation.
-[[nodiscard]] std::vector<std::uint8_t> encode_journal_file_header();
-/// One framed record (header + payload), ready to append.
+/// io::encode_log_frame of a journal record type.
 [[nodiscard]] std::vector<std::uint8_t> encode_journal_record(
     JournalRecordType type, std::uint64_t seq,
     const std::vector<std::uint8_t>& payload);

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 //
-// Used by the checkpoint envelope and the journal's WAL frames to detect
+// Used by the record log's frames (checkpoints and the journal) to detect
 // torn writes and bit-flips.  Every checkpoint persist checksums its whole
 // payload (tens of KiB, one per save-state), so the implementation is
 // slicing-by-8: eight 256-entry tables fold one 8-byte block per step,

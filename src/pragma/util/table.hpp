@@ -28,7 +28,6 @@ class TextTable {
   /// Insert a horizontal rule before the next added row.
   void add_rule();
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   [[nodiscard]] std::string render() const;
 
  private:

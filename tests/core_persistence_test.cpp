@@ -77,9 +77,9 @@ TEST(Persistence, WritesValidatableGenerations) {
   const io::CheckpointStore store(options);
   EXPECT_FALSE(store.generations().empty());
   EXPECT_LE(store.generations().size(), 4u);
-  const auto loaded = store.load_latest_valid();
-  ASSERT_TRUE(loaded) << loaded.status().to_string();
-  const auto snapshot = decode_run_snapshot(loaded.value().payload);
+  const std::vector<io::CheckpointRecord> records = store.records();
+  ASSERT_FALSE(records.empty());
+  const auto snapshot = decode_run_snapshot(records.front().payload);
   ASSERT_TRUE(snapshot) << snapshot.status().to_string();
   EXPECT_EQ(snapshot.value().config_fingerprint,
             config_fingerprint(persist_config(dir)));
@@ -160,21 +160,29 @@ TEST(Persistence, CorruptNewestGenerationFallsBackAndStillMatches) {
 
   ASSERT_TRUE(kill_after(persist_config(dir), 21));
 
-  // Corrupt the newest generation (payload bit-flip) and drop a torn tmp
-  // orphan next to it, as a crash mid-write would leave.
+  // Corrupt the newest record (payload bit-flip), append a torn partial
+  // frame after it, as a crash mid-append would leave, and drop a torn
+  // tmp orphan next to its generation, as a crash mid-publish would.
   io::CheckpointStoreOptions options;
   options.dir = dir;
   const io::CheckpointStore store(options);
-  const auto gens = store.generations();
-  ASSERT_GE(gens.size(), 2u);
+  const std::vector<io::CheckpointRecord> records = store.records();
+  ASSERT_GE(records.size(), 2u);
+  const io::CheckpointRecord& newest = records.front();
   {
-    std::fstream file(store.path_for(gens.back()),
+    std::fstream file(store.path_for(newest.generation),
                       std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(static_cast<std::streamoff>(io::kCheckpointHeaderBytes + 7));
+    file.seekp(static_cast<std::streamoff>(newest.offset +
+                                           io::kLogFrameHeaderBytes + 7));
     const char garbage = '\xa5';
     file.write(&garbage, 1);
+    file.seekp(0, std::ios::end);
+    const std::vector<std::uint8_t> frame = io::encode_log_frame(
+        io::kCheckpointRecordType, 0, newest.payload);
+    file.write(reinterpret_cast<const char*>(frame.data()),
+               static_cast<std::streamsize>(frame.size() / 3));
   }
-  std::ofstream(store.path_for(gens.back() + 1) + ".tmp") << "torn";
+  std::ofstream(store.path_for(newest.generation + 1) + ".tmp") << "torn";
 
   ManagedRunConfig resume = persist_config(dir);
   resume.persist.resume = true;
@@ -224,29 +232,37 @@ TEST(Persistence, MismatchedConfigStartsFresh) {
 }
 
 // An ft run resumes bit-identically too: fast-forwarding the control plane
-// replays the lossy channel's, the protocol's and the detector's draws.
-// The cases come from a grid of 216 (seeds {40, 41, 977} x checkpoint
-// intervals {1e-6, 5, 25} s x node-3 failure at 20 s for 60 s, on or off
-// x drop {0, 0.05, 0.2} x kill steps {7, 19, 33, 48}) that all matched;
-// 204 of them restored a generation.
+// replays the lossy channel's, the protocol's and the detector's draws,
+// and the checkpoint restores the rollback still pending from failures
+// confirmed before it.  The cases come from a grid of seeds {40, 41, 977}
+// x checkpoint intervals {1e-6, 5, 25} s x drop {0, 0.05, 0.2} x kill
+// steps {7, 19, 33, 48}, each with no failure, one (node 3 down at 20 s
+// for 60 s), two (that one and node 5 down at 110 s for 30 s) and random
+// failures (MTBF 80 s, MTTR 20 s), that all matched.  The last two cases
+// resumed differently before the pending rollback state was persisted.
 TEST(Persistence, FtKillResumeMatchesUninterruptedBitwise) {
+  enum class Failures { kNone, kOne, kTwo, kRandom };
   struct Case {
     std::uint64_t seed;
     double interval_s;
-    bool node_failure;
+    Failures failures;
     double drop;
     int kill_at;
   };
   const Case cases[] = {
-      {40, 5.0, true, 0.05, 19},   {41, 25.0, true, 0.05, 33},
-      {977, 25.0, true, 0.2, 48},  {977, 5.0, true, 0.0, 7},
-      {41, 1e-6, false, 0.05, 33},
+      {40, 5.0, Failures::kOne, 0.05, 19},
+      {41, 25.0, Failures::kOne, 0.05, 33},
+      {977, 25.0, Failures::kOne, 0.2, 48},
+      {977, 5.0, Failures::kOne, 0.0, 7},
+      {41, 1e-6, Failures::kNone, 0.05, 33},
+      {977, 5.0, Failures::kTwo, 0.0, 7},
+      {40, 1e-6, Failures::kRandom, 0.0, 7},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(testing::Message()
                  << "seed " << c.seed << ", interval " << c.interval_s
-                 << " s, failure " << c.node_failure << ", drop " << c.drop
-                 << ", kill at " << c.kill_at);
+                 << " s, failures " << static_cast<int>(c.failures)
+                 << ", drop " << c.drop << ", kill at " << c.kill_at);
     const auto config_for = [&c](const std::string& dir) {
       ManagedRunConfig config = persist_config(dir, 60);
       config.capacity_spread = 0.35;
@@ -259,7 +275,11 @@ TEST(Persistence, FtKillResumeMatchesUninterruptedBitwise) {
       return config;
     };
     const auto armed = [&c](ManagedRun& run) -> ManagedRun& {
-      if (c.node_failure) run.schedule_failure(20.0, 3, 60.0);
+      if (c.failures == Failures::kOne || c.failures == Failures::kTwo)
+        run.schedule_failure(20.0, 3, 60.0);
+      if (c.failures == Failures::kTwo) run.schedule_failure(110.0, 5, 30.0);
+      if (c.failures == Failures::kRandom)
+        run.start_random_failures(80.0, 20.0);
       return run;
     };
     const std::string dir_ref = test_dir("ft_ref");
@@ -437,30 +457,69 @@ TEST(RunSnapshotCodec, RejectsBoxOutsideLevelDomain) {
       << decoded.status().to_string();
 }
 
-TEST(RunSnapshotCodec, Format1IsUnimplemented) {
+/// A valid payload retagged as payload format `format`, decoded.
+util::Expected<RunSnapshot> decode_as_format(std::uint32_t format) {
   RunSnapshot snapshot;
   snapshot.owners = {0, 1};
   snapshot.owners_nprocs = 2;
   snapshot.trace.add(amr::Snapshot{0, amr::GridHierarchy({16, 8, 8}, 2, 3)});
   std::vector<std::uint8_t> payload = encode_run_snapshot(snapshot);
-  ASSERT_TRUE(decode_run_snapshot(payload));
-  const std::uint32_t format1 = 1;
-  std::memcpy(payload.data(), &format1, sizeof format1);
-  const auto decoded = decode_run_snapshot(payload);
+  EXPECT_TRUE(decode_run_snapshot(payload));
+  std::memcpy(payload.data(), &format, sizeof format);
+  return decode_run_snapshot(payload);
+}
+
+TEST(RunSnapshotCodec, Format1IsUnimplemented) {
+  const auto decoded = decode_as_format(1);
   ASSERT_FALSE(decoded);
   EXPECT_EQ(decoded.status().code(), util::StatusCode::kUnimplemented);
+}
+
+// Format 2 had no pending rollback state.
+TEST(RunSnapshotCodec, Format2IsUnimplemented) {
+  const auto decoded = decode_as_format(2);
+  ASSERT_FALSE(decoded);
+  EXPECT_EQ(decoded.status().code(), util::StatusCode::kUnimplemented);
+}
+
+// The pending rollback state closes the payload: a u32 victim count, the
+// victims, then the pending detection seconds.
+TEST(RunSnapshotCodec, RejectsMalformedPendingState) {
+  RunSnapshot snapshot;
+  snapshot.owners = {0, 1};
+  snapshot.owners_nprocs = 2;
+  snapshot.trace.add(amr::Snapshot{0, amr::GridHierarchy({16, 8, 8}, 2, 3)});
+  const std::vector<std::uint8_t> valid = encode_run_snapshot(snapshot);
+  ASSERT_TRUE(decode_run_snapshot(valid));
+  const std::size_t count_at = valid.size() - 12;
+  const auto with = [&valid](std::size_t at, const auto& value) {
+    std::vector<std::uint8_t> out = valid;
+    std::memcpy(out.data() + at, &value, sizeof value);
+    return decode_run_snapshot(out);
+  };
+  const auto above_cap = with(count_at, std::uint32_t{(1u << 20) + 1});
+  ASSERT_FALSE(above_cap);
+  EXPECT_NE(above_cap.status().message().find("exceeds cap"),
+            std::string::npos);
+  const auto past_buffer = with(count_at, std::uint32_t{3});
+  ASSERT_FALSE(past_buffer);
+  EXPECT_NE(past_buffer.status().message().find("overruns buffer"),
+            std::string::npos);
+  const auto negative = with(count_at + 4, -1.0);
+  ASSERT_FALSE(negative);
+  EXPECT_EQ(negative.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 /// Every persisted scalar of RunSnapshot, ManagedRunReport and
 /// ManagedStepRecord, listed independently of the codec's own field lists
 /// so that a field missing from both directions of the codec still fails
 /// RoundTripsEveryFieldBitwise.  The vectors (select_indices, owners,
-/// trace, records) are checked separately.  The report's per-process
-/// fields (checkpoints_persisted, checkpoint_generations_rejected,
-/// resumed) are not persisted.
+/// trace, records, pending_victims) are checked separately.  The report's
+/// per-process fields (checkpoints_persisted,
+/// checkpoint_generations_rejected, resumed) are not persisted.
 #define PRAGMA_PERSISTED_SNAPSHOT_FIELDS(X)                               \
   X(config_fingerprint) X(completed_steps) X(emulator_step) X(sim_clock) \
-  X(max_box_cells) X(owners_nprocs)
+  X(max_box_cells) X(owners_nprocs) X(pending_detection_s)
 #define PRAGMA_PERSISTED_REPORT_FIELDS(X)                                 \
   X(total_time_s) X(regrids) X(repartitions) X(agent_events)             \
   X(adm_decisions) X(event_repartitions) X(migrations)                   \
@@ -504,6 +563,7 @@ TEST(RunSnapshotCodec, RoundTripsEveryFieldBitwise) {
   }
   original.select_indices = {0, 1, 1};
   original.owners = {0, 2, 1, 0};
+  original.pending_victims = {3, 5};
   amr::GridHierarchy first({16, 8, 8}, 2, 3);
   amr::GridHierarchy second = first;
   second.set_level_boxes(1, {amr::Box({2, 2, 2}, {9, 5, 5})});
@@ -541,6 +601,7 @@ TEST(RunSnapshotCodec, RoundTripsEveryFieldBitwise) {
   }
   EXPECT_EQ(snapshot.select_indices, original.select_indices);
   EXPECT_EQ(snapshot.owners, original.owners);
+  EXPECT_EQ(snapshot.pending_victims, original.pending_victims);
   ASSERT_EQ(snapshot.trace.size(), original.trace.size());
   for (std::size_t i = 0; i < original.trace.size(); ++i) {
     const amr::Snapshot& want = original.trace.at(i);
@@ -560,69 +621,88 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
                                    std::istreambuf_iterator<char>());
 }
 
-/// The libFuzzer seeds in fuzz/corpus/checkpoint, written by the current
-/// encoder: valid.ckpt is a small hand-built snapshot (no records, a
-/// 2-snapshot trace); managed.ckpt is generation 3 of a real persisted
-/// run (64x16x16 base grid, 24 steps, 4 procs, capacity spread 0.35,
-/// background load, system-sensitive, ft on with drop 0.05, 5 s
-/// checkpoint interval, node 3 failing at 20 s for 30 s) with 4 regrid
-/// records and a 5-snapshot trace; managed200.ckpt is the last generation
-/// of the run ci/managed_report_reference.out pins (a full 16,384-cell
-/// owner map); torn.ckpt cuts valid.ckpt to 100 bytes; bitflip.ckpt flips
-/// bit 6 of valid.ckpt's byte 200, inside the payload.  A payload format
-/// change must regenerate them, or the fuzzer explores stale bytes; so
-/// must a config_fingerprint change, which the two real-run seeds carry.
+/// The snapshots of a checkpoint seed, oldest first.  The seed must scan
+/// to its end, and re-encoding its snapshots as a log must reproduce it.
+std::vector<RunSnapshot> decode_seed(const std::string& path) {
+  const std::vector<std::uint8_t> bytes = read_file(path);
+  std::vector<io::CheckpointRecord> records;
+  const io::LogScan scan = io::scan_checkpoint_log(
+      bytes.data(), bytes.size(), io::kDefaultMaxPayloadBytes, records);
+  EXPECT_TRUE(scan.tail.is_ok()) << path << ": " << scan.tail.to_string();
+  EXPECT_FALSE(records.empty()) << path;
+  std::vector<RunSnapshot> snapshots;
+  std::vector<std::uint8_t> rebuilt = io::encode_log_header();
+  for (const io::CheckpointRecord& record : records) {
+    util::Expected<RunSnapshot> snapshot =
+        decode_run_snapshot(record.payload);
+    if (!snapshot.has_value()) {
+      ADD_FAILURE() << path << ": " << snapshot.status().to_string();
+      return {};
+    }
+    const std::vector<std::uint8_t> frame = io::encode_log_frame(
+        io::kCheckpointRecordType, 0, encode_run_snapshot(snapshot.value()));
+    rebuilt.insert(rebuilt.end(), frame.begin(), frame.end());
+    snapshots.push_back(std::move(snapshot).value());
+  }
+  EXPECT_EQ(rebuilt, bytes) << path;
+  return snapshots;
+}
+
+/// The libFuzzer seeds in fuzz/corpus/checkpoint are checkpoint logs
+/// written by the current encoder (every record's seq is 0).
+/// valid.ckpt holds one record: a small hand-built snapshot (no report
+/// records, a 2-snapshot trace).  managed.ckpt is generation 1 of a real
+/// persisted run (64x16x16 base grid, 24 steps, 4 procs, capacity spread
+/// 0.35, background load, system-sensitive, ft on with drop 0.05, 5 s
+/// checkpoint interval, node 3 failing at 20 s for 30 s) holding its first
+/// three records, the third with 4 regrid records and a 5-snapshot trace.
+/// managed200.ckpt holds one record, the last checkpoint of the run
+/// ci/managed_report_reference.out pins (a full 16,384-cell owner map).
+/// torn.ckpt cuts valid.ckpt to 100 bytes; bitflip.ckpt flips bit 6 of
+/// valid.ckpt's byte 200, inside the payload.  A payload format change
+/// must regenerate them, or the fuzzer explores stale bytes; so must a
+/// config_fingerprint change, which the two real-run seeds carry.
 TEST(CheckpointCorpus, SeedsDecodeWithCurrentCodec) {
   const std::string corpus = std::string(PRAGMA_SOURCE_DIR) +
                              "/fuzz/corpus/checkpoint/";
-  for (const char* name : {"valid.ckpt", "managed.ckpt", "managed200.ckpt"}) {
-    const std::vector<std::uint8_t> bytes = read_file(corpus + name);
-    const util::Expected<std::vector<std::uint8_t>> payload =
-        io::decode_envelope(bytes);
-    ASSERT_TRUE(payload.has_value())
-        << name << ": " << payload.status().to_string();
-    const util::Expected<RunSnapshot> snapshot =
-        decode_run_snapshot(payload.value());
-    ASSERT_TRUE(snapshot.has_value())
-        << name << ": " << snapshot.status().to_string();
-    EXPECT_EQ(io::encode_envelope(encode_run_snapshot(snapshot.value())),
-              bytes)
-        << name;
-  }
+  EXPECT_EQ(decode_seed(corpus + "valid.ckpt").size(), 1u);
   ManagedRunConfig lossy;
   lossy.capacity_spread = 0.35;
   lossy.with_background_load = true;
   lossy.system_sensitive = true;
   lossy.ft.enabled = true;
   lossy.ft.channel.drop_probability = 0.05;
-  const util::Expected<RunSnapshot> managed = decode_run_snapshot(
-      io::decode_envelope(read_file(corpus + "managed.ckpt")).value());
-  EXPECT_GE(managed.value().report.records.size(), 2u);
-  EXPECT_GE(managed.value().trace.size(), 3u);
+  const std::vector<RunSnapshot> managed =
+      decode_seed(corpus + "managed.ckpt");
+  ASSERT_EQ(managed.size(), 3u);
+  EXPECT_GE(managed.back().report.records.size(), 2u);
+  EXPECT_GE(managed.back().trace.size(), 3u);
   ManagedRunConfig small = lossy;
   small.app.base_dims = {64, 16, 16};
   small.app.coarse_steps = 24;
   small.nprocs = 4;
   small.checkpoint_interval_s = 5.0;
-  EXPECT_EQ(managed.value().config_fingerprint, config_fingerprint(small));
+  for (const RunSnapshot& snapshot : managed)
+    EXPECT_EQ(snapshot.config_fingerprint, config_fingerprint(small));
   // The whole 200-step checkpoint fits the fuzz-smoke job's -max_len.
-  const std::vector<std::uint8_t> full = read_file(corpus + "managed200.ckpt");
-  EXPECT_LE(full.size(), 65536u);
-  const util::Expected<RunSnapshot> managed200 =
-      decode_run_snapshot(io::decode_envelope(full).value());
-  EXPECT_EQ(managed200.value().owners.size(), 16384u);
-  EXPECT_GE(managed200.value().report.records.size(), 40u);
+  EXPECT_LE(read_file(corpus + "managed200.ckpt").size(), 65536u);
+  const std::vector<RunSnapshot> managed200 =
+      decode_seed(corpus + "managed200.ckpt");
+  ASSERT_EQ(managed200.size(), 1u);
+  EXPECT_EQ(managed200[0].owners.size(), 16384u);
+  EXPECT_GE(managed200[0].report.records.size(), 40u);
   ManagedRunConfig full_run = lossy;
   full_run.app.coarse_steps = 200;
   full_run.modeled_partition_s_per_cell = kModeledPartitionSPerCell;
-  EXPECT_EQ(managed200.value().config_fingerprint,
-            config_fingerprint(full_run));
+  EXPECT_EQ(managed200[0].config_fingerprint, config_fingerprint(full_run));
 
   for (const char* name : {"torn.ckpt", "bitflip.ckpt"}) {
-    const util::Expected<std::vector<std::uint8_t>> payload =
-        io::decode_envelope(read_file(corpus + name));
-    ASSERT_FALSE(payload.has_value()) << name;
-    EXPECT_EQ(payload.status().code(), util::StatusCode::kDataLoss) << name;
+    const std::vector<std::uint8_t> bytes = read_file(corpus + name);
+    std::vector<io::CheckpointRecord> records;
+    const io::LogScan scan = io::scan_checkpoint_log(
+        bytes.data(), bytes.size(), io::kDefaultMaxPayloadBytes, records);
+    EXPECT_TRUE(records.empty()) << name;
+    EXPECT_EQ(scan.tail.code(), util::StatusCode::kDataLoss) << name;
   }
 }
 

@@ -288,7 +288,7 @@ TEST(BatchJournalTest, BatchSurvivesKillAndRecoversInOrder) {
 }
 
 TEST(BatchJournalTest, TornBatchFrameLosesOnlyThatFrame) {
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   std::vector<JournalRecord> first;
   std::vector<JournalRecord> second;
   for (std::uint64_t seq = 1; seq <= 3; ++seq)
@@ -311,7 +311,7 @@ TEST(BatchJournalTest, TornBatchFrameLosesOnlyThatFrame) {
 }
 
 TEST(BatchJournalTest, MalformedBatchInteriorStopsWithoutPartialRecords) {
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   // A CRC-valid frame whose interior lies: it claims five items but
   // carries only the count word.
   std::vector<std::uint8_t> payload(4, 0);

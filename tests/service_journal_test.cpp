@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "pragma/io/checkpoint.hpp"
 #include "pragma/obs/flight_recorder.hpp"
 #include "pragma/service/runtime.hpp"
 #include "pragma/util/crc32.hpp"
@@ -277,7 +278,7 @@ TEST(JournalCorpus, SeedsDecodeWithCurrentCodec) {
       scan_journal_file(read_file(corpus + "bitflip.wal"));
   EXPECT_EQ(flipped.tail.code(), util::StatusCode::kDataLoss);
   EXPECT_TRUE(flipped.records.empty());
-  EXPECT_EQ(flipped.valid_bytes, kJournalFileHeaderBytes);
+  EXPECT_EQ(flipped.valid_bytes, io::kLogHeaderBytes);
 }
 
 TEST(JournalCodec, JournalKeyDistinguishesDerivedRuns) {
@@ -288,7 +289,7 @@ TEST(JournalCodec, JournalKeyDistinguishesDerivedRuns) {
 }
 
 TEST(JournalScanTest, AcceptsLongestValidPrefixOnTornTail) {
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   const std::vector<std::uint8_t> p1 = encode_run_spec(small_managed_spec("a"));
   const std::vector<std::uint8_t> p2 = encode_run_spec(small_managed_spec("b"));
   const auto r1 = encode_journal_record(JournalRecordType::kPending, 1, p1);
@@ -307,7 +308,7 @@ TEST(JournalScanTest, AcceptsLongestValidPrefixOnTornTail) {
 }
 
 TEST(JournalScanTest, BitFlipStopsScanAtCorruptRecord) {
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   const std::vector<std::uint8_t> payload =
       encode_run_spec(small_managed_spec("a"));
   std::size_t second_at = 0;
@@ -318,7 +319,7 @@ TEST(JournalScanTest, BitFlipStopsScanAtCorruptRecord) {
     image.insert(image.end(), frame.begin(), frame.end());
   }
   // Flip one payload byte inside the second record.
-  image[second_at + kJournalRecordHeaderBytes + 10] ^= 0x40;
+  image[second_at + io::kLogFrameHeaderBytes + 10] ^= 0x40;
 
   const JournalScan scan = scan_journal_file(image);
   ASSERT_EQ(scan.records.size(), 1u);
@@ -327,7 +328,7 @@ TEST(JournalScanTest, BitFlipStopsScanAtCorruptRecord) {
 }
 
 TEST(JournalScanTest, HostilePayloadLengthIsCapped) {
-  std::vector<std::uint8_t> image = encode_journal_file_header();
+  std::vector<std::uint8_t> image = io::encode_log_header();
   auto frame = encode_journal_record(JournalRecordType::kPending, 1, {});
   // Declare a huge payload and re-seal the header CRC so only the size
   // sanity check can reject it.
@@ -340,6 +341,18 @@ TEST(JournalScanTest, HostilePayloadLengthIsCapped) {
   const JournalScan scan = scan_journal_file(image);
   EXPECT_TRUE(scan.records.empty());
   EXPECT_EQ(scan.tail.code(), util::StatusCode::kOutOfRange);
+}
+
+TEST(JournalScanTest, CheckpointRecordTypeIsRejected) {
+  std::vector<std::uint8_t> image = io::encode_log_header();
+  const auto frame =
+      io::encode_log_frame(io::kCheckpointRecordType, 1, {1, 2, 3});
+  image.insert(image.end(), frame.begin(), frame.end());
+
+  const JournalScan scan = scan_journal_file(image);
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_EQ(scan.valid_bytes, io::kLogHeaderBytes);
+  EXPECT_EQ(scan.tail.code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(JournalRecoveryTest, AppendedRunsSurviveReopen) {
@@ -530,10 +543,10 @@ TEST(JournalDegradationTest, SaturationShedsWithRetryAfterHint) {
   TempDir dir;
   JournalConfig config = journal_config(dir);
   const std::size_t frame_bytes =
-      kJournalRecordHeaderBytes + encode_run_spec(small_managed_spec("a")).size();
+      io::kLogFrameHeaderBytes + encode_run_spec(small_managed_spec("a")).size();
   // Room for the file header plus one and a half records: the second
   // append must shed even after the emergency compaction attempt.
-  config.max_active_bytes = kJournalFileHeaderBytes + frame_bytes +
+  config.max_active_bytes = io::kLogHeaderBytes + frame_bytes +
                             frame_bytes / 2;
   Journal journal(config);
   ASSERT_TRUE(journal.open().has_value());
